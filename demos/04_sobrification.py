@@ -27,7 +27,7 @@ print("pair space size:", ads.space.n, " opens:", ads.space.opens)
 print("so the pair space keeps both points while the classical one collapses them")
 
 # the transfer maps: opens move along the diamond map, up-sets along the
-# bracket map, both as order isomorphisms (ads_space verifies this)
+# bracket map, both as order isomorphisms (the OS-ISO check verifies this)
 print("diamond:", ads.diamond_map, " bracket:", ads.bracket_map)
 
 # the pair space is exactly the spectrum of the frame, via an explicit witness

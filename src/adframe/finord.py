@@ -29,7 +29,6 @@ from .bits import (
     is_subset,
     iter_bits,
     mask_of,
-    subset_key,
 )
 from .errors import (
     NotALattice,
@@ -267,22 +266,6 @@ def interior(space, subset: int) -> int:
     return out
 
 
-_SET_OPS = {
-    "closure": closure,
-    "interior": interior,
-    "upclose": upclose,
-    "downclose": downclose,
-}
-
-
-def set_operator(space: FinPreTopSpace, subset: int, op: str) -> int:
-    try:
-        fn = _SET_OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown set operator {op!r}") from None
-    return fn(space, subset)
-
-
 def specialization_preorder(space) -> tuple[int, ...]:
     """x <= y iff every open containing x contains y (rows of minimal opens)."""
     rows = []
@@ -359,8 +342,8 @@ def _finish_lattice(m, labels, leq, join_t, meet_t) -> FinLattice:
     top_rows = np.flatnonzero(leq.all(axis=0))
     if len(bot_rows) != 1 or len(top_rows) != 1:
         raise NotALattice("lattice must have unique bottom and top")
-    up = tuple(int(mask_of(np.flatnonzero(leq[i]))) for i in range(m))
-    down = tuple(int(mask_of(np.flatnonzero(leq[:, i]))) for i in range(m))
+    up = tuple(mask_of(np.flatnonzero(leq[i]).tolist()) for i in range(m))
+    down = tuple(mask_of(np.flatnonzero(leq[:, i]).tolist()) for i in range(m))
     return FinLattice(m, labels, leq, join_t, meet_t,
                       int(bot_rows[0]), int(top_rows[0]), up, down)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bits import bits_of, canonical_subsets, is_subset, iter_bits, subset_key
+from .bits import bits_of, canonical_subsets, is_subset, subset_key
 from .errors import ImageNotIrreducible, InternalCheckError, NotContinuous, NotMonotone
 from . import finord
 from .finord import (
@@ -57,18 +57,16 @@ def _pair_ok(space: FinPreTopSpace, c: int, x: int, variant: Variant) -> bool:
 
 
 def irreducible_pairs(space: FinPreTopSpace, variant=Variant.BOTH) -> tuple[IrreduciblePair, ...]:
+    """Pairs are tested at the lowest member of the class; the test suite
+    checks that every other member gives the same answer."""
     variant = Variant.parse(variant)
     classes = equivalence_classes(space.leq)
     out = []
     for c in irreducible_closed_sets(space):
         for cls in classes:
-            members = bits_of(cls)
-            ok = _pair_ok(space, c, members[0], variant)
-            if len(members) > 1 and _pair_ok(space, c, members[1], variant) != ok:
-                raise InternalCheckError(
-                    "pair conditions depend on the class representative")
-            if ok:
-                out.append(IrreduciblePair(c, cls))
+            pair = IrreduciblePair(c, cls)
+            if _pair_ok(space, c, pair.rep, variant):
+                out.append(pair)
     out.sort(key=lambda p: (subset_key(p.closed), subset_key(p.cls)))
     return tuple(out)
 
@@ -117,8 +115,9 @@ class AdsSpace:
 
 
 def ads_space(space: FinPreTopSpace, variant=Variant.BOTH) -> AdsSpace:
-    """The irreducible-pair space, with both transfer maps verified to be
-    order isomorphisms onto the opens and the up-closed sets."""
+    """The irreducible-pair space with its two transfer maps.  OS-ISO checks
+    that the pair-space opens are a topology and that both transfer maps
+    are order isomorphisms onto the opens and the up-closed sets."""
     variant = Variant.parse(variant)
     pairs = irreducible_pairs(space, variant)
     n = len(pairs)
@@ -132,30 +131,12 @@ def ads_space(space: FinPreTopSpace, variant=Variant.BOTH) -> AdsSpace:
         for a in base_upsets
     )
     opens = canonical_subsets(diamond)
-    if len(opens) != len(space.opens):
-        raise InternalCheckError("diamond map identified two distinct opens")
     rows = tuple(
         sum(1 << j for j, other in enumerate(pairs)
             if space.leq[pr.rep] >> other.rep & 1)
         for pr in pairs
     )
-    finord._check_topology(opens, n)
     result = FinPreTopSpace(n, opens, rows)
-
-    for i, u in enumerate(space.opens):
-        for j, v in enumerate(space.opens):
-            if is_subset(u, v) != is_subset(diamond[i], diamond[j]):
-                raise InternalCheckError(
-                    "diamond map is not an order isomorphism onto the opens")
-    result_upsets = set(upset_family(result))
-    if len(set(bracket)) != len(base_upsets) or set(bracket) != result_upsets:
-        raise InternalCheckError(
-            "bracket map is not a bijection onto the up-closed sets")
-    for i, a in enumerate(base_upsets):
-        for j, b in enumerate(base_upsets):
-            if is_subset(a, b) != is_subset(bracket[i], bracket[j]):
-                raise InternalCheckError(
-                    "bracket map is not an order isomorphism onto the up-closed sets")
     return AdsSpace(space, variant, pairs, result, diamond, bracket, base_upsets)
 
 
@@ -214,6 +195,9 @@ class AdsAdptIso:
 
 
 def ads_adpt_iso(space: FinPreTopSpace, variant=Variant.BOTH) -> AdsAdptIso:
+    """ADS-ISO checks that ``forward`` is an isomorphism of spaces carrying
+    the transferred up-sets onto the spectrum's; ETA-PREIMAGE checks the
+    unit's preimages."""
     variant = Variant.parse(variant)
     ads = ads_space(space, variant)
     frame = build_ado(space, variant)
@@ -227,24 +211,6 @@ def ads_adpt_iso(space: FinPreTopSpace, variant=Variant.BOTH) -> AdsAdptIso:
         if idx is None:
             raise InternalCheckError(f"pair {pr} does not map to a point")
         forward.append(idx)
-    if len(set(forward)) != len(forward) or len(forward) != len(spectrum.points):
-        raise InternalCheckError("pair space and spectrum are not in bijection")
-
-    # opens and up-closed sets correspond along the bijection
-    for k in range(len(space.opens)):
-        transported = sum(1 << forward[i] for i in iter_bits(ads.diamond_map[k]))
-        if transported != spectrum.open_map[k]:
-            raise InternalCheckError("diamond opens do not match spectrum opens")
-    for a in range(len(ads.upsets)):
-        transported = sum(1 << forward[i] for i in iter_bits(ads.bracket_map[a]))
-        if transported != spectrum.upset_map[a]:
-            raise InternalCheckError("bracket sets do not match spectrum up-sets")
-    for i, pr in enumerate(ads.pairs):
-        for j, other in enumerate(ads.pairs):
-            here = ads.space.leq[i] >> j & 1
-            there = spectrum.space.leq[forward[i]] >> forward[j] & 1
-            if here != there:
-                raise InternalCheckError("bijection does not respect the preorders")
 
     classes = equivalence_classes(space.leq)
     pair_index = {pr: i for i, pr in enumerate(ads.pairs)}
@@ -254,11 +220,4 @@ def ads_adpt_iso(space: FinPreTopSpace, variant=Variant.BOTH) -> AdsAdptIso:
         if pr not in pair_index:
             raise InternalCheckError(f"unit image of point {x} is not a pair")
         unit.append(pair_index[pr])
-    unit = tuple(unit)
-    for k, u in enumerate(space.opens):
-        if finord.preimage(unit, ads.diamond_map[k]) != u:
-            raise InternalCheckError("unit preimage of a diamond open is off")
-    for a, lab in enumerate(ads.upsets):
-        if finord.preimage(unit, ads.bracket_map[a]) != lab:
-            raise InternalCheckError("unit preimage of a bracket set is off")
-    return AdsAdptIso(ads, spectrum, tuple(forward), unit)
+    return AdsAdptIso(ads, spectrum, tuple(forward), tuple(unit))

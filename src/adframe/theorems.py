@@ -13,12 +13,12 @@ import itertools
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .bits import bits_of, canonical_subsets, is_subset, iter_bits, subset_key
-from .errors import (BudgetExceeded, InternalCheckError, NotContinuous,
-                     NotMonotone, TrivialFrame, UnknownTheorem)
+from .bits import bits_of, canonical_subsets, is_subset
+from .errors import (BudgetExceeded, InternalCheckError, NotATopology,
+                     NotContinuous, TrivialFrame, UnknownTheorem)
 from . import finord
 from .finord import (FinLattice, FinPreTopSpace, FinTopSpace, class_of,
                      closure, continuity_failure, equivalence_classes,
@@ -419,38 +419,36 @@ def _pretop_profile(space: FinPreTopSpace):
     return out
 
 
-def _iso_pretop(a: FinPreTopSpace, b: FinPreTopSpace, budget: int):
-    if a.n != b.n or len(a.opens) != len(b.opens):
+def _iso_search(rows_a, rows_b, prof_a, prof_b, accept: Callable[[tuple], bool],
+                nodes: list[int], budget: int) -> Optional[tuple]:
+    """Backtracking search for a bijection x -> y that matches profiles and
+    preserves and reflects the relation given by the row masks ``rows_a``/
+    ``rows_b`` (bit z of row x: x is related to z); returns the first one
+    ``accept`` takes.  Every candidate tried counts one node in ``nodes[0]``,
+    shared by nested searches, against ``budget``."""
+    if sorted(prof_a) != sorted(prof_b):
         return None
-    if sorted(u.bit_count() for u in a.opens) != sorted(u.bit_count() for u in b.opens):
-        return None
-    pa, pb = _pretop_profile(a), _pretop_profile(b)
-    if sorted(pa) != sorted(pb):
-        return None
-    n = a.n
-    cands = [tuple(y for y in range(n) if pb[y] == pa[x]) for x in range(n)]
+    n = len(rows_a)
+    cands = [tuple(y for y in range(n) if prof_b[y] == prof_a[x]) for x in range(n)]
     order = sorted(range(n), key=lambda x: len(cands[x]))
     perm = [-1] * n
     used = [False] * n
-    nodes = 0
 
     def rec(k: int) -> bool:
-        nonlocal nodes
         if k == n:
-            mapped = {sum(1 << perm[x] for x in bits_of(u)) for u in a.opens}
-            return mapped == set(b.opens)
+            return accept(tuple(perm))
         x = order[k]
         for y in cands[x]:
             if used[y]:
                 continue
-            nodes += 1
-            if nodes > budget:
+            nodes[0] += 1
+            if nodes[0] > budget:
                 raise BudgetExceeded("isomorphism search budget exhausted")
             ok = True
             for j in range(k):
                 z, w = order[j], perm[order[j]]
-                if (a.leq[x] >> z & 1) != (b.leq[y] >> w & 1) or \
-                   (a.leq[z] >> x & 1) != (b.leq[w] >> y & 1):
+                if (rows_a[x] >> z & 1) != (rows_b[y] >> w & 1) or \
+                   (rows_a[z] >> x & 1) != (rows_b[w] >> y & 1):
                     ok = False
                     break
             if not ok:
@@ -464,6 +462,20 @@ def _iso_pretop(a: FinPreTopSpace, b: FinPreTopSpace, budget: int):
         return False
 
     return tuple(perm) if rec(0) else None
+
+
+def _iso_pretop(a: FinPreTopSpace, b: FinPreTopSpace, budget: int):
+    if a.n != b.n or len(a.opens) != len(b.opens):
+        return None
+    if sorted(u.bit_count() for u in a.opens) != sorted(u.bit_count() for u in b.opens):
+        return None
+    target = set(b.opens)
+
+    def accept(perm: tuple) -> bool:
+        return {sum(1 << perm[x] for x in bits_of(u)) for u in a.opens} == target
+
+    return _iso_search(a.leq, b.leq, _pretop_profile(a), _pretop_profile(b),
+                       accept, [0], budget)
 
 
 def _as_discrete(top) -> FinPreTopSpace:
@@ -491,66 +503,23 @@ def _iso_adframe(a: AdFrame, b: AdFrame, budget: int):
                         lat.down_masks[e].bit_count(), degs))
         return out
 
-    state = {"nodes": 0}
-
-    def order_iso_search(la: FinLattice, lb: FinLattice, prof_a, prof_b,
-                         accept: Callable[[tuple], bool]) -> bool:
-        if sorted(prof_a) != sorted(prof_b):
-            return False
-        m = la.m
-        cands = [tuple(j for j in range(m) if prof_b[j] == prof_a[i])
-                 for i in range(m)]
-        order = sorted(range(m), key=lambda i: len(cands[i]))
-        perm = [-1] * m
-        used = [False] * m
-
-        def rec(k: int) -> bool:
-            if k == m:
-                return accept(tuple(perm))
-            i = order[k]
-            for j in cands[i]:
-                if used[j]:
-                    continue
-                state["nodes"] += 1
-                if state["nodes"] > budget:
-                    raise BudgetExceeded("isomorphism search budget exhausted")
-                good = True
-                for kk in range(k):
-                    z, w = order[kk], perm[order[kk]]
-                    if bool(la.leq[i, z]) != bool(lb.leq[j, w]) or \
-                       bool(la.leq[z, i]) != bool(lb.leq[w, j]):
-                        good = False
-                        break
-                if not good:
-                    continue
-                perm[i] = j
-                used[j] = True
-                if rec(k + 1):
-                    return True
-                perm[i] = -1
-                used[j] = False
-            return False
-
-        return rec(0)
-
+    nodes = [0]
     found = {}
 
-    def try_tau(sigma: tuple) -> bool:
+    def try_sigma(sigma: tuple) -> bool:
         def accept(tau: tuple) -> bool:
-            for name in REL_NAMES:
-                mapped = {(sigma[u], tau[x]) for u, x in a.rel(name)}
-                if mapped != set(b.rel(name)):
-                    return False
-            found["iso"] = (sigma, tau)
-            return True
-        return order_iso_search(a.ell, b.ell,
-                                side_profile(a, False), side_profile(b, False),
-                                accept)
+            return all({(sigma[u], tau[x]) for u, x in a.rel(name)} == set(b.rel(name))
+                       for name in REL_NAMES)
+        tau = _iso_search(a.ell.up_masks, b.ell.up_masks,
+                          side_profile(a, False), side_profile(b, False),
+                          accept, nodes, budget)
+        found["tau"] = tau
+        return tau is not None
 
-    hit = order_iso_search(a.omega, b.omega,
-                           side_profile(a, True), side_profile(b, True),
-                           try_tau)
-    return found["iso"] if hit else None
+    sigma = _iso_search(a.omega.up_masks, b.omega.up_masks,
+                        side_profile(a, True), side_profile(b, True),
+                        try_sigma, nodes, budget)
+    return None if sigma is None else (sigma, found["tau"])
 
 
 def iso_check(kind: str, left, right, budget: int = DEFAULT_ISO_BUDGET):
@@ -793,7 +762,8 @@ def run_check(theorem_id: str, instance: Optional[Instance] = None, *,
     reports: list[CheckReport] = []
     started = time.perf_counter()
     for inst in stream:
-        if budget_ms is not None and (time.perf_counter() - started) * 1000 > budget_ms:
+        if budget_ms is not None and reports and \
+           (time.perf_counter() - started) * 1000 > budget_ms:
             exc = BudgetExceeded(
                 f"{theorem_id}: budget of {budget_ms:g} ms exhausted "
                 f"after {len(reports)} instances")
@@ -1003,29 +973,61 @@ def _sweep_triangle(spec: SweepSpec) -> Iterator[Instance]:
         emitted += 1
 
 
+_UNIQUE_GATE = 64
+
+
+def _triangle_gap(hom: AdFrameHom, spectrum, eta, idxs) -> Optional[int]:
+    """First point x whose unit image does not pull back along ``hom`` to
+    point ``idxs[x]`` of ``spectrum``, or None when the triangle closes."""
+    for x, idx in enumerate(idxs):
+        pulled = pullback_point(hom, eta.spectrum.points[eta.mapping[x]])
+        if spectrum.point_index(pulled) != idx:
+            return x
+    return None
+
+
+def _transpose_failure(spectrum, idxs, hom: AdFrameHom, eta) -> Optional[str]:
+    """Why ``hom`` is not the transpose of the map ``idxs`` into
+    ``spectrum``, or None.  It must be a valid hom and close the triangle
+    with the unit ``eta``; on small instances an exhaustive scan over the
+    bounded-lattice homs of both sides must find no other such hom."""
+    bad = validate_hom(hom).failures()
+    if bad:
+        return f"transpose is not a hom: {[c.law for c in bad]}"
+    x = _triangle_gap(hom, spectrum, eta, idxs)
+    if x is not None:
+        return f"transpose triangle fails at point {x}"
+    frame, ado_x = hom.source, hom.target
+    if frame.omega.m * ado_x.omega.m > _UNIQUE_GATE:
+        return None
+    ell_homs = bounded_lattice_homs(frame.ell, ado_x.ell)
+    matches = []
+    for phi in bounded_lattice_homs(frame.omega, ado_x.omega):
+        for p in ell_homs:
+            cand = AdFrameHom(frame, ado_x, phi, p)
+            if _triangle_gap(cand, spectrum, eta, idxs) is None and validate_hom(cand).ok:
+                matches.append(cand)
+    if len(matches) != 1 or matches[0].key() != hom.key():
+        return f"uniqueness scan found {len(matches)} triangle-compatible homs"
+    return None
+
+
 def _run_triangle(inst: Instance):
     if inst.kind == "triangle":
         x_space, spectrum, mapping, v = inst.payload
-        try:
-            hom = transpose(x_space, spectrum, mapping)
-        except InternalCheckError as exc:
-            return False, str(exc)
-        eta = eta_map(x_space, v)
-        for x in range(x_space.n):
-            pulled = pullback_point(hom, eta.spectrum.points[eta.mapping[x]])
-            if spectrum.point_index(pulled) != mapping[x]:
-                return False, f"triangle fails at point {x}"
-        return True, None
+        hom = transpose(x_space, spectrum, mapping)
+        err = _transpose_failure(spectrum, mapping, hom, eta_map(x_space, v))
+        return err is None, err
 
     x_space, y_space, h, v = inst.payload
     g = build_ado_hom(h, x_space, y_space, v)
     smap = adpt_hom(g)
     eta_x = eta_map(x_space, v)
     composite = tuple(smap.mapping[eta_x.mapping[x]] for x in range(x_space.n))
-    try:
-        back = transpose(x_space, smap.cod, composite)
-    except InternalCheckError as exc:
-        return False, str(exc)
+    back = transpose(x_space, smap.cod, composite)
+    err = _transpose_failure(smap.cod, composite, back, eta_x)
+    if err is not None:
+        return False, err
     if back.key() != g.key():
         return False, {"recovered_phi": back.phi, "expected_phi": g.phi,
                        "recovered_p": back.p, "expected_p": g.p}
@@ -1035,7 +1037,14 @@ def _run_triangle(inst: Instance):
 def _run_adj_exists(inst: Instance):
     src, dst, h, v = inst.payload
     g = build_ado_hom(h, src, dst, v)
+    bad = validate_hom(g).failures()
+    if bad:
+        return False, {"preimage_hom_failures": [c.law for c in bad]}
     smap = adpt_hom(g)
+    if continuity_failure(smap.dom.space, smap.cod.space, smap.mapping) is not None:
+        return False, "induced spectrum map is not continuous"
+    if monotonicity_failure(smap.dom.space, smap.cod.space, smap.mapping) is not None:
+        return False, "induced spectrum map is not monotone"
     eta_src = eta_map(src, v)
     eta_dst = eta_map(dst, v)
     left = [smap.mapping[eta_src.mapping[x]] for x in range(src.n)]
@@ -1089,15 +1098,19 @@ def _run_ads_iso(inst: Instance):
     mapped = {sum(1 << fwd[i] for i in bits_of(u)) for u in pair_space.opens}
     if mapped != set(spectrum_space.opens):
         return False, "open families do not correspond"
+    for a, upset in enumerate(iso.ads.bracket_map):
+        if sum(1 << fwd[i] for i in bits_of(upset)) != iso.spectrum.upset_map[a]:
+            return False, "bracket sets do not match spectrum up-sets"
     return True, None
 
 
 def _run_os_iso(inst: Instance):
     space, v = inst.payload
+    ads = ads_space(space, v)
     try:
-        ads = ads_space(space, v)
-    except InternalCheckError as exc:
-        return False, str(exc)
+        finord._check_topology(ads.space.opens, ads.space.n)
+    except NotATopology as exc:
+        return False, f"pair-space opens are not a topology: {exc}"
     if set(ads.diamond_map) != set(ads.space.opens) or \
        len(set(ads.diamond_map)) != len(space.opens):
         return False, "diamond transfer is not a bijection onto the pair-space opens"
@@ -1138,11 +1151,16 @@ def _run_eta_preimage(inst: Instance):
 
 def _run_adsober_eq(inst: Instance):
     space, v = inst.payload
+    res = is_ad_sober(space, v)
     try:
-        res = is_ad_sober(space, v)
+        eta = eta_map(space, v)
     except InternalCheckError as exc:
         return False, str(exc)
-    eta = eta_map(space, v)
+    for u, lab in enumerate(eta.frame.omega.labels):
+        if finord.preimage(eta.mapping, eta.spectrum.open_map[u]) != lab:
+            return False, "unit does not pull spectrum opens back to opens"
+    if monotonicity_failure(space, eta.spectrum.space, eta.mapping) is not None:
+        return False, "unit is not monotone"
     bijective = (len(set(eta.mapping)) == space.n
                  and len(eta.spectrum.points) == space.n)
     if bijective:

@@ -4,7 +4,7 @@ Everything here recomputes results from the raw definitions on explicit
 point sets, independently of the bitmask machinery under test.
 """
 
-from adframe import FinPreTopSpace
+from adframe import FinPreTopSpace, generate_random
 from adframe.bits import bits_of, mask_of
 
 
@@ -82,3 +82,10 @@ SIERPINSKI = FinPreTopSpace(2, (0, 2, 3), (1, 3))      # open {1}; order 1 <= 0
 DISCRETE2 = FinPreTopSpace(2, (0, 1, 2, 3), (1, 2))
 INDISCRETE2_DISCRETE_ORDER = FinPreTopSpace(2, (0, 3), (1, 2))
 CHAIN3 = FinPreTopSpace(3, (0, 4, 6, 7), (7, 6, 4))    # opens are up-sets of 0<1<2
+
+
+def idempotence_frames():
+    """The 500 seeded random frames of the idempotence acceptance gate."""
+    return [generate_random("adframe", {"family": ("ado", "ind")[seed % 2]},
+                            seed=seed).payload
+            for seed in range(500)]

@@ -97,6 +97,18 @@ def test_adpt_accepts_space_or_frame(payloads):
                                            {"x": [1, 2], "s": [2]}]
 
 
+def test_adpt_on_the_discrete_six_point_space(tmp_path):
+    # its up-set lattice has 64 elements, so masks reach bit 63
+    path = tmp_path / "discrete6.json"
+    path.write_text(json.dumps({"points": 6,
+                                "opens": [[p for p in range(6) if s >> p & 1]
+                                          for s in range(64)],
+                                "leq": []}))
+    code, out, _ = run_cli("adpt", "--in", str(path))
+    assert code == 0
+    assert len(json.loads(out)["points"]) == 6
+
+
 def test_ads_and_sobrify_shapes(payloads):
     code, out, _ = run_cli("ads", "--in", payloads["space"], "--variant", "up")
     assert code == 0

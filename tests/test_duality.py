@@ -6,12 +6,13 @@ from adframe import (AdPoint, Variant, adpt_hom, adpt_space, build_ado,
                      specialization_preorder, transpose, validate_hom)
 from adframe.duality import (is_cp_filter, is_cpc_filter, min_of_filter,
                              point_conditions_ok)
-from adframe.finord import lattice_from_labels
+from adframe.finord import _check_topology, lattice_from_labels, upset_family
 from adframe.frames import _two_chain
 from adframe.theorems import (enumerate_distributive_lattices,
                               enumerate_spaces, pretop_maps)
 
-from helpers import CHAIN3, INDISCRETE2_DISCRETE_ORDER, SIERPINSKI, leq_pairs
+from helpers import (CHAIN3, INDISCRETE2_DISCRETE_ORDER, SIERPINSKI,
+                     idempotence_frames, leq_pairs)
 
 VARIANTS = (Variant.UP, Variant.DOWN, Variant.BOTH)
 
@@ -97,6 +98,19 @@ def test_spectrum_opens_come_from_open_map():
     for sp in enumerate_spaces(2):
         spec = adpt_space(build_ado(sp))
         assert set(spec.space.opens) == set(spec.open_map)
+
+
+def test_spectrum_opens_are_a_topology_and_upsets_come_from_the_lattice():
+    frames = [build_ado(sp, v) for n in range(4) for sp in enumerate_spaces(n)
+              for v in VARIANTS]
+    frames += [ind_functor(lat) for lat in enumerate_distributive_lattices(8)
+               if lat.m >= 2]
+    frames += idempotence_frames()
+    assert len(frames) == 2577 + 35 + 500
+    for frame in frames:
+        spec = adpt_space(frame)
+        _check_topology(spec.space.opens, spec.space.n)
+        assert set(upset_family(spec.space)) == set(spec.upset_map)
 
 
 # ---------------------------------------------------------------------------

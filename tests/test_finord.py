@@ -191,6 +191,13 @@ def test_subset_lattices_distributive():
         assert analysis.distributivity_witness is None
 
 
+@pytest.mark.parametrize("m", [64, 65])
+def test_chain_masks_past_63_elements(m):
+    lat = chain_lattice(m)
+    assert lat.up_masks == tuple(sum(1 << j for j in range(i, m)) for i in range(m))
+    assert lat.down_masks == tuple((1 << (i + 1)) - 1 for i in range(m))
+
+
 def test_lattice_json_roundtrip():
     for lat in (chain_lattice(4), subset_lattice(CHAIN3, "upsets")):
         back = lattice_from_json(lattice_to_json(lat))

@@ -3,14 +3,15 @@ import pytest
 from adframe import (FinPreTopSpace, ImageNotIrreducible, IrreduciblePair,
                      NotContinuous, NotMonotone, Variant, ads_adpt_iso,
                      ads_hom, ads_space, adpt_space, build_ado, closure,
-                     equivalence_classes, irreducible_pairs,
-                     standard_sobrification)
+                     equivalence_classes, irreducible_closed_sets,
+                     irreducible_pairs, run_check, standard_sobrification)
 from adframe.bits import bits_of, is_subset, mask_of
 from adframe.finord import downclose, upclose, upset_family
-from adframe.theorems import enumerate_spaces, sober_topology
+from adframe.sobrify import _pair_ok
+from adframe.theorems import enumerate_spaces, sober_topology, space_instance
 
 from helpers import (CHAIN3, INDISCRETE2_DISCRETE_ORDER, SIERPINSKI,
-                     naive_irreducible_closeds, pts)
+                     idempotence_frames, naive_irreducible_closeds, pts)
 
 VARIANTS = (Variant.UP, Variant.DOWN, Variant.BOTH)
 
@@ -42,6 +43,44 @@ def test_pairs_match_membership_conditions(variant):
     for sp in enumerate_spaces(3)[::71]:
         got = {(p.closed, p.cls) for p in irreducible_pairs(sp, variant)}
         assert got == naive_pairs(sp, variant)
+
+
+def _distinct(spaces):
+    """(space, variant) pairs with duplicates dropped, first seen kept."""
+    seen = {}
+    for sp, v in spaces:
+        seen.setdefault((sp.n, sp.opens, sp.leq, v), (sp, v))
+    return list(seen.values())
+
+
+def _base_spaces():
+    return [(sp, v) for n in range(4) for sp in enumerate_spaces(n)
+            for v in VARIANTS]
+
+
+def _pair_spaces():
+    return _distinct((ads_space(sp, v).space, v) for sp, v in _base_spaces())
+
+
+def test_pair_conditions_do_not_depend_on_the_class_representative():
+    for sp, v in _base_spaces() + _pair_spaces():
+        classes = equivalence_classes(sp.leq)
+        for c in irreducible_closed_sets(sp):
+            for cls in classes:
+                verdicts = {_pair_ok(sp, c, x, v) for x in bits_of(cls)}
+                assert len(verdicts) == 1, (sp, v, c, cls)
+
+
+def test_sober_routes_agree_on_pair_spaces_and_spectra():
+    pair_spaces = _pair_spaces()
+    assert len(pair_spaces) == 1046
+    assert max(sp.n for sp, _ in pair_spaces) == 9
+    spectra = _distinct((adpt_space(frame).space, frame.variant)
+                        for frame in idempotence_frames())
+    for spaces in (pair_spaces, spectra):
+        reports = run_check("ADSOBER-EQ",
+                            instances=[space_instance(sp, v) for sp, v in spaces])
+        assert [r for r in reports if r.verdict != "pass"] == []
 
 
 def test_pairs_frozen_examples():

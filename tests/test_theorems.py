@@ -303,3 +303,11 @@ def test_every_check_passes_tiny_sweep():
         reports = run_check(cid, sweep={"n": 1})
         assert all(r.verdict in ("pass", "skip", "expected-fail")
                    for r in reports), cid
+
+
+def test_adj_exists_sampled_n3():
+    # owns the hom laws of build_ado_hom and the continuity and
+    # monotonicity of adpt_hom beyond the tiny sweep
+    reports = run_check("ADJ-EXISTS", sweep={"n": 3, "count": 300, "seed": 0})
+    assert len(reports) == 300
+    assert {r.verdict for r in reports} == {"pass"}
