@@ -15,8 +15,8 @@ from .errors import (AdframeError, BudgetExceeded, ImageNotIrreducible,
                      VariantMismatch)
 from .bits import bits_of, full_mask, is_subset, iter_bits, mask_of
 from .finord import (FinLattice, FinPreTopSpace, FinTopSpace, LatticeAnalysis,
-                     class_of, closure, equivalence_classes, interior,
-                     irreducible_closed_sets, lattice_analyze,
+                     class_of, closed_sets, closure, equivalence_classes,
+                     interior, irreducible_closed_sets, lattice_analyze,
                      lattice_from_json, lattice_from_labels, lattice_from_leq,
                      lattice_to_json, make_space, make_topology,
                      space_from_json, space_to_json, specialization_preorder,

@@ -28,6 +28,11 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def low_bit(mask: int) -> int:
+    """Index of the lowest member of a non-empty subset."""
+    return (mask & -mask).bit_length() - 1
+
+
 def full_mask(n: int) -> int:
     return (1 << n) - 1
 

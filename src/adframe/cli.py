@@ -264,7 +264,7 @@ def _lattice_cluster(lat: FinLattice, prefix: str, title: str) -> list[str]:
         lines.append(f'    {prefix}{i} [label="{text}"];')
 
     def less(i, j):
-        return i != j and bool(lat.leq[i, j])
+        return i != j and lat.le(i, j)
 
     for i, j in _hasse_edges(less, lat.m):
         lines.append(f"    {prefix}{i} -> {prefix}{j};")

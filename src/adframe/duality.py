@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .bits import canonical_subsets, full_mask, is_subset, iter_bits
 from .errors import (
     BudgetExceeded,
@@ -27,7 +25,7 @@ from .errors import (
 )
 from . import finord
 from .finord import FinLattice, FinPreTopSpace, lattice_analyze
-from .frames import AdFrame, AdFrameHom, Variant, build_ado
+from .frames import AdFrame, AdFrameHom, Variant, build_ado, rel_rows
 
 _BRUTE_GATE = 20
 
@@ -85,10 +83,8 @@ def is_cpc_filter(lat: FinLattice, mask: int) -> bool:
         return False
     if b == lat.bot:
         return False
-    above_b = lat.leq[b]
-    joins_above = above_b[lat.join_table]
-    viol = joins_above & ~above_b[:, None] & ~above_b[None, :]
-    return not viol.any()
+    outside = list(iter_bits(full_mask(lat.m) & ~mask))
+    return not any(mask >> lat.join(u, v) & 1 for u in outside for v in outside)
 
 
 def point_conditions_ok(frame: AdFrame, x: int, s: int) -> bool:
@@ -118,29 +114,21 @@ def _enumerate_prime(frame: AdFrame) -> tuple[AdPoint, ...]:
     omega, ell = frame.omega, frame.ell
     primes = lattice_analyze(omega).primes
     forks = lattice_analyze(ell).pitchfork
-    O, E = omega.leq, ell.leq
-    u8 = np.uint8
+    o_down, l_up, l_down = omega.down_masks, ell.up_masks, ell.down_masks
+    tot, fof = rel_rows(frame.tot, omega.m), rel_rows(frame.fof, omega.m)
+    con_cols = rel_rows(((a, u) for u, a in frame.con), ell.m)
+    cou_cols = rel_rows(((a, u) for u, a in frame.cou), ell.m)
 
-    # bad1[p, b]: some (p, a) in tot without b <= a; bad2[b, p]: some (u, b)
-    # in con without u <= p; bad3/bad4 are the fof/cou analogues with q.
-    tot_m = frame.rel_matrix("tot").astype(u8)
-    con_m = frame.rel_matrix("con").astype(u8)
-    fof_m = frame.rel_matrix("fof").astype(u8)
-    cou_m = frame.rel_matrix("cou").astype(u8)
-    not_O = (~O).astype(u8)
-    not_E = (~E).astype(u8)
-    bad1 = (tot_m @ not_E.T) > 0
-    bad2 = (con_m.T @ not_O) > 0
-    bad3 = (fof_m @ not_E) > 0
-    bad4 = (cou_m.T @ not_O) > 0
-
+    # (p, b) fails the up conditions when some (p, a) in tot lacks b <= a or
+    # some (u, b) in con lacks u <= p; the down conditions are the fof/cou
+    # analogues with q.
     found = []
     for p in primes:
         x = full_mask(omega.m) & ~omega.down_masks[p]
         for q, b in forks:
-            if frame.variant.sees_up and (bad1[p, b] or bad2[b, p]):
+            if frame.variant.sees_up and (tot[p] & ~l_up[b] or con_cols[b] & ~o_down[p]):
                 continue
-            if frame.variant.sees_down and (bad3[p, q] or bad4[q, p]):
+            if frame.variant.sees_down and (fof[p] & ~l_down[q] or cou_cols[q] & ~o_down[p]):
                 continue
             found.append((b, x, ell.up_masks[b]))
     found.sort()

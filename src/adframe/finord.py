@@ -9,18 +9,19 @@ Conventions used throughout the package:
     ``rows[x]`` is set iff ``x <= y``.
   - Families of subsets are kept in canonical order: cardinality first,
     then numeric bit-vector value.
-  - Lattices carry their order as an ``m x m`` numpy boolean matrix plus
-    precomputed join/meet index tables.  When a lattice is a lattice of
+  - A lattice over elements ``range(m)`` carries its order once, as row
+    masks over element indices: bit ``j`` of ``up_masks[i]`` (and bit ``i``
+    of ``down_masks[j]``) is set iff ``i <= j``.  Its join/meet tables are
+    tuples of rows of element indices.  When a lattice is a lattice of
     subsets, ``labels`` holds the subsets in element order, its order is
     inclusion, and join/meet are union/intersection.
 """
 from __future__ import annotations
 
 import os
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
-
-import numpy as np
 
 from .bits import (
     bits_of,
@@ -28,7 +29,6 @@ from .bits import (
     full_mask,
     is_subset,
     iter_bits,
-    mask_of,
 )
 from .errors import (
     NotALattice,
@@ -56,13 +56,6 @@ class FinTopSpace:
     n: int
     opens: tuple[int, ...]
 
-    @property
-    def full(self) -> int:
-        return full_mask(self.n)
-
-    def closed_sets(self) -> tuple[int, ...]:
-        return canonical_subsets(self.full & ~u for u in self.opens)
-
 
 @dataclass(frozen=True)
 class FinPreTopSpace:
@@ -79,9 +72,6 @@ class FinPreTopSpace:
     @property
     def full(self) -> int:
         return full_mask(self.n)
-
-    def closed_sets(self) -> tuple[int, ...]:
-        return canonical_subsets(self.full & ~u for u in self.opens)
 
     def topology(self) -> FinTopSpace:
         return FinTopSpace(self.n, self.opens)
@@ -258,6 +248,12 @@ def closure(space, subset: int) -> int:
     return full_mask(space.n) & ~avoid
 
 
+def closed_sets(space) -> tuple[int, ...]:
+    """Complements of the opens, in canonical order."""
+    full = full_mask(space.n)
+    return canonical_subsets(full & ~u for u in space.opens)
+
+
 def interior(space, subset: int) -> int:
     out = 0
     for u in space.opens:
@@ -282,77 +278,65 @@ def specialization_preorder(space) -> tuple[int, ...]:
 # lattices
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class FinLattice:
     """A finite lattice over elements ``range(m)``.
 
-    ``leq`` is a read-only numpy boolean matrix, ``join_table``/``meet_table``
-    hold element indices.  ``labels`` is the subset bit vector of each element
-    for lattices of subsets, or None for abstract ones.
+    The order lives in ``up_masks``/``down_masks`` (row masks over element
+    indices); ``join_table``/``meet_table`` are tuples of rows of element
+    indices.  ``labels`` is the subset bit vector of each element for
+    lattices of subsets, or None for abstract ones.
     """
 
     m: int
     labels: Optional[tuple[int, ...]]
-    leq: np.ndarray
-    join_table: np.ndarray
-    meet_table: np.ndarray
+    join_table: tuple[tuple[int, ...], ...]
+    meet_table: tuple[tuple[int, ...], ...]
     bot: int
     top: int
     up_masks: tuple[int, ...]
     down_masks: tuple[int, ...]
 
     def le(self, i: int, j: int) -> bool:
-        return bool(self.leq[i, j])
+        return bool(self.up_masks[i] >> j & 1)
 
     def join(self, i: int, j: int) -> int:
-        return int(self.join_table[i, j])
+        return self.join_table[i][j]
 
     def meet(self, i: int, j: int) -> int:
-        return int(self.meet_table[i, j])
+        return self.meet_table[i][j]
 
     def join_all(self, elems: Iterable[int]) -> int:
         out = self.bot
         for e in elems:
-            out = int(self.join_table[out, e])
+            out = self.join_table[out][e]
         return out
 
     def meet_all(self, elems: Iterable[int]) -> int:
         out = self.top
         for e in elems:
-            out = int(self.meet_table[out, e])
+            out = self.meet_table[out][e]
         return out
 
     def key(self) -> tuple:
         """Canonical value for equality comparisons in tests and dedup."""
-        return (self.m, self.labels, self.leq.tobytes())
+        return (self.m, self.labels, self.up_masks)
 
     def __repr__(self):
         tag = "labeled" if self.labels is not None else "abstract"
         return f"FinLattice(m={self.m}, {tag})"
 
 
-def _finish_lattice(m, labels, leq, join_t, meet_t) -> FinLattice:
-    leq = np.asarray(leq, dtype=bool)
-    leq.setflags(write=False)
-    join_t = np.asarray(join_t, dtype=np.int16)
-    join_t.setflags(write=False)
-    meet_t = np.asarray(meet_t, dtype=np.int16)
-    meet_t.setflags(write=False)
-    bot_rows = np.flatnonzero(leq.all(axis=1))
-    top_rows = np.flatnonzero(leq.all(axis=0))
-    if len(bot_rows) != 1 or len(top_rows) != 1:
-        raise NotALattice("lattice must have unique bottom and top")
-    up = tuple(mask_of(np.flatnonzero(leq[i]).tolist()) for i in range(m))
-    down = tuple(mask_of(np.flatnonzero(leq[:, i]).tolist()) for i in range(m))
-    return FinLattice(m, labels, leq, join_t, meet_t,
-                      int(bot_rows[0]), int(top_rows[0]), up, down)
+# sweeps hold thousands of frames over a few hundred label families
+_LABELLED: "weakref.WeakValueDictionary[tuple, FinLattice]" = weakref.WeakValueDictionary()
 
 
 def lattice_from_labels(labels: Sequence[int], cap: int = DEFAULT_LATTICE_CAP) -> FinLattice:
     """Lattice of subsets ordered by inclusion; join/meet are union/intersection.
 
     The family must be closed under union and intersection and is put into
-    canonical order first.
+    canonical order first.  Calls with the same family return the same
+    (immutable) lattice while it is alive.
     """
     family = canonical_subsets(labels)
     m = len(family)
@@ -360,63 +344,87 @@ def lattice_from_labels(labels: Sequence[int], cap: int = DEFAULT_LATTICE_CAP) -
         raise NotALattice("empty element set")
     if m > cap:
         raise TooLarge(f"lattice has {m} elements, cap is {cap}")
+    lat = _LABELLED.get(family)
+    if lat is not None:
+        return lat
     index = {lab: i for i, lab in enumerate(family)}
-    leq = np.zeros((m, m), dtype=bool)
-    for i, a in enumerate(family):
-        for j, b in enumerate(family):
-            leq[i, j] = is_subset(a, b)
-    join_t = np.zeros((m, m), dtype=np.int16)
-    meet_t = np.zeros((m, m), dtype=np.int16)
-    for i, a in enumerate(family):
-        for j, b in enumerate(family):
-            try:
-                join_t[i, j] = index[a | b]
-                meet_t[i, j] = index[a & b]
-            except KeyError:
-                raise NotALattice(
-                    f"label family not closed under union/intersection at "
-                    f"{bits_of(a)}, {bits_of(b)}"
-                ) from None
-    return _finish_lattice(m, family, leq, join_t, meet_t)
+    try:
+        join_t = tuple(tuple([index[a | b] for b in family]) for a in family)
+        meet_t = tuple(tuple([index[a & b] for b in family]) for a in family)
+    except KeyError:
+        a, b = next((a, b) for a in family for b in family
+                    if a | b not in index or a & b not in index)
+        raise NotALattice(
+            f"label family not closed under union/intersection at "
+            f"{bits_of(a)}, {bits_of(b)}"
+        ) from None
+    up = tuple(sum(1 << j for j, k in enumerate(row) if k == j) for row in join_t)
+    down = tuple(sum(1 << j for j, k in enumerate(row) if k == j) for row in meet_t)
+    # canonical order puts the least subset first and the greatest last
+    lat = FinLattice(m, family, join_t, meet_t, 0, m - 1, up, down)
+    _LABELLED[family] = lat
+    return lat
 
 
 def lattice_from_leq(
-    leq: np.ndarray | Sequence[Sequence[bool]],
+    leq: Sequence[Sequence[bool]],
     labels: Optional[Sequence[int]] = None,
     cap: int = DEFAULT_LATTICE_CAP,
 ) -> FinLattice:
-    """Lattice from an explicit order matrix; validates the order and that
-    every pair has a least upper and greatest lower bound."""
-    leq = np.asarray(leq, dtype=bool)
-    m = leq.shape[0]
+    """Lattice from an explicit square order matrix (nested sequences or an
+    array); validates the order and that every pair has a least upper and
+    greatest lower bound.
+
+    The matrix is read once into up-masks.  With the order a partial order,
+    ``up[i] & up[j]`` is the set of upper bounds of i and j, and i, j have a
+    least upper bound exactly when that set is the up-mask of some element;
+    meets are found the same way with down-masks.
+    """
+    rows = list(leq)
+    m = len(rows)
     if m == 0:
         raise NotALattice("empty element set")
-    if leq.shape != (m, m):
+    try:
+        square = all(len(row) == m for row in rows)
+    except TypeError:                       # rows that are not sequences
+        square = False
+    if not square:
         raise NotALattice("order matrix must be square")
     if m > cap:
         raise TooLarge(f"lattice has {m} elements, cap is {cap}")
-    if not leq.diagonal().all():
+    up = tuple(sum(1 << j for j, v in enumerate(row) if v) for row in rows)
+    if any(not up[i] >> i & 1 for i in range(m)):
         raise NotALattice("order not reflexive")
-    if (leq & leq.T & ~np.eye(m, dtype=bool)).any():
+    down = [0] * m
+    for i, row in enumerate(up):
+        for j in iter_bits(row):
+            down[j] |= 1 << i
+    down = tuple(down)
+    if any(up[i] & down[i] != 1 << i for i in range(m)):
         raise NotALattice("order not antisymmetric")
-    reach = (leq.astype(np.uint8) @ leq.astype(np.uint8)) > 0
-    if (reach & ~leq).any():
-        raise NotALattice("order not transitive")
-
-    join_t = np.zeros((m, m), dtype=np.int16)
-    meet_t = np.zeros((m, m), dtype=np.int16)
     for i in range(m):
+        reach = 0
+        for k in iter_bits(up[i]):
+            reach |= up[k]
+        if reach != up[i]:
+            raise NotALattice("order not transitive")
+
+    up_index = {mask: i for i, mask in enumerate(up)}
+    down_index = {mask: i for i, mask in enumerate(down)}
+    join_t, meet_t = [], []
+    for i in range(m):
+        join_row, meet_row = [], []
         for j in range(m):
-            ubs = np.flatnonzero(leq[i] & leq[j])
-            least = [int(k) for k in ubs if leq[k, ubs].all()]
-            if len(least) != 1:
+            k = up_index.get(up[i] & up[j])
+            if k is None:
                 raise NotALattice(f"elements {i}, {j} have no least upper bound")
-            join_t[i, j] = least[0]
-            lbs = np.flatnonzero(leq[:, i] & leq[:, j])
-            greatest = [int(k) for k in lbs if leq[lbs, k].all()]
-            if len(greatest) != 1:
+            join_row.append(k)
+            k = down_index.get(down[i] & down[j])
+            if k is None:
                 raise NotALattice(f"elements {i}, {j} have no greatest lower bound")
-            meet_t[i, j] = greatest[0]
+            meet_row.append(k)
+        join_t.append(tuple(join_row))
+        meet_t.append(tuple(meet_row))
 
     fam: Optional[tuple[int, ...]] = None
     if labels is not None:
@@ -425,13 +433,15 @@ def lattice_from_leq(
             raise NotALattice("label count differs from element count")
         for i in range(m):
             for j in range(m):
-                if bool(leq[i, j]) != is_subset(fam[i], fam[j]):
+                if bool(up[i] >> j & 1) != is_subset(fam[i], fam[j]):
                     raise NotALattice(f"order disagrees with label inclusion at ({i}, {j})")
-                if fam[join_t[i, j]] != fam[i] | fam[j]:
+                if fam[join_t[i][j]] != fam[i] | fam[j]:
                     raise NotALattice(f"join disagrees with label union at ({i}, {j})")
-                if fam[meet_t[i, j]] != fam[i] & fam[j]:
+                if fam[meet_t[i][j]] != fam[i] & fam[j]:
                     raise NotALattice(f"meet disagrees with label intersection at ({i}, {j})")
-    return _finish_lattice(m, fam, leq, join_t, meet_t)
+    full = full_mask(m)
+    return FinLattice(m, fam, tuple(join_t), tuple(meet_t),
+                      up_index[full], down_index[full], up, down)
 
 
 def upset_family(space: FinPreTopSpace, cap: int = DEFAULT_LATTICE_CAP) -> tuple[int, ...]:
@@ -480,52 +490,46 @@ class LatticeAnalysis:
 
 
 def lattice_analyze(lat: FinLattice) -> LatticeAnalysis:
-    """Distributivity (with witness triple on failure), prime and coprime
-    elements, and the pitchfork pairs (q, b) with b <= a iff a is not <= q."""
+    r"""Distributivity (with witness triple on failure), prime and coprime
+    elements, and the pitchfork pairs (q, b) with b <= a iff a is not <= q.
+
+    The pitchfork pairs are found by looking up the complement of each
+    ``down_masks[q]`` among the up-masks.  They also give the primes and the
+    coprimes: q is prime iff the complement of its down-set is a principal
+    filter, and b is coprime iff the complement of its up-set is a principal
+    ideal.  Distributivity uses the join-prime criterion: a finite lattice is
+    distributive iff every join-irreducible element is coprime (Davey and
+    Priestley, *Introduction to Lattices and Order*, ch. 10).  Only when it
+    fails are the triples (a, b, c) scanned in lexicographic order for the
+    first one with a /\ (b \/ c) != (a /\ b) \/ (a /\ c).
+    """
     m = lat.m
-    jt, mt, leq = lat.join_table, lat.meet_table, lat.leq
-
-    witness = None
-    for a in range(m):
-        lhs = mt[a, jt]                     # a /\ (b \/ c), an m x m grid
-        rhs = jt[mt[a][:, None], mt[a][None, :]]
-        bad = np.argwhere(lhs != rhs)
-        if len(bad):
-            b, c = (int(v) for v in bad[0])
-            witness = (a, b, c)
-            break
-
-    primes = []
-    for q in range(m):
-        if q == lat.top:
-            continue
-        below_q = leq[:, q]
-        meets_below = below_q[mt]           # (u /\ v) <= q, m x m grid
-        viol = meets_below & ~below_q[:, None] & ~below_q[None, :]
-        if not viol.any():
-            primes.append(q)
-
-    coprimes = []
-    for b in range(m):
-        if b == lat.bot:
-            continue
-        above_b = leq[b, :]
-        joins_above = above_b[jt]           # b <= (u \/ v)
-        viol = joins_above & ~above_b[:, None] & ~above_b[None, :]
-        if not viol.any():
-            coprimes.append(b)
-
+    full = full_mask(m)
+    up_index = {mask: b for b, mask in enumerate(lat.up_masks)}
     pitchfork = []
-    not_below = ~leq.T                      # not_below[q, a]  <=>  a is not <= q
     for q in range(m):
-        for b in range(m):
-            if np.array_equal(leq[b], not_below[q]):
-                pitchfork.append((q, b))
+        b = up_index.get(full & ~lat.down_masks[q])
+        if b is not None:
+            pitchfork.append((q, b))
+    coprimes = sorted(b for _, b in pitchfork)
+
+    coprime_set = set(coprimes)
+    # b is join-irreducible iff the elements strictly below it do not join to b
+    distributive = all(
+        b in coprime_set
+        for b in range(m)
+        if lat.join_all(iter_bits(lat.down_masks[b] & ~(1 << b))) != b
+    )
+    witness = None
+    if not distributive:
+        jt, mt = lat.join_table, lat.meet_table
+        witness = next((a, b, c) for a in range(m) for b in range(m) for c in range(m)
+                       if mt[a][jt[b][c]] != jt[mt[a][b]][mt[a][c]])
 
     return LatticeAnalysis(
-        distributive=witness is None,
+        distributive=distributive,
         distributivity_witness=witness,
-        primes=tuple(primes),
+        primes=tuple(q for q, _ in pitchfork),
         coprimes=tuple(coprimes),
         pitchfork=tuple(pitchfork),
     )
@@ -533,7 +537,7 @@ def lattice_analyze(lat: FinLattice) -> LatticeAnalysis:
 
 def lattice_to_json(lat: FinLattice) -> dict:
     doc: dict = {
-        "leq": [[i, j] for i in range(lat.m) for j in range(lat.m) if lat.leq[i, j]],
+        "leq": [[i, j] for i in range(lat.m) for j in iter_bits(lat.up_masks[i])],
     }
     if lat.labels is not None:
         doc["labels"] = [list(bits_of(lab)) for lab in lat.labels]
@@ -544,12 +548,15 @@ def lattice_from_json(doc: Mapping, cap: int = DEFAULT_LATTICE_CAP) -> FinLattic
     pairs = list(doc["leq"])
     if not pairs:
         raise NotALattice("order pair list is empty; reflexive pairs are required")
-    m = max(max(i, j) for i, j in pairs) + 1
-    leq = np.zeros((m, m), dtype=bool)
     for i, j in pairs:
         if i < 0 or j < 0:
             raise ValueError(f"order pair ({i}, {j}) has a negative index")
-        leq[i, j] = True
+    m = max(max(i, j) for i, j in pairs) + 1
+    if m > cap:
+        raise TooLarge(f"lattice has {m} elements, cap is {cap}")
+    leq = [bytearray(m) for _ in range(m)]
+    for i, j in pairs:
+        leq[i][j] = 1
     labels = None
     if "labels" in doc and doc["labels"] is not None:
         labels = [_parse_subset(lab, carrier_cap()) for lab in doc["labels"]]
@@ -562,7 +569,7 @@ def lattice_from_json(doc: Mapping, cap: int = DEFAULT_LATTICE_CAP) -> FinLattic
 
 def irreducible_closed_sets(space) -> tuple[int, ...]:
     """Non-empty closed sets C such that C <= C1 u C2 forces C inside one part."""
-    closed = space.closed_sets()
+    closed = closed_sets(space)
     out = []
     for c in closed:
         if c == 0:

@@ -12,6 +12,10 @@ information-side meet (u /\ v, a /\ b) and join (u \/ v, a \/ b).
 Closure under directed suprema reduces to downward closure for finite
 lattices; a directed-family oracle re-checks that reduction on small
 instances.
+
+Relations are stored once, as frozensets of (omega index, ell index)
+pairs.  The validator and the point enumeration derive row masks from them
+locally: bit a of row u is set iff (u, a) is in the relation.
 """
 from __future__ import annotations
 
@@ -20,9 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
-import numpy as np
-
-from .bits import bits_of, is_subset, iter_bits
+from .bits import bits_of, is_subset, iter_bits, low_bit
 from .errors import (
     NonDistributiveLattice,
     NotContinuous,
@@ -89,13 +91,6 @@ class AdFrame:
             raise ValueError(f"unknown relation {name!r}")
         return getattr(self, name)
 
-    def rel_matrix(self, name: str) -> np.ndarray:
-        mat = np.zeros((self.omega.m, self.ell.m), dtype=bool)
-        for i, j in self.rel(name):
-            mat[i, j] = True
-        mat.setflags(write=False)
-        return mat
-
     def with_variant(self, variant) -> "AdFrame":
         return AdFrame(self.omega, self.ell, self.tot, self.con, self.fof,
                        self.cou, Variant.parse(variant))
@@ -159,98 +154,84 @@ class ValidationReport:
         return tuple(c for c in self.checks if not c.ok)
 
 
-def _closure_witness(R, S, order_o, order_l, up: bool):
-    """A pair ((u, a) in R, (v, b) required but absent) for a closure failure."""
-    v, b = (int(x) for x in np.argwhere(S & ~R)[0])
-    for u, a in zip(*np.nonzero(R)):
-        if up:
-            if order_o[u, v] and order_l[a, b]:
-                return ((int(u), int(a)), (v, b))
-        else:
-            if order_o[v, u] and order_l[b, a]:
-                return ((int(u), int(a)), (v, b))
-    return ((v, b),)
+def rel_rows(pairs, m: int) -> list[int]:
+    """Row masks of a relation given as pairs: bit a of row u is set iff
+    (u, a) is a pair.  Rows of the swapped pairs are its columns."""
+    rows = [0] * m
+    for u, a in pairs:
+        rows[u] |= 1 << a
+    return rows
 
 
-def _reach_check(name, R, O, E, mode) -> AxiomCheck:
-    """Closure of R under moving along an order: mode picks the order/direction."""
-    o8, r8, e8 = O.astype(np.uint8), R.astype(np.uint8), E.astype(np.uint8)
-    if mode == "up-info":       # (u,a) in R, u<=v, a<=b  =>  (v,b) in R
-        S = (o8.T @ r8 @ e8) > 0
-        w = lambda: _closure_witness(R, S, O, E, True)
-    elif mode == "down-info":   # (v,b) in R, u<=v, a<=b  =>  (u,a) in R
-        S = (o8 @ r8 @ e8.T) > 0
-        w = lambda: _closure_witness(R, S, O, E, False)
-    elif mode == "up-logic":    # (u,a) in R, u<=v, b<=a  =>  (v,b) in R
-        S = (o8.T @ r8 @ e8.T) > 0
-        w = lambda: _closure_witness(R, S, O, E.T, True)
-    elif mode == "down-logic":  # (v,b) in R, u<=v, b<=a  =>  (u,a) in R
-        S = (o8 @ r8 @ e8) > 0
-        w = lambda: _closure_witness(R, S, O, E.T, False)
-    else:  # pragma: no cover
-        raise ValueError(mode)
-    ok = not (S & ~R).any()
-    return AxiomCheck(name, ok, None if ok else w())
+def _reach_check(name, R, o_to, l_to) -> AxiomCheck:
+    """Closure of R (row masks) under moving a member (u, a) to any (v, b)
+    with v in ``o_to[u]`` and b in ``l_to[a]``.  On failure the witness is
+    the first missing (v, b) in row order and the first member reaching it."""
+    reach = [0] * len(R)
+    for u, row in enumerate(R):
+        if row:
+            targets = 0
+            for a in iter_bits(row):
+                targets |= l_to[a]
+            for v in iter_bits(o_to[u]):
+                reach[v] |= targets
+    for v, row in enumerate(R):
+        missing = reach[v] & ~row
+        if missing:
+            b = low_bit(missing)
+            member = next((u, a) for u, row_u in enumerate(R) if o_to[u] >> v & 1
+                          for a in iter_bits(row_u) if l_to[a] >> b & 1)
+            return AxiomCheck(name, False, (member, (v, b)))
+    return AxiomCheck(name, True)
 
 
 def _member_check(name, R, pair) -> AxiomCheck:
-    ok = bool(R[pair])
+    ok = bool(R[pair[0]] >> pair[1] & 1)
     return AxiomCheck(name, ok, None if ok else (pair,))
 
 
 def _binary_check(name, R, tab_o, tab_l) -> AxiomCheck:
-    us, as_ = np.nonzero(R)
-    if len(us) == 0:
-        return AxiomCheck(name, True)
-    U = tab_o[np.ix_(us, us)]
-    A = tab_l[np.ix_(as_, as_)]
-    bad = ~R[U, A]
-    if not bad.any():
-        return AxiomCheck(name, True)
-    i, j = (int(x) for x in np.argwhere(bad)[0])
-    witness = ((int(us[i]), int(as_[i])), (int(us[j]), int(as_[j])),
-               (int(U[i, j]), int(A[i, j])))
-    return AxiomCheck(name, False, witness)
+    """R is closed under (u, a), (v, b) -> (tab_o[u][v], tab_l[a][b]); the
+    witness is the first failing pair of members in pair order."""
+    rows = [(u, bits_of(row)) for u, row in enumerate(R) if row]
+    for u, row_u in rows:
+        for a in row_u:
+            lrow = tab_l[a]
+            for v, row_v in rows:
+                target = R[tab_o[u][v]]
+                for b in row_v:
+                    if not target >> lrow[b] & 1:
+                        return AxiomCheck(name, False,
+                                          ((u, a), (v, b), (tab_o[u][v], lrow[b])))
+    return AxiomCheck(name, True)
 
 
-def _aligned_check(name, A_rel, B_rel, O, E, logic: bool) -> AxiomCheck:
-    """(u,a) in A_rel and (v,b) in B_rel with u = v or a = b force the pair
+def _aligned_check(name, A, B, A_cols, B_cols, o_up, l_up, logic: bool) -> AxiomCheck:
+    """(u,a) in A and (v,b) in B with u = v or a = b force the pair
     comparison: information order when logic is False, logical order else."""
-    mo, ml = A_rel.shape
-    for u in range(mo):
-        acols = np.flatnonzero(A_rel[u])
-        bcols = np.flatnonzero(B_rel[u])
-        if len(acols) and len(bcols):
-            if logic:
-                bad = ~E[np.ix_(bcols, acols)]      # need b <= a
-                if bad.any():
-                    bi, ai = np.argwhere(bad)[0]
-                    return AxiomCheck(name, False,
-                                      ((u, int(acols[ai])), (u, int(bcols[bi]))))
-            else:
-                bad = ~E[np.ix_(acols, bcols)]      # need a <= b
-                if bad.any():
-                    ai, bi = np.argwhere(bad)[0]
-                    return AxiomCheck(name, False,
-                                      ((u, int(acols[ai])), (u, int(bcols[bi]))))
-    for a in range(ml):
-        arows = np.flatnonzero(A_rel[:, a])
-        brows = np.flatnonzero(B_rel[:, a])
-        if len(arows) and len(brows):
-            bad = ~O[np.ix_(arows, brows)]          # need u <= v either way
-            if bad.any():
-                ui, vi = np.argwhere(bad)[0]
+    for u, (arow, brow) in enumerate(zip(A, B)):
+        # need b <= a (logical order) or a <= b (information order)
+        outer, inner = (brow, arow) if logic else (arow, brow)
+        for x in iter_bits(outer):
+            bad = inner & ~l_up[x]
+            if bad:
+                y = low_bit(bad)
                 return AxiomCheck(name, False,
-                                  ((int(arows[ui]), a), (int(brows[vi]), a)))
+                                  ((u, y), (u, x)) if logic else ((u, x), (u, y)))
+    for a, (acol, bcol) in enumerate(zip(A_cols, B_cols)):
+        for u in iter_bits(acol):                   # need u <= v either way
+            bad = bcol & ~o_up[u]
+            if bad:
+                return AxiomCheck(name, False, ((u, a), (low_bit(bad), a)))
     return AxiomCheck(name, True)
 
 
 def _forced_coord_check(name, R1, R2, coord: str, value: int) -> AxiomCheck:
-    both = R1 & R2
-    for u, a in zip(*np.nonzero(both)):
-        got = int(u) if coord == "omega" else int(a)
-        if got != value:
-            return AxiomCheck(name, False, ((int(u), int(a)),))
+    for u, (row1, row2) in enumerate(zip(R1, R2)):
+        both = row1 & row2
+        bad = (both if u != value else 0) if coord == "omega" else both & ~(1 << value)
+        if bad:
+            return AxiomCheck(name, False, ((u, low_bit(bad)),))
     return AxiomCheck(name, True)
 
 
@@ -267,64 +248,58 @@ def _scott_oracle(name, frame: AdFrame, R, logic_second: bool) -> AxiomCheck:
     reduction of Scott closure to downward closure.  All subfamilies are tried
     for small relations, families of size <= 3 otherwise.
     """
-    members = sorted((int(u), int(a)) for u, a in zip(*np.nonzero(R)))
+    members = [(u, a) for u, row in enumerate(R) for a in iter_bits(row)]
     P = len(members)
     if P < 2:
         return AxiomCheck(name, True)
-    O, E = frame.omega.leq, frame.ell.leq
-    mu = np.array([u for u, _ in members])
-    ma = np.array([a for _, a in members])
-    if logic_second:
-        Mb = O[np.ix_(mu, mu)] & E[np.ix_(ma, ma)].T
-        second_tab = frame.ell.meet_table
-    else:
-        Mb = O[np.ix_(mu, mu)] & E[np.ix_(ma, ma)]
-        second_tab = frame.ell.join_table
+    o_up = frame.omega.up_masks
+    # l_above[a]: the ell elements at or above a in the member order
+    l_above = frame.ell.down_masks if logic_second else frame.ell.up_masks
+    second_tab = frame.ell.meet_table if logic_second else frame.ell.join_table
     join_o = frame.omega.join_table
+    # bit j of above[i]: member j is at or above member i
+    above = [sum(1 << j for j, (v, b) in enumerate(members)
+                 if o_up[u] >> v & 1 and l_above[a] >> b & 1)
+             for u, a in members]
 
-    def sup_of(idxs) -> tuple[int, int]:
-        u = mu[idxs[0]]
-        a = ma[idxs[0]]
-        for k in idxs[1:]:
-            u = join_o[u, mu[k]]
-            a = second_tab[a, ma[k]]
-        return int(u), int(a)
+    def in_r(u: int, a: int) -> bool:
+        return bool(R[u] >> a & 1)
 
     if P <= _SCOTT_EXHAUSTIVE:
-        above = [int(sum(1 << j for j in range(P) if Mb[i, j])) for i in range(P)]
+        common = [[x & y for y in above] for x in above]
+        idxs_of = [()]                      # members of each subset, ascending
         for picks in range(1, 1 << P):
-            idxs = list(iter_bits(picks))
-            directed = all(above[i] & above[j] & picks
-                           for i, j in itertools.combinations(idxs, 2))
-            if not directed:
+            low = low_bit(picks)
+            idxs = (low,) + idxs_of[picks & (picks - 1)]
+            idxs_of.append(idxs)
+            if len(idxs) > 1 and not common[low][idxs[1]] & picks:
+                continue                    # its two least members have no bound in it
+            if not all(common[i][j] & picks
+                       for i, j in itertools.combinations(idxs, 2)):
                 continue
-            if not R[sup_of(idxs)]:
+            u, a = members[low]
+            for k in idxs[1:]:
+                u, a = join_o[u][members[k][0]], second_tab[a][members[k][1]]
+            if not in_r(u, a):
                 return AxiomCheck(name, False,
                                   tuple(members[i] for i in idxs))
         return AxiomCheck(name, True)
 
     # pairs: directed means comparable
-    comp = Mb | Mb.T
-    JU = join_o[np.ix_(mu, mu)]
-    JA = second_tab[np.ix_(ma, ma)]
-    ok_pairs = R[JU, JA] | ~comp
-    if not ok_pairs.all():
-        i, j = (int(x) for x in np.argwhere(~ok_pairs)[0])
-        return AxiomCheck(name, False, (members[i], members[j]))
+    for i, (u, a) in enumerate(members):
+        for j, (v, b) in enumerate(members):
+            if (above[i] >> j & 1 or above[j] >> i & 1) \
+                    and not in_r(join_o[u][v], second_tab[a][b]):
+                return AxiomCheck(name, False, (members[i], members[j]))
 
-    idx = np.array(list(itertools.combinations(range(P), 3)))
-    flags = []
-    for p, q in ((0, 1), (0, 2), (1, 2)):
-        cand = Mb[idx[:, p]] & Mb[idx[:, q]]
-        flags.append(np.take_along_axis(cand, idx, axis=1).any(axis=1))
-    directed = flags[0] & flags[1] & flags[2]
-    if directed.any():
-        ju = join_o[join_o[mu[idx[:, 0]], mu[idx[:, 1]]], mu[idx[:, 2]]]
-        ja = second_tab[second_tab[ma[idx[:, 0]], ma[idx[:, 1]]], ma[idx[:, 2]]]
-        bad = directed & ~R[ju, ja]
-        if bad.any():
-            t = idx[np.argwhere(bad)[0][0]]
-            return AxiomCheck(name, False, tuple(members[int(i)] for i in t))
+    for i, j, k in itertools.combinations(range(P), 3):
+        t = (1 << i) | (1 << j) | (1 << k)
+        if above[i] & above[j] & t and above[i] & above[k] & t \
+                and above[j] & above[k] & t:
+            (u0, a0), (u1, a1), (u2, a2) = members[i], members[j], members[k]
+            if not in_r(join_o[join_o[u0][u1]][u2],
+                        second_tab[second_tab[a0][a1]][a2]):
+                return AxiomCheck(name, False, (members[i], members[j], members[k]))
     return AxiomCheck(name, True)
 
 
@@ -340,59 +315,65 @@ def validate_adframe(frame: AdFrame) -> ValidationReport:
             raise NonDistributiveLattice(
                 f"{side} lattice not distributive, witness {ana.distributivity_witness}")
 
-    O, E = frame.omega.leq, frame.ell.leq
-    jo, mo_t = frame.omega.join_table, frame.omega.meet_table
-    jl, ml_t = frame.ell.join_table, frame.ell.meet_table
-    ff = (frame.omega.bot, frame.ell.top)
-    tt = (frame.omega.top, frame.ell.bot)
-    bots = (frame.omega.bot, frame.ell.bot)
-    tops = (frame.omega.top, frame.ell.top)
-    R = {name: frame.rel_matrix(name) for name in REL_NAMES}
-    scott_gated = frame.omega.m * frame.ell.m <= _SCOTT_GATE
+    omega, ell = frame.omega, frame.ell
+    o_up, o_down, l_up, l_down = (omega.up_masks, omega.down_masks,
+                                  ell.up_masks, ell.down_masks)
+    jo, mo_t = omega.join_table, omega.meet_table
+    jl, ml_t = ell.join_table, ell.meet_table
+    ff = (omega.bot, ell.top)
+    tt = (omega.top, ell.bot)
+    bots = (omega.bot, ell.bot)
+    tops = (omega.top, ell.top)
+    R = {name: rel_rows(frame.rel(name), omega.m) for name in REL_NAMES}
+    C = {name: rel_rows(((a, u) for u, a in frame.rel(name)), ell.m)
+         for name in REL_NAMES}
+    scott_gated = omega.m * ell.m <= _SCOTT_GATE
 
     checks: list[AxiomCheck] = []
     if frame.variant.sees_up:
         checks += [
-            _reach_check("tot-up-closed", R["tot"], O, E, "up-info"),
+            _reach_check("tot-up-closed", R["tot"], o_up, l_up),
             _member_check("tot-has-ff", R["tot"], ff),
             _member_check("tot-has-tt", R["tot"], tt),
             _binary_check("tot-logical-meet", R["tot"], mo_t, jl),
             _binary_check("tot-logical-join", R["tot"], jo, ml_t),
-            _reach_check("con-down-closed", R["con"], O, E, "down-info"),
+            _reach_check("con-down-closed", R["con"], o_down, l_down),
             _member_check("con-has-ff", R["con"], ff),
             _member_check("con-has-tt", R["con"], tt),
             _binary_check("con-logical-meet", R["con"], mo_t, jl),
             _binary_check("con-logical-join", R["con"], jo, ml_t),
-            _aligned_check("con-tot-aligned", R["con"], R["tot"], O, E, False),
+            _aligned_check("con-tot-aligned", R["con"], R["tot"], C["con"],
+                           C["tot"], o_up, l_up, False),
         ]
         if scott_gated:
             checks.append(_scott_oracle("con-scott-oracle", frame, R["con"], False))
     if frame.variant.sees_down:
         checks += [
-            _reach_check("fof-up-closed", R["fof"], O, E, "up-logic"),
+            _reach_check("fof-up-closed", R["fof"], o_up, l_down),
             _member_check("fof-has-bots", R["fof"], bots),
             _member_check("fof-has-tops", R["fof"], tops),
             _binary_check("fof-info-meet", R["fof"], mo_t, ml_t),
             _binary_check("fof-info-join", R["fof"], jo, jl),
-            _reach_check("cou-down-closed", R["cou"], O, E, "down-logic"),
+            _reach_check("cou-down-closed", R["cou"], o_down, l_up),
             _member_check("cou-has-bots", R["cou"], bots),
             _member_check("cou-has-tops", R["cou"], tops),
             _binary_check("cou-info-meet", R["cou"], mo_t, ml_t),
             _binary_check("cou-info-join", R["cou"], jo, jl),
-            _aligned_check("cou-fof-aligned", R["cou"], R["fof"], O, E, True),
+            _aligned_check("cou-fof-aligned", R["cou"], R["fof"], C["cou"],
+                           C["fof"], o_up, l_up, True),
         ]
         if scott_gated:
             checks.append(_scott_oracle("cou-scott-oracle", frame, R["cou"], True))
     if frame.variant is Variant.BOTH:
         checks += [
             _forced_coord_check("con-cou-bottom", R["con"], R["cou"],
-                                "omega", frame.omega.bot),
+                                "omega", omega.bot),
             _forced_coord_check("tot-fof-top", R["tot"], R["fof"],
-                                "omega", frame.omega.top),
+                                "omega", omega.top),
             _forced_coord_check("con-fof-ell-bottom", R["con"], R["fof"],
-                                "ell", frame.ell.bot),
+                                "ell", ell.bot),
             _forced_coord_check("tot-cou-ell-top", R["tot"], R["cou"],
-                                "ell", frame.ell.top),
+                                "ell", ell.top),
         ]
     return ValidationReport(frame.variant, tuple(checks))
 
@@ -460,20 +441,36 @@ def _lattice_hom_checks(prefix, fn, src: FinLattice, dst: FinLattice):
     ok_top = fn[src.top] == dst.top
     checks.append(AxiomCheck(f"{prefix}-top", ok_top,
                              None if ok_top else ((src.top, fn[src.top]),)))
-    arr = np.asarray(fn)
-    img_join = dst.join_table[np.ix_(arr, arr)]
-    want_join = arr[src.join_table]
-    bad = np.argwhere(img_join != want_join)
-    ok = len(bad) == 0
-    checks.append(AxiomCheck(f"{prefix}-join", ok,
-                             None if ok else tuple(int(x) for x in bad[0])))
-    img_meet = dst.meet_table[np.ix_(arr, arr)]
-    want_meet = arr[src.meet_table]
-    bad = np.argwhere(img_meet != want_meet)
-    ok = len(bad) == 0
-    checks.append(AxiomCheck(f"{prefix}-meet", ok,
-                             None if ok else tuple(int(x) for x in bad[0])))
+    for law, tab_s, tab_d in (("join", src.join_table, dst.join_table),
+                              ("meet", src.meet_table, dst.meet_table)):
+        bad = next(((i, j) for i in range(src.m) for j in range(src.m)
+                    if tab_d[fn[i]][fn[j]] != fn[tab_s[i][j]]), None)
+        checks.append(AxiomCheck(f"{prefix}-{law}", bad is None, bad))
     return checks
+
+
+def _seen_relations(variant: Variant) -> tuple[str, ...]:
+    return tuple(n for n in REL_NAMES
+                 if (n in ("tot", "con") and variant.sees_up)
+                 or (n in ("fof", "cou") and variant.sees_down))
+
+
+def preservation_failure(hom: AdFrameHom, name: str) -> Optional[tuple]:
+    """The first pair of relation ``name`` (in sorted order) whose image
+    under (phi, p) is missing from the target's relation, as (pair, image),
+    or None."""
+    target_rel = hom.target.rel(name)
+    phi, p = hom.phi, hom.p
+    return next((((u, a), (phi[u], p[a])) for u, a in sorted(hom.source.rel(name))
+                 if (phi[u], p[a]) not in target_rel), None)
+
+
+def preserves_relations(hom: AdFrameHom) -> bool:
+    """Whether (phi, p) preserves every relation the source's variant sees;
+    for bounded lattice homs between frames of one variant this is
+    ``validate_hom(hom).ok``."""
+    return all(preservation_failure(hom, name) is None
+               for name in _seen_relations(hom.source.variant))
 
 
 def validate_hom(hom: AdFrameHom) -> ValidationReport:
@@ -488,16 +485,8 @@ def validate_hom(hom: AdFrameHom) -> ValidationReport:
     ]
     checks += _lattice_hom_checks("phi", hom.phi, src.omega, dst.omega)
     checks += _lattice_hom_checks("p", hom.p, src.ell, dst.ell)
-    names = [n for n in REL_NAMES
-             if (n in ("tot", "con") and variant.sees_up)
-             or (n in ("fof", "cou") and variant.sees_down)]
-    for name in names:
-        target_rel = dst.rel(name)
-        bad = None
-        for u, a in sorted(hom.source.rel(name)):
-            if (hom.phi[u], hom.p[a]) not in target_rel:
-                bad = ((u, a), (hom.phi[u], hom.p[a]))
-                break
+    for name in _seen_relations(variant):
+        bad = preservation_failure(hom, name)
         checks.append(AxiomCheck(f"{name}-preserved", bad is None, bad))
     return ValidationReport(variant, tuple(checks))
 
@@ -505,7 +494,7 @@ def validate_hom(hom: AdFrameHom) -> ValidationReport:
 def bounded_lattice_homs(src: FinLattice, dst: FinLattice) -> list[tuple[int, ...]]:
     """All maps preserving bottom, top, binary join and binary meet,
     found by backtracking along a linear extension of the source."""
-    order = sorted(range(src.m), key=lambda i: (bin(src.down_masks[i]).count("1"), i))
+    order = sorted(range(src.m), key=lambda i: (src.down_masks[i].bit_count(), i))
     image: dict[int, int] = {}
     out: list[tuple[int, ...]] = []
 
@@ -515,24 +504,24 @@ def bounded_lattice_homs(src: FinLattice, dst: FinLattice) -> list[tuple[int, ..
         if e == src.top and v != dst.top:
             return False
         for f, w in image.items():
-            if src.leq[e, f] and not dst.leq[v, w]:
+            if src.le(e, f) and not dst.le(v, w):
                 return False
-            if src.leq[f, e] and not dst.leq[w, v]:
+            if src.le(f, e) and not dst.le(w, v):
                 return False
         trial = dict(image)
         trial[e] = v
         for f, w in trial.items():
             for tab_s, tab_d in ((src.join_table, dst.join_table),
                                  (src.meet_table, dst.meet_table)):
-                g = int(tab_s[e, f])
-                if g in trial and trial[g] != int(tab_d[v, w]):
+                g = tab_s[e][f]
+                if g in trial and trial[g] != tab_d[v][w]:
                     return False
         # pairs among earlier elements whose join/meet is the new element
         for f, w in image.items():
             for g, z in image.items():
-                if int(src.join_table[f, g]) == e and int(dst.join_table[w, z]) != v:
+                if src.join(f, g) == e and dst.join(w, z) != v:
                     return False
-                if int(src.meet_table[f, g]) == e and int(dst.meet_table[w, z]) != v:
+                if src.meet(f, g) == e and dst.meet(w, z) != v:
                     return False
         return True
 
@@ -585,13 +574,13 @@ def check_usc_lsc(frame: AdFrame, side: Optional[str] = None):
     return (usc, lsc)
 
 
-def _closure_under(seed: set[int], table: np.ndarray) -> set[int]:
+def _closure_under(seed: set[int], table) -> set[int]:
     out = set(seed)
     frontier = list(out)
     while frontier:
         x = frontier.pop()
         for y in list(out):
-            z = int(table[x, y])
+            z = table[x][y]
             if z not in out:
                 out.add(z)
                 frontier.append(z)
@@ -603,8 +592,7 @@ def _closure_under(seed: set[int], table: np.ndarray) -> set[int]:
 
 
 def _two_chain() -> FinLattice:
-    leq = np.array([[True, True], [False, True]])
-    return lattice_from_leq(leq)
+    return lattice_from_leq([[True, True], [False, True]])
 
 
 def ind_functor(omega: FinLattice, psi: Optional[Sequence[int]] = None,

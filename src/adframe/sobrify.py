@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bits import bits_of, canonical_subsets, is_subset, subset_key
+from .bits import bits_of, canonical_subsets, is_subset, low_bit, subset_key
 from .errors import ImageNotIrreducible, InternalCheckError, NotContinuous, NotMonotone
 from . import finord
 from .finord import (
@@ -39,7 +39,7 @@ class IrreduciblePair:
 
     @property
     def rep(self) -> int:
-        return (self.cls & -self.cls).bit_length() - 1
+        return low_bit(self.cls)
 
 
 def _pair_ok(space: FinPreTopSpace, c: int, x: int, variant: Variant) -> bool:

@@ -4,7 +4,7 @@ Everything here recomputes results from the raw definitions on explicit
 point sets, independently of the bitmask machinery under test.
 """
 
-from adframe import FinPreTopSpace, generate_random
+from adframe import FinPreTopSpace, closed_sets, generate_random
 from adframe.bits import bits_of, mask_of
 
 
@@ -65,7 +65,7 @@ def naive_upsets(space):
 
 
 def naive_irreducible_closeds(space):
-    closed = set(space.closed_sets())
+    closed = set(closed_sets(space))
     out = set()
     for c in closed:
         if c == 0:
@@ -75,6 +75,89 @@ def naive_irreducible_closeds(space):
                    for c1 in closed for c2 in closed):
             out.add(c)
     return out
+
+
+# ---------------------------------------------------------------------------
+# lattice oracles on an explicit order matrix: leq[i][j] means i <= j
+
+
+def naive_lub(leq, i, j):
+    """The least upper bound of i and j by scanning all bounds, or None."""
+    m = len(leq)
+    ubs = [k for k in range(m) if leq[i][k] and leq[j][k]]
+    least = [k for k in ubs if all(leq[k][l] for l in ubs)]
+    return least[0] if len(least) == 1 else None
+
+
+def naive_glb(leq, i, j):
+    m = len(leq)
+    lbs = [k for k in range(m) if leq[k][i] and leq[k][j]]
+    greatest = [k for k in lbs if all(leq[l][k] for l in lbs)]
+    return greatest[0] if len(greatest) == 1 else None
+
+
+def naive_is_lattice(leq):
+    m = len(leq)
+    return all(naive_lub(leq, i, j) is not None and naive_glb(leq, i, j) is not None
+               for i in range(m) for j in range(m))
+
+
+def naive_distributivity_witness(leq):
+    """First triple (a, b, c) in lexicographic order with
+    a meet (b join c) != (a meet b) join (a meet c), or None."""
+    m = len(leq)
+    for a in range(m):
+        for b in range(m):
+            for c in range(m):
+                lhs = naive_glb(leq, a, naive_lub(leq, b, c))
+                rhs = naive_lub(leq, naive_glb(leq, a, b), naive_glb(leq, a, c))
+                if lhs != rhs:
+                    return (a, b, c)
+    return None
+
+
+def naive_primes(leq):
+    """q other than the top with u meet v <= q forcing u <= q or v <= q."""
+    m = len(leq)
+    top = next(t for t in range(m) if all(leq[k][t] for k in range(m)))
+    return tuple(q for q in range(m) if q != top and all(
+        leq[u][q] or leq[v][q] or not leq[naive_glb(leq, u, v)][q]
+        for u in range(m) for v in range(m)))
+
+
+def naive_coprimes(leq):
+    """b other than the bottom with b <= u join v forcing b <= u or b <= v."""
+    m = len(leq)
+    bot = next(b for b in range(m) if all(leq[b][k] for k in range(m)))
+    return tuple(b for b in range(m) if b != bot and all(
+        leq[b][u] or leq[b][v] or not leq[b][naive_lub(leq, u, v)]
+        for u in range(m) for v in range(m)))
+
+
+def naive_pitchfork(leq):
+    """Pairs (q, b) with b <= a exactly when a is not <= q."""
+    m = len(leq)
+    return tuple((q, b) for q in range(m) for b in range(m)
+                 if all(leq[b][a] == (not leq[a][q]) for a in range(m)))
+
+
+def inclusion_matrix(labels):
+    return [[pts(a) <= pts(b) for b in labels] for a in labels]
+
+
+def bounded_posets(max_points):
+    """Order matrices of every poset on at most ``max_points`` labelled
+    points, with a new bottom (index 0) and a new top (the last index)."""
+    from adframe.theorems import enumerate_preorders
+    for k in range(max_points + 1):
+        for rows in enumerate_preorders(k):
+            if any(rows[x] >> y & 1 and rows[y] >> x & 1
+                   for x in range(k) for y in range(k) if x != y):
+                continue
+            m = k + 2
+            yield [[i == 0 or j == m - 1 or i == j
+                    or (0 < i < m - 1 and 0 < j < m - 1 and bool(rows[i - 1] >> (j - 1) & 1))
+                    for j in range(m)] for i in range(m)]
 
 
 # canonical small spaces used by several files

@@ -71,6 +71,17 @@ def test_malformed_inputs_exit_two(payloads):
         assert err.strip().startswith("error:")
 
 
+def test_oversized_lattice_indices_exit_two(tmp_path):
+    huge = {"leq": [[0, 0], [0, 10000000]]}
+    small = lattice_to_json(subset_lattice(CHAIN3, "opens"))
+    for name, doc in (("lattice", huge), ("frame", {"omega": huge, "ell": small})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli("validate", "--in", str(path))
+        assert code == 2
+        assert err.strip() == "error: lattice has 10000001 elements, cap is 4096"
+
+
 # ---------------------------------------------------------------------------
 # construction verbs
 

@@ -1,4 +1,5 @@
-import numpy as np
+import time
+
 import pytest
 
 from adframe import (FinPreTopSpace, FinTopSpace, NotALattice, NotAPreorder,
@@ -12,11 +13,15 @@ from adframe import (FinPreTopSpace, FinTopSpace, NotALattice, NotAPreorder,
 from adframe.finord import (continuity_failure, downclose, image,
                             monotonicity_failure, preimage,
                             reflexive_transitive_closure, upclose)
-from adframe.theorems import enumerate_spaces
+from adframe.theorems import enumerate_distributive_lattices, enumerate_spaces
 
-from helpers import (CHAIN3, SIERPINSKI, naive_closure, naive_downclose,
+from helpers import (CHAIN3, SIERPINSKI, bounded_posets, inclusion_matrix,
+                     naive_closure, naive_coprimes,
+                     naive_distributivity_witness, naive_downclose, naive_glb,
                      naive_interior, naive_irreducible_closeds,
-                     naive_specialization, naive_upclose, naive_upsets, pts)
+                     naive_is_lattice, naive_lub, naive_pitchfork,
+                     naive_primes, naive_specialization, naive_upclose,
+                     naive_upsets, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +125,8 @@ def test_opens_lattice_tables_are_union_intersection():
     assert lat.labels == SIERPINSKI.opens
     for i in range(lat.m):
         for j in range(lat.m):
-            assert lat.labels[lat.join_table[i, j]] == lat.labels[i] | lat.labels[j]
-            assert lat.labels[lat.meet_table[i, j]] == lat.labels[i] & lat.labels[j]
+            assert lat.labels[lat.join(i, j)] == lat.labels[i] | lat.labels[j]
+            assert lat.labels[lat.meet(i, j)] == lat.labels[i] & lat.labels[j]
     assert lat.labels[lat.bot] == 0
     assert lat.labels[lat.top] == SIERPINSKI.full
 
@@ -135,34 +140,30 @@ def test_upset_family_matches_naive():
 
 def test_non_lattice_rejected():
     # two incomparable elements, no bounds at all
-    leq = np.eye(2, dtype=bool)
+    leq = [[True, False], [False, True]]
     with pytest.raises(NotALattice):
         lattice_from_leq(leq)
 
 
 def test_labels_must_match_order():
-    leq = np.array([[True, True], [False, True]])
+    leq = [[True, True], [False, True]]
     with pytest.raises(NotALattice):
         lattice_from_leq(leq, labels=[2, 1])
 
 
 def chain_lattice(m):
-    return lattice_from_leq(np.triu(np.ones((m, m), dtype=bool)))
+    return lattice_from_leq([[i <= j for j in range(m)] for i in range(m)])
 
 
 def diamond_m3():
     # bot, three incomparable atoms, top
-    leq = np.eye(5, dtype=bool)
-    leq[0, :] = True
-    leq[:, 4] = True
+    leq = [[i == j or i == 0 or j == 4 for j in range(5)] for i in range(5)]
     return lattice_from_leq(leq)
 
 
 def pentagon_n5():
-    leq = np.eye(5, dtype=bool)
-    leq[0, :] = True
-    leq[:, 4] = True
-    leq[1, 2] = True  # the long side 1 < 2, short side 3
+    leq = [[i == j or i == 0 or j == 4 for j in range(5)] for i in range(5)]
+    leq[1][2] = True  # the long side 1 < 2, short side 3
     return lattice_from_leq(leq)
 
 
@@ -179,8 +180,8 @@ def test_m3_and_n5_not_distributive():
         analysis = lattice_analyze(lat)
         assert not analysis.distributive
         a, b, c = analysis.distributivity_witness
-        lhs = lat.meet_table[a, lat.join_table[b, c]]
-        rhs = lat.join_table[lat.meet_table[a, b], lat.meet_table[a, c]]
+        lhs = lat.meet(a, lat.join(b, c))
+        rhs = lat.join(lat.meet(a, b), lat.meet(a, c))
         assert lhs != rhs
 
 
@@ -198,11 +199,68 @@ def test_chain_masks_past_63_elements(m):
     assert lat.down_masks == tuple((1 << (i + 1)) - 1 for i in range(m))
 
 
+def assert_matches_oracles(lat, leq):
+    m = len(leq)
+    assert lat.m == m
+    for i in range(m):
+        for j in range(m):
+            assert lat.le(i, j) == leq[i][j]
+            assert lat.join(i, j) == naive_lub(leq, i, j)
+            assert lat.meet(i, j) == naive_glb(leq, i, j)
+    assert all(leq[lat.bot][k] and leq[k][lat.top] for k in range(m))
+    analysis = lattice_analyze(lat)
+    witness = naive_distributivity_witness(leq)
+    assert analysis.distributive == (witness is None)
+    assert analysis.distributivity_witness == witness
+    assert analysis.primes == naive_primes(leq)
+    assert analysis.coprimes == naive_coprimes(leq)
+    assert analysis.pitchfork == naive_pitchfork(leq)
+
+
+def test_lattice_layer_matches_oracles_on_bounded_posets():
+    keys, non_lattices = set(), 0
+    for leq in bounded_posets(4):
+        if not naive_is_lattice(leq):
+            non_lattices += 1
+            with pytest.raises(NotALattice):
+                lattice_from_leq(leq)
+            continue
+        lat = lattice_from_leq(leq)
+        assert_matches_oracles(lat, leq)
+        keys.add(lat.key())
+    assert non_lattices == 6  # the labellings of a, b < c, d
+    assert diamond_m3().key() in keys and pentagon_n5().key() in keys
+
+
+def test_lattice_layer_matches_oracles_on_subset_lattices():
+    families = {fam for n in range(4) for sp in enumerate_spaces(n)
+                for fam in (sp.opens, upset_family(sp))}
+    lattices = [lattice_from_labels(fam) for fam in sorted(families)]
+    lattices += enumerate_distributive_lattices(8)
+    for lat in lattices:
+        assert_matches_oracles(lat, inclusion_matrix(lat.labels))
+
+
+def test_labelled_lattices_are_shared_and_frozen():
+    lat = lattice_from_labels((0, 1, 3))
+    assert lattice_from_labels([3, 1, 0, 1]) is lat
+    with pytest.raises(AttributeError):
+        lat.top = 0
+
+
+def test_lattice_from_leq_on_a_200_chain_is_fast():
+    leq = [[i <= j for j in range(200)] for i in range(200)]
+    start = time.perf_counter()
+    lat = lattice_from_leq(leq)
+    assert time.perf_counter() - start < 1.0
+    assert (lat.bot, lat.top) == (0, 199)
+
+
 def test_lattice_json_roundtrip():
     for lat in (chain_lattice(4), subset_lattice(CHAIN3, "upsets")):
         back = lattice_from_json(lattice_to_json(lat))
         assert back.m == lat.m
-        assert np.array_equal(back.leq, lat.leq)
+        assert back.up_masks == lat.up_masks
         assert back.labels == lat.labels
 
 
@@ -214,7 +272,7 @@ def test_lattice_json_requires_pairs():
 def test_lattice_from_labels_orders_by_inclusion():
     lat = lattice_from_labels((0, 1, 3, 5, 7))
     assert lat.labels == (0, 1, 3, 5, 7)
-    assert bool(lat.leq[1, 2]) and not bool(lat.leq[2, 3])
+    assert lat.le(1, 2) and not lat.le(2, 3)
 
 
 # ---------------------------------------------------------------------------

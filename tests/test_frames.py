@@ -8,6 +8,7 @@ from adframe import (AdFrame, TrivialFrame, Variant, VariantMismatch,
                      check_usc_lsc, compose_homs, epsilon_hom, identity_hom,
                      ind_functor, subset_lattice, validate_adframe,
                      validate_hom)
+from adframe.frames import preserves_relations
 from adframe.bits import is_subset
 from adframe.frames import AdFrameHom, _two_chain
 from adframe.theorems import enumerate_spaces, pretop_maps, upper_semi_closed, lower_semi_closed
@@ -155,12 +156,28 @@ def test_bounded_lattice_homs_against_bruteforce():
         for arr in itertools.product(range(dst.m), repeat=src.m):
             if arr[src.bot] != dst.bot or arr[src.top] != dst.top:
                 continue
-            if any(arr[src.join_table[i, j]] != dst.join_table[arr[i], arr[j]]
-                   or arr[src.meet_table[i, j]] != dst.meet_table[arr[i], arr[j]]
+            if any(arr[src.join(i, j)] != dst.join(arr[i], arr[j])
+                   or arr[src.meet(i, j)] != dst.meet(arr[i], arr[j])
                    for i in range(src.m) for j in range(src.m)):
                 continue
             brute.append(arr)
         assert sorted(bounded_lattice_homs(src, dst)) == sorted(brute)
+
+
+def test_preserves_relations_decides_validate_hom_on_lattice_homs():
+    outcomes = set()
+    for src in enumerate_spaces(2)[:8]:
+        for dst in (SIERPINSKI, CHAIN3):
+            for variant in VARIANTS:
+                a, b = build_ado(dst, variant), build_ado(src, variant)
+                ell_homs = bounded_lattice_homs(a.ell, b.ell)
+                for phi in bounded_lattice_homs(a.omega, b.omega):
+                    for p in ell_homs:
+                        hom = AdFrameHom(a, b, phi, p)
+                        ok = preserves_relations(hom)
+                        assert ok == validate_hom(hom).ok
+                        outcomes.add(ok)
+    assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------------------
