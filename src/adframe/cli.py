@@ -175,6 +175,11 @@ def _parse_sweep_flag(raw: str) -> dict:
         out[key] = int(value)
     if "n" not in out:
         raise ValueError("sweep needs n=K")
+    cap = theorems.ENUM_POINT_CAP
+    if not 0 <= out["n"] <= cap:
+        raise ValueError(f"sweep n={out['n']} is outside [0, {cap}]")
+    if out.get("count", 1) < 1:
+        raise ValueError(f"sweep count={out['count']} must be at least 1")
     return out
 
 

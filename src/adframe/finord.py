@@ -110,6 +110,18 @@ def pairs_to_rows(pairs: Iterable[Sequence[int]], n: int) -> list[int]:
     return rows
 
 
+def int_pairs(pairs: Iterable, what: str) -> list[tuple[int, int]]:
+    """The index pairs of a JSON relation; each must be a list of exactly two
+    integers.  Floats and booleans are rejected rather than truncated."""
+    out = []
+    for pair in pairs:
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(type(k) is int for k in pair)):
+            raise ValueError(f"{what} pair {pair!r} is not two integers")
+        out.append(tuple(pair))
+    return out
+
+
 def rows_to_pairs(rows: Sequence[int]) -> list[list[int]]:
     """Non-reflexive pairs of the order, sorted."""
     return [[x, y] for x in range(len(rows)) for y in iter_bits(rows[x]) if y != x]
@@ -545,7 +557,7 @@ def lattice_to_json(lat: FinLattice) -> dict:
 
 
 def lattice_from_json(doc: Mapping, cap: int = DEFAULT_LATTICE_CAP) -> FinLattice:
-    pairs = list(doc["leq"])
+    pairs = int_pairs(doc["leq"], "order")
     if not pairs:
         raise NotALattice("order pair list is empty; reflexive pairs are required")
     for i, j in pairs:

@@ -76,21 +76,28 @@ def irreducible_pairs(space: FinPreTopSpace, variant=Variant.BOTH) -> tuple[Irre
 
 
 def standard_sobrification(space) -> tuple[FinTopSpace, tuple[int, ...]]:
-    """(space of irreducible closed sets with the diamond topology, unit)."""
+    """(space of irreducible closed sets with the diamond topology, unit).
+
+    The diamond of an open u is the family of irreducible closed sets that
+    meet u.  Three facts hold by construction, so nothing here checks them:
+
+      - cl(x) meets u iff x is in u: if x is not in u, the closed
+        complement of u contains x and hence cl(x).  So when x is in u but
+        not in v, the irreducible set cl(x) is in the diamond of u and not
+        in that of v: the diamond map is injective.
+      - The diamonds form a topology.  The empty open goes to the empty
+        family and the carrier to every C.  C meets u | v iff it meets u or
+        v; and if C meets both but misses u & v, it lies in the union of
+        the two closed complements, so, being irreducible, inside one.
+      - The unit x -> cl(x) is continuous: by the first fact the preimage
+        of the diamond of u is u.
+
+    The test suite checks all three on every space of up to three points.
+    """
     irr = irreducible_closed_sets(space)
-    opens = []
-    for u in space.opens:
-        opens.append(sum(1 << i for i, c in enumerate(irr) if c & u))
-    family = canonical_subsets(opens)
-    if len(family) != len(space.opens):
-        raise InternalCheckError("diamond map identified two distinct opens")
-    result = FinTopSpace(len(irr), family)
-    finord._check_topology(result.opens, result.n)
+    opens = [sum(1 << i for i, c in enumerate(irr) if c & u) for u in space.opens]
     unit = tuple(irr.index(closure(space, 1 << x)) for x in range(space.n))
-    for u, diam in zip(space.opens, opens):
-        if finord.preimage(unit, diam) != u:
-            raise InternalCheckError("sobrification unit is not continuous")
-    return result, unit
+    return FinTopSpace(len(irr), canonical_subsets(opens)), unit
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +157,13 @@ class AdsMap:
 def ads_hom(mapping: Sequence[int], src: FinPreTopSpace, dst: FinPreTopSpace,
             variant=Variant.BOTH) -> AdsMap:
     """Image of a continuous monotone map on irreducible pairs: close the
-    direct image of C, push the class through."""
+    direct image of C, push the class through.
+
+    The result is continuous and monotone between the pair spaces: the
+    closure of f(C) meets an open v iff C meets the open preimage of v, so
+    diamonds pull back to diamonds, and the pair order is the preorder on
+    class representatives, which f respects.  The test suite checks both
+    on every morphism of spaces with up to two points."""
     variant = Variant.parse(variant)
     bad = finord.continuity_failure(src, dst, mapping)
     if bad is not None:
@@ -171,12 +184,7 @@ def ads_hom(mapping: Sequence[int], src: FinPreTopSpace, dst: FinPreTopSpace,
                 f"image pair ({bits_of(d)}, class of {mapping[pr.rep]}) "
                 f"is not an irreducible pair")
         out.append(index[target])
-    amap = AdsMap(ads_src, ads_dst, tuple(out))
-    if finord.continuity_failure(ads_src.space, ads_dst.space, amap.mapping) is not None:
-        raise InternalCheckError("pair-space image map is not continuous")
-    if finord.monotonicity_failure(ads_src.space, ads_dst.space, amap.mapping) is not None:
-        raise InternalCheckError("pair-space image map is not monotone")
-    return amap
+    return AdsMap(ads_src, ads_dst, tuple(out))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import itertools
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .bits import bits_of, canonical_subsets, is_subset
@@ -292,13 +292,6 @@ def _random_space(rng: random.Random, n: int, density: float) -> FinPreTopSpace:
     return FinPreTopSpace(n, opens, _random_preorder(rng, n, density))
 
 
-def _swap_rel(frame: AdFrame, name: str, rel) -> AdFrame:
-    parts = {"tot": frame.tot, "con": frame.con, "fof": frame.fof, "cou": frame.cou}
-    parts[name] = frozenset(rel)
-    return AdFrame(frame.omega, frame.ell, parts["tot"], parts["con"],
-                   parts["fof"], parts["cou"], frame.variant)
-
-
 def _mutations(frame: AdFrame) -> list[tuple[str, Callable[[], AdFrame]]]:
     """Single-edit corruptions, each tagged with the law it should break."""
     om, el = frame.omega, frame.ell
@@ -310,29 +303,29 @@ def _mutations(frame: AdFrame) -> list[tuple[str, Callable[[], AdFrame]]]:
     if frame.variant.sees_up:
         if tops != tt and tops in frame.tot:
             out.append(("tot-up-closed",
-                        lambda f=frame: _swap_rel(f, "tot", f.tot - {tops})))
+                        lambda f=frame: replace(f, tot=f.tot - {tops})))
         if tt in frame.tot:
             out.append(("tot-has-tt",
-                        lambda f=frame: _swap_rel(f, "tot", f.tot - {tt})))
+                        lambda f=frame: replace(f, tot=f.tot - {tt})))
         if bots not in (ff, tt) and bots in frame.con:
             out.append(("con-down-closed",
-                        lambda f=frame: _swap_rel(f, "con", f.con - {bots})))
+                        lambda f=frame: replace(f, con=f.con - {bots})))
         if el.m > 1 and tops not in frame.con:
             out.append(("con-tot-aligned",
-                        lambda f=frame: _swap_rel(f, "con", f.con | {tops})))
+                        lambda f=frame: replace(f, con=f.con | {tops})))
     if frame.variant.sees_down:
         if tops != tt and tops in frame.fof and tt in frame.fof:
             out.append(("fof-up-closed",
-                        lambda f=frame: _swap_rel(f, "fof", f.fof - {tt})))
+                        lambda f=frame: replace(f, fof=f.fof - {tt})))
         if bots in frame.fof and (om.m > 1 or el.m > 1):
             out.append(("fof-has-bots",
-                        lambda f=frame: _swap_rel(f, "fof", f.fof - {bots})))
+                        lambda f=frame: replace(f, fof=f.fof - {bots})))
         if ff != bots and ff in frame.cou and bots in frame.cou:
             out.append(("cou-down-closed",
-                        lambda f=frame: _swap_rel(f, "cou", f.cou - {ff})))
+                        lambda f=frame: replace(f, cou=f.cou - {ff})))
     if frame.variant is Variant.BOTH and el.m > 1 and tt not in frame.cou:
         out.append(("tot-cou-ell-top",
-                    lambda f=frame: _swap_rel(f, "cou", f.cou | {tt})))
+                    lambda f=frame: replace(f, cou=f.cou | {tt})))
     return out
 
 
@@ -553,7 +546,9 @@ def basic_functors(which: str, space):
 def lifted_preorder(base, targets: Sequence[tuple]) -> FinPreTopSpace:
     """Largest preorder on a topology making every given map into a
     preordered space monotone: the pointwise intersection of the pulled
-    back orders."""
+    back orders.  Each pulled-back order is a preorder that makes its map
+    monotone, and an intersection of preorders is a preorder, so the
+    result needs no check."""
     top = base if isinstance(base, FinTopSpace) else base.topology()
     n = top.n
     full = (1 << n) - 1
@@ -570,13 +565,7 @@ def lifted_preorder(base, targets: Sequence[tuple]) -> FinPreTopSpace:
                 if target.leq[mapping[x]] >> mapping[y] & 1:
                     mask |= 1 << y
             rows[x] &= mask
-    result = FinPreTopSpace(n, top.opens, tuple(rows))
-    if not is_reflexive_transitive(result.leq, n):
-        raise InternalCheckError("intersected preorder lost transitivity")
-    for mapping, target in targets:
-        if monotonicity_failure(result, target, tuple(mapping)) is not None:
-            raise InternalCheckError("lifted preorder fails to make a target monotone")
-    return result
+    return FinPreTopSpace(n, top.opens, tuple(rows))
 
 
 def designated_counterexample() -> FinPreTopSpace:
@@ -837,6 +826,22 @@ def _morphism_instance(src, dst, mapping, variant) -> Instance:
     return Instance("morphism", (src, dst, tuple(mapping), variant), doc)
 
 
+def _triangle_instance(x_space, frame_space, spectrum, mapping, variant) -> Instance:
+    """A map from ``x_space`` into the spectrum of ``frame_space``'s frame."""
+    doc = {"kind": "triangle", "space": describe_space(x_space),
+           "frame_space": describe_space(frame_space),
+           "map": list(mapping), "variant": variant.value}
+    return Instance("triangle", (x_space, spectrum, mapping, variant), doc)
+
+
+def _hom_family_instance(lat: FinLattice, frame_space, variant) -> Instance:
+    """Every hom from the two-sided lift of ``lat`` into the frame of
+    ``frame_space``."""
+    doc = {"kind": "hom-family", "source_lattice": lat.m,
+           "frame_space": describe_space(frame_space), "variant": variant.value}
+    return Instance("hom-family", (lat, build_ado(frame_space, variant)), doc)
+
+
 def _top_morphism_instance(src, dst, mapping, variant) -> Instance:
     doc = {"kind": "top-morphism", "map": list(mapping),
            "src": describe_topology(src), "dst": describe_topology(dst),
@@ -925,12 +930,6 @@ def _sweep_triangle(spec: SweepSpec) -> Iterator[Instance]:
             spectra[key] = adpt_space(build_ado(sp, v))
         return spectra[key]
 
-    def triangle_inst(x_space, frame_space, spectrum, m, v):
-        doc = {"kind": "triangle", "space": describe_space(x_space),
-               "frame_space": describe_space(frame_space),
-               "map": list(m), "variant": v.value}
-        return Instance("triangle", (x_space, spectrum, m, v), doc)
-
     def roundtrip_inst(x_space, y_space, h, v):
         doc = {"kind": "roundtrip", "map": list(h),
                "src": describe_space(x_space), "dst": describe_space(y_space),
@@ -943,7 +942,7 @@ def _sweep_triangle(spec: SweepSpec) -> Iterator[Instance]:
                 spectrum = spectrum_of(y_space, v)
                 for x_space in spaces:
                     for m in pretop_maps(x_space, spectrum.space):
-                        yield triangle_inst(x_space, y_space, spectrum, m, v)
+                        yield _triangle_instance(x_space, y_space, spectrum, m, v)
             for x_space in spaces:
                 for y_space in spaces:
                     for h in pretop_maps(x_space, y_space):
@@ -966,7 +965,7 @@ def _sweep_triangle(spec: SweepSpec) -> Iterator[Instance]:
             maps = pretop_maps(x_space, spectrum.space)
             if not maps:
                 continue
-            yield triangle_inst(x_space, y_space, spectrum, rng.choice(maps), v)
+            yield _triangle_instance(x_space, y_space, spectrum, rng.choice(maps), v)
         emitted += 1
 
 
@@ -1053,16 +1052,22 @@ def _run_adj_exists(inst: Instance):
     return True, None
 
 
+def _spectrum_semi_closed_failure(frame: AdFrame, flags) -> Optional[str]:
+    """Why a semi-closed frame has a spectrum that is not, or None."""
+    spectrum = adpt_space(frame)
+    if flags[0] and not upper_semi_closed(spectrum.space):
+        return "usc frame with a spectrum that is not upper semi-closed"
+    if flags[1] and not lower_semi_closed(spectrum.space):
+        return "lsc frame with a spectrum that is not lower semi-closed"
+    return None
+
+
 def _run_usc_lsc(inst: Instance):
     if inst.kind == "adframe":
         frame, = inst.payload
         flags = check_usc_lsc(frame)
-        spectrum = adpt_space(frame)
-        if flags[0] and not upper_semi_closed(spectrum.space):
-            return False, "usc frame with a spectrum that is not upper semi-closed"
-        if flags[1] and not lower_semi_closed(spectrum.space):
-            return False, "lsc frame with a spectrum that is not lower semi-closed"
-        return True, {"usc": flags[0], "lsc": flags[1]}
+        err = _spectrum_semi_closed_failure(frame, flags)
+        return (False, err) if err else (True, {"usc": flags[0], "lsc": flags[1]})
 
     space, v = inst.payload
     frame = build_ado(space, v)
@@ -1071,12 +1076,8 @@ def _run_usc_lsc(inst: Instance):
             lower_semi_closed(space) if v.sees_down else None)
     if flags != want:
         return False, {"frame_flags": flags, "direct": want}
-    spectrum = adpt_space(frame)
-    if flags[0] and not upper_semi_closed(spectrum.space):
-        return False, "usc frame with a spectrum that is not upper semi-closed"
-    if flags[1] and not lower_semi_closed(spectrum.space):
-        return False, "lsc frame with a spectrum that is not lower semi-closed"
-    return True, None
+    err = _spectrum_semi_closed_failure(frame, flags)
+    return err is None, err
 
 
 def _run_ads_iso(inst: Instance):
@@ -1413,22 +1414,17 @@ def _sweep_ind_adj(spec: SweepSpec) -> Iterator[Instance]:
     lattices = [lat for lat in _opens_lattices(spec.n) if lat.m >= 2]
     spaces = enumerate_spaces(spec.n)
 
-    def make(lat, sp, v):
-        doc = {"kind": "hom-family", "source_lattice": lat.m,
-               "frame_space": describe_space(sp), "variant": v.value}
-        return Instance("hom-family", (lat, build_ado(sp, v)), doc)
-
     if spec.count is None and spec.n <= 2:
         for v in spec.variants:
             for lat in lattices:
                 for sp in spaces:
-                    yield make(lat, sp, v)
+                    yield _hom_family_instance(lat, sp, v)
         return
     count = spec.count or _DEFAULT_SAMPLES
     rng = random.Random(f"sweep-ind-adj|{spec.n}|{spec.seed}")
     for _ in range(count):
-        yield make(rng.choice(lattices), rng.choice(spaces),
-                   rng.choice(spec.variants))
+        yield _hom_family_instance(rng.choice(lattices), rng.choice(spaces),
+                                   rng.choice(spec.variants))
 
 
 def _run_lift_square(inst: Instance):
@@ -1582,20 +1578,12 @@ def instances_for_payload(theorem_id: str, payload,
         return [frame_instance(build_ado(space, variant),
                                {"from_space": describe_space(space)})]
     if theorem_id == "IND-ADJ":
-        lat = subset_lattice(space, "opens")
-        doc = {"kind": "hom-family", "source_lattice": lat.m,
-               "frame_space": describe_space(space), "variant": variant.value}
-        return [Instance("hom-family", (lat, build_ado(space, variant)), doc)]
+        return [_hom_family_instance(subset_lattice(space, "opens"), space, variant)]
     if theorem_id == "ADJ-EXISTS":
         return [_morphism_instance(space, space, m, variant)
                 for m in pretop_maps(space, space)]
     if theorem_id == "ADJ-TRIANGLE":
         spectrum = adpt_space(build_ado(space, variant))
-        out = []
-        for m in pretop_maps(space, spectrum.space):
-            doc = {"kind": "triangle", "space": describe_space(space),
-                   "frame_space": describe_space(space),
-                   "map": list(m), "variant": variant.value}
-            out.append(Instance("triangle", (space, spectrum, m, variant), doc))
-        return out
+        return [_triangle_instance(space, space, spectrum, m, variant)
+                for m in pretop_maps(space, spectrum.space)]
     return [space_instance(space, variant)]

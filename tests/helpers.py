@@ -4,8 +4,11 @@ Everything here recomputes results from the raw definitions on explicit
 point sets, independently of the bitmask machinery under test.
 """
 
+import itertools
+
 from adframe import FinPreTopSpace, closed_sets, generate_random
-from adframe.bits import bits_of, mask_of
+from adframe.bits import bits_of, iter_bits, low_bit, mask_of
+from adframe.frames import AdFrame, AxiomCheck
 
 
 def pts(mask):
@@ -158,6 +161,78 @@ def bounded_posets(max_points):
             yield [[i == 0 or j == m - 1 or i == j
                     or (0 < i < m - 1 and 0 < j < m - 1 and bool(rows[i - 1] >> (j - 1) & 1))
                     for j in range(m)] for i in range(m)]
+
+
+# ---------------------------------------------------------------------------
+# Scott closure of con/cou by trying directed subfamilies (row masks R)
+
+
+SCOTT_GATE = 64
+SCOTT_EXHAUSTIVE = 10
+
+
+def scott_oracle(name, frame: AdFrame, R, logic_second: bool) -> AxiomCheck:
+    """Directly check closure of R under suprema of directed subfamilies.
+
+    The member order is the information order for con and the logical order
+    for cou; suprema are computed through the lattice join/meet tables rather
+    than by picking the family maximum, so this genuinely exercises the
+    reduction of Scott closure to downward closure.  All subfamilies are tried
+    for small relations, families of size <= 3 otherwise.
+    """
+    members = [(u, a) for u, row in enumerate(R) for a in iter_bits(row)]
+    P = len(members)
+    if P < 2:
+        return AxiomCheck(name, True)
+    o_up = frame.omega.up_masks
+    # l_above[a]: the ell elements at or above a in the member order
+    l_above = frame.ell.down_masks if logic_second else frame.ell.up_masks
+    second_tab = frame.ell.meet_table if logic_second else frame.ell.join_table
+    join_o = frame.omega.join_table
+    # bit j of above[i]: member j is at or above member i
+    above = [sum(1 << j for j, (v, b) in enumerate(members)
+                 if o_up[u] >> v & 1 and l_above[a] >> b & 1)
+             for u, a in members]
+
+    def in_r(u: int, a: int) -> bool:
+        return bool(R[u] >> a & 1)
+
+    if P <= SCOTT_EXHAUSTIVE:
+        common = [[x & y for y in above] for x in above]
+        idxs_of = [()]                      # members of each subset, ascending
+        for picks in range(1, 1 << P):
+            low = low_bit(picks)
+            idxs = (low,) + idxs_of[picks & (picks - 1)]
+            idxs_of.append(idxs)
+            if len(idxs) > 1 and not common[low][idxs[1]] & picks:
+                continue                    # its two least members have no bound in it
+            if not all(common[i][j] & picks
+                       for i, j in itertools.combinations(idxs, 2)):
+                continue
+            u, a = members[low]
+            for k in idxs[1:]:
+                u, a = join_o[u][members[k][0]], second_tab[a][members[k][1]]
+            if not in_r(u, a):
+                return AxiomCheck(name, False,
+                                  tuple(members[i] for i in idxs))
+        return AxiomCheck(name, True)
+
+    # pairs: directed means comparable
+    for i, (u, a) in enumerate(members):
+        for j, (v, b) in enumerate(members):
+            if (above[i] >> j & 1 or above[j] >> i & 1) \
+                    and not in_r(join_o[u][v], second_tab[a][b]):
+                return AxiomCheck(name, False, (members[i], members[j]))
+
+    for i, j, k in itertools.combinations(range(P), 3):
+        t = (1 << i) | (1 << j) | (1 << k)
+        if above[i] & above[j] & t and above[i] & above[k] & t \
+                and above[j] & above[k] & t:
+            (u0, a0), (u1, a1), (u2, a2) = members[i], members[j], members[k]
+            if not in_r(join_o[join_o[u0][u1]][u2],
+                        second_tab[second_tab[a0][a1]][a2]):
+                return AxiomCheck(name, False, (members[i], members[j], members[k]))
+    return AxiomCheck(name, True)
 
 
 # canonical small spaces used by several files

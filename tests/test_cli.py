@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -80,6 +81,19 @@ def test_oversized_lattice_indices_exit_two(tmp_path):
         code, _, err = run_cli("validate", "--in", str(path))
         assert code == 2
         assert err.strip() == "error: lattice has 10000001 elements, cap is 4096"
+
+
+def test_non_integer_pair_indices_exit_two(tmp_path):
+    """Floats and booleans are rejected, not truncated to other pairs."""
+    frame = adframe_to_json(build_ado(SIERPINSKI))
+    lattice = lattice_to_json(subset_lattice(CHAIN3, "opens"))
+    for bad in ([0.5, 1], [True, 1], [1.0, 1], ["0", "1"], [0, 1, 2], 3):
+        for key, doc in (("tot", frame), ("leq", lattice)):
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(dict(doc, **{key: [bad] + doc[key]})))
+            code, out, err = run_cli("validate", "--in", str(path))
+            assert (code, out) == (2, ""), (key, bad)
+            assert err.startswith("error: ") and "is not two integers" in err
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +182,14 @@ def test_check_usage_errors():
     assert code == 2
     code, _, err = run_cli("check", "--id", "ADO-VALID", "--sweep", "count=3")
     assert code == 2  # n is required
+    for verb, flag, message in (
+            ("check", "n=5", "sweep n=5 is outside [0, 4]"),
+            ("sweep", "n=-1", "sweep n=-1 is outside [0, 4]"),
+            ("check", "n=2,count=-2", "sweep count=-2 must be at least 1"),
+            ("sweep", "n=2,count=0", "sweep count=0 must be at least 1")):
+        ids = ("--id", "ADJ-EXISTS") if verb == "check" else ()
+        code, out, err = run_cli(verb, *ids, "--sweep", flag)
+        assert (code, out, err.strip()) == (2, "", f"error: {message}")
 
 
 def test_check_budget_exit_code():
@@ -243,3 +265,18 @@ def test_module_entry_point_subprocess(payloads):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"] is True
+
+
+# ---------------------------------------------------------------------------
+# demos
+
+
+DEMOS = sorted(pathlib.Path(__file__).resolve().parent.parent.glob("demos/*.py"))
+
+
+def test_demos_run():
+    assert len(DEMOS) == 5
+    for demo in DEMOS:
+        proc = subprocess.run([sys.executable, str(demo)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, (demo.name, proc.stderr)

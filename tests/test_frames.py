@@ -1,19 +1,20 @@
 import itertools
+import random
 
 import pytest
 
-from adframe import (AdFrame, TrivialFrame, Variant, VariantMismatch,
-                     adframe_from_json, adframe_to_json, bnd_map,
+from adframe import (AdFrame, FinPreTopSpace, TrivialFrame, Variant,
+                     VariantMismatch, adframe_from_json, adframe_to_json, bnd_map,
                      bounded_lattice_homs, build_ado, build_ado_hom,
                      check_usc_lsc, compose_homs, epsilon_hom, identity_hom,
                      ind_functor, subset_lattice, validate_adframe,
                      validate_hom)
-from adframe.frames import preserves_relations
+from adframe.frames import _reach_check, preserves_relations, rel_rows
 from adframe.bits import is_subset
 from adframe.frames import AdFrameHom, _two_chain
 from adframe.theorems import enumerate_spaces, pretop_maps, upper_semi_closed, lower_semi_closed
 
-from helpers import CHAIN3, SIERPINSKI, pts
+from helpers import CHAIN3, SCOTT_GATE, SIERPINSKI, pts, scott_oracle
 
 VARIANTS = (Variant.UP, Variant.DOWN, Variant.BOTH)
 
@@ -105,12 +106,61 @@ def test_validator_variant_scoping():
     assert not validate_adframe(broken.with_variant(Variant.BOTH)).ok
 
 
+UP_LAWS = ("tot-up-closed", "tot-has-ff", "tot-has-tt", "tot-logical-meet",
+           "tot-logical-join", "con-down-closed", "con-has-ff", "con-has-tt",
+           "con-logical-meet", "con-logical-join", "con-tot-aligned")
+DOWN_LAWS = ("fof-up-closed", "fof-has-bots", "fof-has-tops", "fof-info-meet",
+             "fof-info-join", "cou-down-closed", "cou-has-bots", "cou-has-tops",
+             "cou-info-meet", "cou-info-join", "cou-fof-aligned")
+BOTH_LAWS = UP_LAWS + DOWN_LAWS + ("con-cou-bottom", "tot-fof-top",
+                                   "con-fof-ell-bottom", "tot-cou-ell-top")
+DISCRETE4 = FinPreTopSpace(4, tuple(range(16)), (1, 2, 4, 8))
+
+
 def test_validation_report_lists_every_law_once():
-    report = validate_adframe(build_ado(CHAIN3))
-    laws = [c.law for c in report.checks]
-    assert len(laws) == len(set(laws))
-    assert {"tot-has-ff", "con-scott-oracle", "fof-info-meet", "cou-fof-aligned",
-            "con-cou-bottom"} <= set(laws)
+    """The law list depends only on the variant, not on the lattice sizes."""
+    expected = {Variant.UP: UP_LAWS, Variant.DOWN: DOWN_LAWS,
+                Variant.BOTH: BOTH_LAWS}
+    cells = []
+    for space in (CHAIN3, DISCRETE4):
+        for variant, laws in expected.items():
+            frame = build_ado(space, variant)
+            report = validate_adframe(frame)
+            assert tuple(c.law for c in report.checks) == laws
+            assert report.ok
+        cells.append(frame.omega.m * frame.ell.m)
+    assert cells[0] <= SCOTT_GATE < cells[1]
+
+
+def test_scott_closure_is_down_closure_on_finite_lattices():
+    """No validator law checks Scott closure of con/cou: a finite directed
+    family has a greatest member, which is its supremum, so closure under
+    directed suprema holds for every relation.  The directed-family oracle
+    confirms it on con and cou of every small frame of up to three points
+    and on random relations, most of them not down-closed, over the same
+    lattice shapes."""
+    shapes = {}
+    for n in range(4):
+        for sp in enumerate_spaces(n):
+            frame = build_ado(sp)
+            if frame.omega.m * frame.ell.m > SCOTT_GATE:
+                continue
+            for name, logic in (("con", False), ("cou", True)):
+                rows = rel_rows(frame.rel(name), frame.omega.m)
+                assert scott_oracle(name, frame, rows, logic).ok, (sp, name)
+            shapes.setdefault((frame.omega.up_masks, frame.ell.up_masks), frame)
+    assert len(shapes) == 122
+    rng = random.Random(0)
+    not_down_closed = 0
+    for frame in shapes.values():
+        for _ in range(2):
+            rows = [rng.getrandbits(frame.ell.m) for _ in range(frame.omega.m)]
+            for logic in (False, True):
+                assert scott_oracle("random", frame, rows, logic).ok, (frame, rows)
+            down = _reach_check("down", rows, frame.omega.down_masks,
+                                frame.ell.down_masks)
+            not_down_closed += not down.ok
+    assert not_down_closed > 100
 
 
 # ---------------------------------------------------------------------------

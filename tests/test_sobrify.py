@@ -6,12 +6,15 @@ from adframe import (FinPreTopSpace, ImageNotIrreducible, IrreduciblePair,
                      equivalence_classes, irreducible_closed_sets,
                      irreducible_pairs, run_check, standard_sobrification)
 from adframe.bits import bits_of, is_subset, mask_of
-from adframe.finord import downclose, upclose, upset_family
+from adframe.finord import (continuity_failure, downclose, monotonicity_failure,
+                            preimage, upclose, upset_family)
 from adframe.sobrify import _pair_ok
-from adframe.theorems import enumerate_spaces, sober_topology, space_instance
+from adframe.theorems import (enumerate_spaces, pretop_maps, sober_topology,
+                              space_instance)
 
 from helpers import (CHAIN3, INDISCRETE2_DISCRETE_ORDER, SIERPINSKI,
-                     idempotence_frames, naive_irreducible_closeds, pts)
+                     idempotence_frames, naive_closure, naive_irreducible_closeds,
+                     pts)
 
 VARIANTS = (Variant.UP, Variant.DOWN, Variant.BOTH)
 
@@ -104,13 +107,25 @@ def test_pair_representative_is_lowest_member():
 
 
 def test_sobrification_is_sober_and_unit_continuous():
-    for sp in enumerate_spaces(2):
+    """The facts ``standard_sobrification`` relies on without checking: the
+    diamond map is injective, the diamonds form a topology, and the unit
+    x -> cl(x) is continuous with the diamond of u pulling back to u."""
+    for sp in [sp for n in range(4) for sp in enumerate_spaces(n)]:
         sob, unit = standard_sobrification(sp)
+        irr = irreducible_closed_sets(sp)
+        assert set(irr) == naive_irreducible_closeds(sp)
+        assert sob.n == len(irr)
         assert sober_topology(sob)
-        assert len(sob.opens) == len(sp.opens)
+        diamonds = [mask_of(i for i, c in enumerate(irr) if c & u) for u in sp.opens]
+        assert len(set(diamonds)) == len(sp.opens)
+        assert set(sob.opens) == set(diamonds)
+        assert all(u | v in sob.opens and u & v in sob.opens
+                   for u in sob.opens for v in sob.opens)
+        assert {0, (1 << sob.n) - 1} <= set(sob.opens)
         for x in range(sp.n):
-            # unit sends x to its closure
-            assert sob.n > unit[x] >= 0
+            assert irr[unit[x]] == naive_closure(sp, 1 << x)
+        for u, diamond in zip(sp.opens, diamonds):
+            assert preimage(unit, diamond) == u
 
 
 def test_sobrification_collapses_indiscrete_pair():
@@ -165,6 +180,21 @@ def test_ads_hom_of_identity():
     out = ads_hom((0, 1), SIERPINSKI, SIERPINSKI)
     assert out.mapping == (0, 1)
     assert out.dom.base is SIERPINSKI
+
+
+def test_ads_hom_is_continuous_and_monotone():
+    spaces = [sp for n in range(3) for sp in enumerate_spaces(n)]
+    count = 0
+    for v in VARIANTS:
+        for src in spaces:
+            for dst in spaces:
+                for m in pretop_maps(src, dst):
+                    amap = ads_hom(m, src, dst, v)
+                    dom, cod = amap.dom.space, amap.cod.space
+                    assert continuity_failure(dom, cod, amap.mapping) is None
+                    assert monotonicity_failure(dom, cod, amap.mapping) is None
+                    count += 1
+    assert count == 2223
 
 
 def test_ads_hom_rejects_discontinuous_map():

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from adframe import (BudgetExceeded, FinPreTopSpace, FinTopSpace,
@@ -13,8 +15,10 @@ from adframe.theorems import (VARIANTS, basic_functors,
                               frame_point_space, is_t0_topology,
                               lattice_order_iso, lifted_preorder, pretop_maps,
                               restrict_space, sober_topology, space_instance)
+from adframe.finord import (continuity_failure, is_reflexive_transitive,
+                            monotonicity_failure)
 
-from helpers import CHAIN3, SIERPINSKI
+from helpers import CHAIN3, SIERPINSKI, leq_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +179,24 @@ def test_lifted_preorder_is_pointwise_intersection():
     assert lifted2.leq == SIERPINSKI.leq
     with pytest.raises(NotContinuous):
         lifted_preorder(base, [((1, 0), SIERPINSKI)])
+
+    spaces = [sp for n in range(3) for sp in enumerate_spaces(n)]
+    for n in range(3):
+        for opens in enumerate_topologies(n):
+            base = FinTopSpace(n, opens)
+            targets = [(m, dst) for dst in spaces
+                       for m in itertools.product(range(dst.n), repeat=n)
+                       if continuity_failure(base, dst, m) is None]
+            singles = [[t] for t in targets]
+            for chosen in [[]] + singles + list(zip(targets, targets[1:])):
+                lifted = lifted_preorder(base, chosen)
+                assert lifted.opens == base.opens
+                assert is_reflexive_transitive(lifted.leq, n)
+                for m, dst in chosen:
+                    assert monotonicity_failure(lifted, dst, m) is None
+                want = {(x, y) for x in range(n) for y in range(n)
+                        if all((m[x], m[y]) in leq_pairs(dst) for m, dst in chosen)}
+                assert leq_pairs(lifted) == want
 
 
 def test_designated_counterexample_shape():
