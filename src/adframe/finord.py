@@ -132,12 +132,18 @@ def rows_to_pairs(rows: Sequence[int]) -> list[list[int]]:
 
 
 def _parse_subset(raw, n: int) -> int:
-    if isinstance(raw, int):
+    """A subset given as a mask or as a list of point indices; booleans and
+    floats are rejected rather than read as integers."""
+    if type(raw) is int:
         if raw < 0 or raw > full_mask(n):
             raise ValueError(f"subset mask {raw} out of range for {n} points")
         return raw
+    if not isinstance(raw, (list, tuple)):
+        raise ValueError(f"subset {raw!r} is neither a mask nor a list of indices")
     mask = 0
     for p in raw:
+        if type(p) is not int:
+            raise ValueError(f"subset index {p!r} is not an integer")
         if not (0 <= p < n):
             raise ValueError(f"subset index {p} out of range for {n} points")
         mask |= 1 << p
@@ -192,11 +198,17 @@ def validate_space(raw: Mapping) -> FinPreTopSpace:
     Keys: ``points``, ``opens``, ``leq`` (order pairs), optional ``complete``
     (close opens under union/intersection instead of rejecting) and optional
     ``strict`` (reject order pairs that are not already reflexive-transitive
-    instead of closing them).
+    instead of closing them).  Counts, indices and masks must be ints and
+    the flags bools; nothing is coerced.
     """
-    n = int(raw["points"])
-    topo = make_topology(n, raw.get("opens", []), complete=bool(raw.get("complete", False)))
-    rows = pairs_to_rows(raw.get("leq", []), n)
+    n = raw["points"]
+    if type(n) is not int:
+        raise ValueError(f"space points {n!r} is not an integer")
+    for key in ("complete", "strict"):
+        if type(raw.get(key, False)) is not bool:
+            raise ValueError(f"space {key} {raw[key]!r} is not a boolean")
+    topo = make_topology(n, raw.get("opens", []), complete=raw.get("complete", False))
+    rows = pairs_to_rows(int_pairs(raw.get("leq", []), "order"), n)
     closed = reflexive_transitive_closure(rows, n)
     if raw.get("strict", False):
         with_refl = tuple(rows[x] | (1 << x) for x in range(n))

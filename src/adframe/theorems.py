@@ -18,14 +18,14 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .bits import bits_of, canonical_subsets, is_subset
 from .errors import (BudgetExceeded, InternalCheckError, NotATopology,
-                     NotContinuous, TrivialFrame, UnknownTheorem)
+                     TrivialFrame, UnknownTheorem)
 from . import finord
 from .finord import (FinLattice, FinPreTopSpace, FinTopSpace, class_of,
-                     closure, continuity_failure, equivalence_classes,
-                     irreducible_closed_sets, is_reflexive_transitive,
-                     lattice_analyze, monotonicity_failure,
-                     reflexive_transitive_closure, subset_lattice,
-                     upset_family)
+                     closure, continuity_failure, downclose,
+                     equivalence_classes, irreducible_closed_sets,
+                     is_reflexive_transitive, lattice_analyze,
+                     monotonicity_failure, reflexive_transitive_closure,
+                     subset_lattice, upset_family)
 from .frames import (AdFrame, AdFrameHom, REL_NAMES, Variant,
                      bounded_lattice_homs, build_ado, build_ado_hom,
                      check_usc_lsc, compose_homs, epsilon_hom, ind_functor,
@@ -100,39 +100,14 @@ def enumerate_preorders(n: int) -> tuple[tuple[int, ...], ...]:
     return _PREORDER_CACHE[n]
 
 
-def is_t0_topology(top: FinTopSpace) -> bool:
-    spec = finord.specialization_preorder(top)
-    for x in range(top.n):
-        for y in range(top.n):
-            if x != y and spec[x] >> y & 1 and spec[y] >> x & 1:
-                return False
-    return True
-
-
-def enumerate_spaces(n: int, mode: str = "all",
-                     topology=None) -> tuple[FinPreTopSpace, ...]:
+def enumerate_spaces(n: int) -> tuple[FinPreTopSpace, ...]:
     """Every preordered space on n points: each topology crossed with each
-    preorder.  ``t0`` keeps only T0 topologies; ``fixed-topology`` varies
-    the preorder under the one given."""
+    preorder."""
     if n < 0 or n > ENUM_POINT_CAP:
         raise BudgetExceeded(f"space enumeration is capped at {ENUM_POINT_CAP} points")
-    if mode == "fixed-topology":
-        if topology is None:
-            raise ValueError("fixed-topology mode needs a topology")
-        base = topology if isinstance(topology, FinTopSpace) else finord.make_topology(n, topology)
-        if base.n != n:
-            raise ValueError("topology size does not match n")
-        families = (base.opens,)
-    elif mode == "t0":
-        families = tuple(t for t in enumerate_topologies(n)
-                         if is_t0_topology(FinTopSpace(n, t)))
-    elif mode == "all":
-        families = enumerate_topologies(n)
-    else:
-        raise ValueError(f"unknown enumeration mode {mode!r}")
     preorders = enumerate_preorders(n)
     return tuple(FinPreTopSpace(n, opens, rows)
-                 for opens in families for rows in preorders)
+                 for opens in enumerate_topologies(n) for rows in preorders)
 
 
 def _poset_shell(rows: Sequence[int]) -> FinPreTopSpace:
@@ -191,20 +166,15 @@ def enumerate_distributive_lattices(max_size: int = 8) -> list[FinLattice]:
     return found
 
 
-def all_maps(src_points: int, dst_points: int) -> Iterator[tuple[int, ...]]:
-    return itertools.product(range(dst_points), repeat=src_points)
-
-
 def continuous_maps(src, dst) -> list[tuple[int, ...]]:
-    return [m for m in all_maps(src.n, dst.n)
+    return [m for m in itertools.product(range(dst.n), repeat=src.n)
             if continuity_failure(src, dst, m) is None]
 
 
 def pretop_maps(src: FinPreTopSpace, dst: FinPreTopSpace) -> list[tuple[int, ...]]:
     """Continuous monotone maps, exhaustively."""
-    return [m for m in all_maps(src.n, dst.n)
-            if continuity_failure(src, dst, m) is None
-            and monotonicity_failure(src, dst, m) is None]
+    return [m for m in continuous_maps(src, dst)
+            if monotonicity_failure(src, dst, m) is None]
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +191,14 @@ def upper_semi_closed(space: FinPreTopSpace) -> bool:
 
 
 def lower_semi_closed(space: FinPreTopSpace) -> bool:
-    for x in range(space.n):
-        down = sum(1 << y for y in range(space.n) if space.leq[y] >> x & 1)
+    for down in _down_cones(space):
         if closure(space, down) != down:
             return False
     return True
+
+
+def _down_cones(space: FinPreTopSpace) -> list[int]:
+    return [downclose(space, 1 << x) for x in range(space.n)]
 
 
 def is_t1_topology(top: FinTopSpace) -> bool:
@@ -459,18 +432,9 @@ def _iso_pretop(a: FinPreTopSpace, b: FinPreTopSpace, budget: int):
         return None
     if sorted(u.bit_count() for u in a.opens) != sorted(u.bit_count() for u in b.opens):
         return None
-    target = set(b.opens)
-
-    def accept(perm: tuple) -> bool:
-        return {sum(1 << perm[x] for x in bits_of(u)) for u in a.opens} == target
-
     return _iso_search(a.leq, b.leq, _pretop_profile(a), _pretop_profile(b),
-                       accept, [0], budget)
-
-
-def _as_discrete(top) -> FinPreTopSpace:
-    t = top if isinstance(top, FinTopSpace) else top.topology()
-    return FinPreTopSpace(t.n, t.opens, tuple(1 << x for x in range(t.n)))
+                       lambda perm: _moves_opens_onto(perm, a.opens, b.opens),
+                       [0], budget)
 
 
 def _iso_adframe(a: AdFrame, b: AdFrame, budget: int):
@@ -518,7 +482,8 @@ def iso_check(kind: str, left, right, budget: int = DEFAULT_ISO_BUDGET):
     if kind == "pretop":
         return _iso_pretop(left, right, budget)
     if kind == "top":
-        return _iso_pretop(_as_discrete(left), _as_discrete(right), budget)
+        return _iso_pretop(basic_functors("discr", left),
+                           basic_functors("discr", right), budget)
     if kind == "adframe":
         return _iso_adframe(left, right, budget)
     raise ValueError(f"unknown isomorphism kind {kind!r}")
@@ -541,31 +506,6 @@ def basic_functors(which: str, space):
         full = (1 << top.n) - 1
         return FinPreTopSpace(top.n, top.opens, tuple(full for _ in range(top.n)))
     raise ValueError(f"unknown functor {which!r}")
-
-
-def lifted_preorder(base, targets: Sequence[tuple]) -> FinPreTopSpace:
-    """Largest preorder on a topology making every given map into a
-    preordered space monotone: the pointwise intersection of the pulled
-    back orders.  Each pulled-back order is a preorder that makes its map
-    monotone, and an intersection of preorders is a preorder, so the
-    result needs no check."""
-    top = base if isinstance(base, FinTopSpace) else base.topology()
-    n = top.n
-    full = (1 << n) - 1
-    rows = [full] * n
-    for mapping, target in targets:
-        mapping = tuple(int(v) for v in mapping)
-        bad = continuity_failure(top, target, mapping)
-        if bad is not None:
-            raise NotContinuous(
-                f"lift target map pulls open {bits_of(bad)} back to a non-open")
-        for x in range(n):
-            mask = 0
-            for y in range(n):
-                if target.leq[mapping[x]] >> mapping[y] & 1:
-                    mask |= 1 << y
-            rows[x] &= mask
-    return FinPreTopSpace(n, top.opens, tuple(rows))
 
 
 def designated_counterexample() -> FinPreTopSpace:
@@ -609,11 +549,18 @@ class SweepSpec:
 
 @dataclass(eq=False)
 class _Entry:
+    """A registered check: its runner, the universes it sweeps in turn, and
+    the instance kinds its runner takes."""
     id: str
     doc: str
     run: Callable[[Instance], tuple]
-    sweep: Callable[[SweepSpec], Iterable[Instance]]
+    universes: tuple[Universe, ...]
+    takes: tuple[str, ...]
     expected_fail: bool = False
+
+    def sweep(self, spec: SweepSpec) -> Iterator[Instance]:
+        for universe in self.universes:
+            yield from select(universe, spec)
 
 
 _REGISTRY: dict[str, _Entry] = {}
@@ -635,32 +582,23 @@ def _lookup(theorem_id: str) -> _Entry:
     return entry
 
 
-def describe_space(space: FinPreTopSpace, variant: Optional[Variant] = None) -> dict:
-    doc = {"kind": "space", "points": space.n,
-           "opens": [bits_of(u) for u in space.opens],
-           "leq": [[x, y] for x in range(space.n)
-                   for y in bits_of(space.leq[x]) if x != y]}
+def describe(obj, variant: Optional[Variant] = None) -> dict:
+    """A space, or a topology (no ``leq``), as a JSON record."""
+    doc = {"kind": "topology", "points": obj.n,
+           "opens": [bits_of(u) for u in obj.opens]}
+    if isinstance(obj, FinPreTopSpace):
+        doc.update(kind="space", leq=[[x, y] for x in range(obj.n)
+                                      for y in bits_of(obj.leq[x]) if x != y])
     if variant is not None:
         doc["variant"] = variant.value
     return doc
 
 
-def describe_topology(top: FinTopSpace, variant: Optional[Variant] = None) -> dict:
-    doc = {"kind": "topology", "points": top.n,
-           "opens": [bits_of(u) for u in top.opens]}
-    if variant is not None:
-        doc["variant"] = variant.value
-    return doc
-
-
-def space_instance(space: FinPreTopSpace, variant=Variant.BOTH) -> Instance:
+def space_instance(space, variant=Variant.BOTH) -> Instance:
+    """A space, or a topology, under one variant."""
     variant = Variant.parse(variant)
-    return Instance("space", (space, variant), describe_space(space, variant))
-
-
-def top_instance(top: FinTopSpace, variant=Variant.BOTH) -> Instance:
-    variant = Variant.parse(variant)
-    return Instance("topology", (top, variant), describe_topology(top, variant))
+    doc = describe(space, variant)
+    return Instance(doc["kind"], (space, variant), doc)
 
 
 def frame_instance(frame: AdFrame, meta: Optional[dict] = None) -> Instance:
@@ -670,10 +608,8 @@ def frame_instance(frame: AdFrame, meta: Optional[dict] = None) -> Instance:
     return Instance("adframe", (frame,), doc)
 
 
-def lattice_instance(lat: FinLattice, meta: Optional[dict] = None) -> Instance:
-    doc = {"kind": "lattice", "size": lat.m}
-    doc.update(meta or {})
-    return Instance("lattice", (lat,), doc)
+def lattice_instance(lat: FinLattice) -> Instance:
+    return Instance("lattice", (lat,), {"kind": "lattice", "size": lat.m})
 
 
 def restrict_space(space: FinPreTopSpace, keep_mask: int) -> FinPreTopSpace:
@@ -780,31 +716,134 @@ def run_check(theorem_id: str, instance: Optional[Instance] = None, *,
 
 
 # ---------------------------------------------------------------------------
-# shared sweep generators
+# instance universes
 
 
-def _sweep_spaces(spec: SweepSpec) -> Iterator[Instance]:
-    spaces = enumerate_spaces(spec.n)
-    if spec.count is None:
-        for sp in spaces:
-            for v in spec.variants:
-                yield space_instance(sp, v)
+@dataclass(frozen=True)
+class Universe:
+    """Every instance of one kind at a sweep size n.
+
+    ``pool(n)`` gives the sequences the instances are built from; when one
+    of them is empty the universe has no instances.  ``every(spec, *pool)``
+    streams all instances in a fixed order, ``draw(rng, spec, k, *pool)``
+    makes the k-th seeded sample or declines with None, and
+    ``adapt(space, variant)`` gives the instances a space payload stands
+    for.  Samples are seeded by ``tag``, n and the sweep seed."""
+    tag: str
+    pool: Callable[[int], tuple]
+    every: Callable[..., Iterable[Instance]]
+    draw: Callable[..., Optional[Instance]]
+    adapt: Callable[[FinPreTopSpace, Variant], list[Instance]]
+    max_n: int = ENUM_POINT_CAP
+
+
+def select(universe: Universe, spec: SweepSpec) -> Iterator[Instance]:
+    """Every instance of ``universe`` when ``spec.count`` is None and n is at
+    most ``universe.max_n``; otherwise ``spec.count`` (default 24) seeded
+    draws, with replacement."""
+    pool = universe.pool(spec.n)
+    if not all(pool):
+        return
+    if spec.count is None and spec.n <= universe.max_n:
+        yield from universe.every(spec, *pool)
+        return
+    rng = random.Random(f"{universe.tag}|{spec.n}|{spec.seed}")
+    k = 0
+    while k < (spec.count or _DEFAULT_SAMPLES):
+        inst = universe.draw(rng, spec, k, *pool)
+        if inst is not None:
+            yield inst
+            k += 1
+
+
+def _objects(tag: str, pool, make, from_space=lambda space: space) -> Universe:
+    """``make(obj, v)`` for every object of ``pool(n)`` and variant."""
+    return Universe(
+        tag, lambda n: (pool(n),),
+        lambda spec, objs: (make(obj, v) for obj in objs for v in spec.variants),
+        lambda rng, spec, k, objs: make(rng.choice(objs), rng.choice(spec.variants)),
+        lambda space, v: [make(from_space(space), v)])
+
+
+def _maps(tag: str, pool, maps, kind: str, from_space=lambda space: space) -> Universe:
+    """Every map in ``maps(src, dst)`` between objects of ``pool(n)``, as
+    instances of ``kind``; a drawn pair without maps is declined, and a
+    space payload stands for its self-maps."""
+    def draw(rng, spec, k, objs):
+        src, dst = rng.choice(objs), rng.choice(objs)
+        found = maps(src, dst)
+        if not found:
+            return None
+        return _map_instance(kind, src, dst, rng.choice(found), rng.choice(spec.variants))
+
+    def adapt(space, v):
+        obj = from_space(space)
+        return [_map_instance(kind, obj, obj, m, v) for m in maps(obj, obj)]
+
+    return Universe(
+        tag, lambda n: (pool(n),),
+        lambda spec, objs: (_map_instance(kind, src, dst, m, v) for v in spec.variants
+                            for src in objs for dst in objs for m in maps(src, dst)),
+        draw, adapt, max_n=2)
+
+
+def _map_instance(kind: str, src, dst, mapping, variant) -> Instance:
+    doc = {"kind": kind, "map": list(mapping), "src": describe(src),
+           "dst": describe(dst), "variant": variant.value}
+    return Instance(kind, (src, dst, tuple(mapping), variant), doc)
+
+
+def _triangle_instance(x_space, frame_space, spectrum, mapping, variant) -> Instance:
+    """A map from ``x_space`` into the spectrum of ``frame_space``'s frame."""
+    doc = {"kind": "triangle", "space": describe(x_space),
+           "frame_space": describe(frame_space),
+           "map": list(mapping), "variant": variant.value}
+    return Instance("triangle", (x_space, spectrum, mapping, variant), doc)
+
+
+def _every_triangle(spec, spaces):
+    """Per variant: the maps into each spectrum, built once, then the
+    roundtrip maps between spaces."""
+    for v in spec.variants:
+        for y_space in spaces:
+            spectrum = adpt_space(build_ado(y_space, v))
+            for x_space in spaces:
+                for m in pretop_maps(x_space, spectrum.space):
+                    yield _triangle_instance(x_space, y_space, spectrum, m, v)
+        for x_space in spaces:
+            for y_space in spaces:
+                for h in pretop_maps(x_space, y_space):
+                    yield _map_instance("roundtrip", x_space, y_space, h, v)
+
+
+def _draw_triangle(rng, spec, k, spaces):
+    """A triangle for even k, a roundtrip for odd k."""
+    v = rng.choice(spec.variants)
+    x_space, y_space = rng.choice(spaces), rng.choice(spaces)
+    if k % 2:
+        maps = pretop_maps(x_space, y_space)
+        if maps:
+            return _map_instance("roundtrip", x_space, y_space, rng.choice(maps), v)
     else:
-        rng = random.Random(f"sweep-spaces|{spec.n}|{spec.seed}")
-        for _ in range(spec.count):
-            yield space_instance(rng.choice(spaces), rng.choice(spec.variants))
+        spectrum = adpt_space(build_ado(y_space, v))
+        maps = pretop_maps(x_space, spectrum.space)
+        if maps:
+            return _triangle_instance(x_space, y_space, spectrum, rng.choice(maps), v)
+    return None
 
 
-def _sweep_topologies(spec: SweepSpec) -> Iterator[Instance]:
-    tops = [FinTopSpace(spec.n, fam) for fam in enumerate_topologies(spec.n)]
-    if spec.count is None:
-        for t in tops:
-            for v in spec.variants:
-                yield top_instance(t, v)
-    else:
-        rng = random.Random(f"sweep-tops|{spec.n}|{spec.seed}")
-        for _ in range(spec.count):
-            yield top_instance(rng.choice(tops), rng.choice(spec.variants))
+def _space_triangles(space, v) -> list[Instance]:
+    spectrum = adpt_space(build_ado(space, v))
+    return [_triangle_instance(space, space, spectrum, m, v)
+            for m in pretop_maps(space, spectrum.space)]
+
+
+def _hom_family_instance(lat: FinLattice, frame_space, variant) -> Instance:
+    """Every hom from the two-sided lift of ``lat`` into the frame of
+    ``frame_space``."""
+    doc = {"kind": "hom-family", "source_lattice": lat.m,
+           "frame_space": describe(frame_space), "variant": variant.value}
+    return Instance("hom-family", (lat, build_ado(frame_space, variant)), doc)
 
 
 def _cex_qualifies(space: FinPreTopSpace) -> bool:
@@ -812,161 +851,78 @@ def _cex_qualifies(space: FinPreTopSpace) -> bool:
     return discrete and not sober_topology(space.topology())
 
 
-def _sweep_cex(spec: SweepSpec) -> Iterator[Instance]:
-    for sp in enumerate_spaces(spec.n):
-        if _cex_qualifies(sp):
-            for v in spec.variants:
-                yield space_instance(sp, v)
-
-
-def _morphism_instance(src, dst, mapping, variant) -> Instance:
-    doc = {"kind": "morphism", "map": list(mapping),
-           "src": describe_space(src), "dst": describe_space(dst),
-           "variant": variant.value}
-    return Instance("morphism", (src, dst, tuple(mapping), variant), doc)
-
-
-def _triangle_instance(x_space, frame_space, spectrum, mapping, variant) -> Instance:
-    """A map from ``x_space`` into the spectrum of ``frame_space``'s frame."""
-    doc = {"kind": "triangle", "space": describe_space(x_space),
-           "frame_space": describe_space(frame_space),
-           "map": list(mapping), "variant": variant.value}
-    return Instance("triangle", (x_space, spectrum, mapping, variant), doc)
-
-
-def _hom_family_instance(lat: FinLattice, frame_space, variant) -> Instance:
-    """Every hom from the two-sided lift of ``lat`` into the frame of
-    ``frame_space``."""
-    doc = {"kind": "hom-family", "source_lattice": lat.m,
-           "frame_space": describe_space(frame_space), "variant": variant.value}
-    return Instance("hom-family", (lat, build_ado(frame_space, variant)), doc)
-
-
-def _top_morphism_instance(src, dst, mapping, variant) -> Instance:
-    doc = {"kind": "top-morphism", "map": list(mapping),
-           "src": describe_topology(src), "dst": describe_topology(dst),
-           "variant": variant.value}
-    return Instance("top-morphism", (src, dst, tuple(mapping), variant), doc)
-
-
-def _sweep_morphisms(spec: SweepSpec) -> Iterator[Instance]:
-    spaces = enumerate_spaces(spec.n)
-    if spec.count is None and spec.n <= 2:
-        for v in spec.variants:
-            for src in spaces:
-                for dst in spaces:
-                    for m in pretop_maps(src, dst):
-                        yield _morphism_instance(src, dst, m, v)
-        return
-    count = spec.count or _DEFAULT_SAMPLES
-    rng = random.Random(f"sweep-morphisms|{spec.n}|{spec.seed}")
-    emitted = 0
-    while emitted < count:
-        src, dst = rng.choice(spaces), rng.choice(spaces)
-        maps = pretop_maps(src, dst)
-        if not maps:
-            continue
-        yield _morphism_instance(src, dst, rng.choice(maps), rng.choice(spec.variants))
-        emitted += 1
-
-
-def _sweep_top_morphisms(spec: SweepSpec) -> Iterator[Instance]:
-    tops = [FinTopSpace(spec.n, fam) for fam in enumerate_topologies(spec.n)]
-    for v in spec.variants:
-        for t in tops:
-            yield top_instance(t, v)
-    if spec.count is None and spec.n <= 2:
-        for v in spec.variants:
-            for src in tops:
-                for dst in tops:
-                    for m in continuous_maps(src, dst):
-                        yield _top_morphism_instance(src, dst, m, v)
-        return
-    count = spec.count or _DEFAULT_SAMPLES
-    rng = random.Random(f"sweep-top-morphisms|{spec.n}|{spec.seed}")
-    emitted = 0
-    while emitted < count:
-        src, dst = rng.choice(tops), rng.choice(tops)
-        maps = continuous_maps(src, dst)
-        if not maps:
-            continue
-        yield _top_morphism_instance(src, dst, rng.choice(maps), rng.choice(spec.variants))
-        emitted += 1
-
-
 def _opens_lattices(n: int) -> list[FinLattice]:
-    out, seen = [], set()
+    """The distinct opens lattices of the topologies on n points."""
+    lattices = {}
     for fam in enumerate_topologies(n):
-        lat = subset_lattice(_as_discrete(FinTopSpace(n, fam)), "opens")
-        if lat.key() not in seen:
-            seen.add(lat.key())
-            out.append(lat)
-    return out
+        lat = subset_lattice(FinTopSpace(n, fam), "opens")
+        lattices.setdefault(lat.key(), lat)
+    return list(lattices.values())
+
+
+def _topologies(n: int) -> list[FinTopSpace]:
+    return [FinTopSpace(n, fam) for fam in enumerate_topologies(n)]
+
+
+SPACES = _objects("sweep-spaces", enumerate_spaces, space_instance)
+SPACE_FRAMES = _objects(  # the draws of SPACES, each space made a frame
+    "sweep-spaces", enumerate_spaces,
+    lambda sp, v: frame_instance(build_ado(sp, v), {"from_space": describe(sp)}))
+CEX_SPACES = _objects(
+    "sweep-cex", lambda n: [sp for sp in enumerate_spaces(n) if _cex_qualifies(sp)],
+    space_instance)
+TOPOLOGIES = _objects("sweep-tops", _topologies, space_instance, FinPreTopSpace.topology)
+LATTICES = Universe(
+    "sweep-lattices", lambda n: (_opens_lattices(n),),
+    lambda spec, lats: map(lattice_instance, lats),
+    lambda rng, spec, k, lats: lattice_instance(rng.choice(lats)),
+    lambda space, v: [lattice_instance(subset_lattice(space, "opens"))])
+MORPHISMS = _maps("sweep-morphisms", enumerate_spaces, pretop_maps, "morphism")
+TOP_MORPHISMS = _maps("sweep-top-morphisms", _topologies, continuous_maps,
+                      "top-morphism", FinPreTopSpace.topology)
+TRIANGLES = Universe("sweep-triangle", lambda n: (enumerate_spaces(n),),
+                     _every_triangle, _draw_triangle, _space_triangles, max_n=2)
+HOM_FAMILIES = Universe(
+    "sweep-ind-adj",
+    lambda n: ([lat for lat in _opens_lattices(n) if lat.m >= 2], enumerate_spaces(n)),
+    lambda spec, lats, spaces: (_hom_family_instance(lat, sp, v) for v in spec.variants
+                                for lat in lats for sp in spaces),
+    lambda rng, spec, k, lats, spaces: _hom_family_instance(
+        rng.choice(lats), rng.choice(spaces), rng.choice(spec.variants)),
+    lambda space, v: [_hom_family_instance(subset_lattice(space, "opens"), space, v)],
+    max_n=2)
 
 
 # ---------------------------------------------------------------------------
 # runners
 
 
+def _moves_opens_onto(f: Sequence[int], opens: Sequence[int],
+                      target: Sequence[int]) -> bool:
+    """The images of ``opens`` under the point map f are exactly ``target``."""
+    return {finord.image(f, u) for u in opens} == set(target)
+
+
+def _order_mismatch(rows: Sequence[int], target: Sequence[int],
+                    f: Sequence[int]) -> Optional[tuple[int, int]]:
+    """The first (i, j) with i <= j in ``rows`` but not f(i) <= f(j) in
+    ``target``, or the other way round; None when f preserves and reflects
+    the order."""
+    for i in range(len(rows)):
+        for j in range(len(rows)):
+            if (rows[i] >> j & 1) != (target[f[i]] >> f[j] & 1):
+                return i, j
+    return None
+
+
+def _laws_verdict(report):
+    """Pass, or fail with the names of the broken laws."""
+    return (True, None) if report.ok else (False, [c.law for c in report.failures()])
+
+
 def _run_ado_valid(inst: Instance):
     space, v = inst.payload
-    report = validate_adframe(build_ado(space, v))
-    if report.ok:
-        return True, None
-    return False, [c.law for c in report.failures()]
-
-
-def _spectrum_cache_key(space: FinPreTopSpace, v: Variant):
-    return (space.opens, space.leq, v)
-
-
-def _sweep_triangle(spec: SweepSpec) -> Iterator[Instance]:
-    spaces = enumerate_spaces(spec.n)
-    spectra: dict = {}
-
-    def spectrum_of(sp, v):
-        key = _spectrum_cache_key(sp, v)
-        if key not in spectra:
-            spectra[key] = adpt_space(build_ado(sp, v))
-        return spectra[key]
-
-    def roundtrip_inst(x_space, y_space, h, v):
-        doc = {"kind": "roundtrip", "map": list(h),
-               "src": describe_space(x_space), "dst": describe_space(y_space),
-               "variant": v.value}
-        return Instance("roundtrip", (x_space, y_space, h, v), doc)
-
-    if spec.count is None and spec.n <= 2:
-        for v in spec.variants:
-            for y_space in spaces:
-                spectrum = spectrum_of(y_space, v)
-                for x_space in spaces:
-                    for m in pretop_maps(x_space, spectrum.space):
-                        yield _triangle_instance(x_space, y_space, spectrum, m, v)
-            for x_space in spaces:
-                for y_space in spaces:
-                    for h in pretop_maps(x_space, y_space):
-                        yield roundtrip_inst(x_space, y_space, h, v)
-        return
-
-    count = spec.count or _DEFAULT_SAMPLES
-    rng = random.Random(f"sweep-triangle|{spec.n}|{spec.seed}")
-    emitted = 0
-    while emitted < count:
-        v = rng.choice(spec.variants)
-        x_space, y_space = rng.choice(spaces), rng.choice(spaces)
-        if emitted % 2:
-            maps = pretop_maps(x_space, y_space)
-            if not maps:
-                continue
-            yield roundtrip_inst(x_space, y_space, rng.choice(maps), v)
-        else:
-            spectrum = spectrum_of(y_space, v)
-            maps = pretop_maps(x_space, spectrum.space)
-            if not maps:
-                continue
-            yield _triangle_instance(x_space, y_space, spectrum, rng.choice(maps), v)
-        emitted += 1
+    return _laws_verdict(validate_adframe(build_ado(space, v)))
 
 
 _UNIQUE_GATE = 64
@@ -1090,16 +1046,13 @@ def _run_ads_iso(inst: Instance):
     if len(set(fwd)) != len(fwd) or len(fwd) != len(iso.spectrum.points):
         return False, "pair-to-point map is not bijective"
     pair_space, spectrum_space = iso.ads.space, iso.spectrum.space
-    for i in range(pair_space.n):
-        for j in range(pair_space.n):
-            if (pair_space.leq[i] >> j & 1) != \
-               (spectrum_space.leq[fwd[i]] >> fwd[j] & 1):
-                return False, f"order mismatch between pairs {i} and {j}"
-    mapped = {sum(1 << fwd[i] for i in bits_of(u)) for u in pair_space.opens}
-    if mapped != set(spectrum_space.opens):
+    bad = _order_mismatch(pair_space.leq, spectrum_space.leq, fwd)
+    if bad is not None:
+        return False, "order mismatch between pairs {} and {}".format(*bad)
+    if not _moves_opens_onto(fwd, pair_space.opens, spectrum_space.opens):
         return False, "open families do not correspond"
     for a, upset in enumerate(iso.ads.bracket_map):
-        if sum(1 << fwd[i] for i in bits_of(upset)) != iso.spectrum.upset_map[a]:
+        if finord.image(fwd, upset) != iso.spectrum.upset_map[a]:
             return False, "bracket sets do not match spectrum up-sets"
     return True, None
 
@@ -1111,21 +1064,15 @@ def _run_os_iso(inst: Instance):
         finord._check_topology(ads.space.opens, ads.space.n)
     except NotATopology as exc:
         return False, f"pair-space opens are not a topology: {exc}"
-    if set(ads.diamond_map) != set(ads.space.opens) or \
-       len(set(ads.diamond_map)) != len(space.opens):
-        return False, "diamond transfer is not a bijection onto the pair-space opens"
-    for i, u in enumerate(space.opens):
-        for j, w in enumerate(space.opens):
-            if is_subset(u, w) != is_subset(ads.diamond_map[i], ads.diamond_map[j]):
-                return False, "diamond transfer does not preserve and reflect order"
-    pair_upsets = set(upset_family(ads.space))
-    if set(ads.bracket_map) != pair_upsets or \
-       len(set(ads.bracket_map)) != len(ads.upsets):
-        return False, "bracket transfer is not a bijection onto the up-closed sets"
-    for i, a in enumerate(ads.upsets):
-        for j, b in enumerate(ads.upsets):
-            if is_subset(a, b) != is_subset(ads.bracket_map[i], ads.bracket_map[j]):
-                return False, "bracket transfer does not preserve and reflect order"
+    for name, family, images, onto, what in (
+            ("diamond", space.opens, ads.diamond_map, ads.space.opens, "pair-space opens"),
+            ("bracket", ads.upsets, ads.bracket_map, upset_family(ads.space),
+             "up-closed sets")):
+        if set(images) != set(onto) or len(set(images)) != len(family):
+            return False, f"{name} transfer is not a bijection onto the {what}"
+        if any(is_subset(a, b) != is_subset(images[i], images[j])
+               for i, a in enumerate(family) for j, b in enumerate(family)):
+            return False, f"{name} transfer does not preserve and reflect order"
     return True, None
 
 
@@ -1140,12 +1087,11 @@ def _run_eta_preimage(inst: Instance):
             unit.append(ads.pair_index(pair))
         except ValueError:
             return False, f"canonical pair of point {x} is not irreducible"
-    for k, u in enumerate(space.opens):
-        if finord.preimage(unit, ads.diamond_map[k]) != u:
-            return False, {"open": bits_of(u)}
-    for k, a in enumerate(ads.upsets):
-        if finord.preimage(unit, ads.bracket_map[k]) != a:
-            return False, {"upset": bits_of(a)}
+    for key, family, images in (("open", space.opens, ads.diamond_map),
+                                ("upset", ads.upsets, ads.bracket_map)):
+        for u, image in zip(family, images):
+            if finord.preimage(unit, image) != u:
+                return False, {key: bits_of(u)}
     return True, None
 
 
@@ -1164,9 +1110,7 @@ def _run_adsober_eq(inst: Instance):
     bijective = (len(set(eta.mapping)) == space.n
                  and len(eta.spectrum.points) == space.n)
     if bijective:
-        inverse = [0] * space.n
-        for x in range(space.n):
-            inverse[eta.mapping[x]] = x
+        inverse = sorted(range(space.n), key=lambda x: eta.mapping[x])
         if continuity_failure(eta.spectrum.space, space, inverse) is not None or \
            monotonicity_failure(eta.spectrum.space, space, inverse) is not None:
             return False, "bijective unit whose inverse is not a map of spaces"
@@ -1179,13 +1123,11 @@ def _run_adsober_eq(inst: Instance):
 def _nat_ind_alpha(top: FinTopSpace, v: Variant):
     """Pair space of the indiscrete lift against the classical
     sobrification; returns the matching permutation or an error string."""
-    ind = basic_functors("ind_space", top)
-    ads = ads_space(ind, v)
+    ads = ads_space(basic_functors("ind_space", top), v)
     irr = irreducible_closed_sets(top)
-    full = (1 << top.n) - 1
     alpha = []
     for pr in ads.pairs:
-        if top.n and pr.cls != full:
+        if top.n and pr.cls != (1 << top.n) - 1:
             return None, "pair class is not the whole carrier"
         if pr.closed not in irr:
             return None, "pair closed set is not irreducible in the base"
@@ -1194,14 +1136,10 @@ def _nat_ind_alpha(top: FinTopSpace, v: Variant):
         return None, {"pairs": len(ads.pairs), "irreducible_closed": len(irr)}
     sob, _unit = standard_sobrification(top)
     ind_sob = basic_functors("ind_space", sob)
-    mapped = {sum(1 << alpha[i] for i in bits_of(u)) for u in ads.space.opens}
-    if mapped != set(ind_sob.opens):
+    if not _moves_opens_onto(alpha, ads.space.opens, ind_sob.opens):
         return None, "open families do not correspond"
-    for i in range(ads.space.n):
-        for j in range(ads.space.n):
-            if (ads.space.leq[i] >> j & 1) != \
-               (ind_sob.leq[alpha[i]] >> alpha[j] & 1):
-                return None, "preorders do not correspond"
+    if _order_mismatch(ads.space.leq, ind_sob.leq, alpha) is not None:
+        return None, "preorders do not correspond"
     return alpha, None
 
 
@@ -1218,30 +1156,6 @@ def _sobrification_map(src_top: FinTopSpace, dst_top: FinTopSpace,
     return out
 
 
-def _run_nat_ind(inst: Instance):
-    if inst.kind == "topology":
-        top, v = inst.payload
-        alpha, err = _nat_ind_alpha(top, v)
-        return (alpha is not None), err
-
-    src, dst, g, v = inst.payload
-    a_src, err = _nat_ind_alpha(src, v)
-    if a_src is None:
-        return False, err
-    a_dst, err = _nat_ind_alpha(dst, v)
-    if a_dst is None:
-        return False, err
-    amap = ads_hom(g, basic_functors("ind_space", src),
-                   basic_functors("ind_space", dst), v)
-    gs = _sobrification_map(src, dst, g)
-    if gs is None:
-        return False, "image closure left the irreducible family"
-    for i in range(len(amap.mapping)):
-        if a_dst[amap.mapping[i]] != gs[a_src[i]]:
-            return False, f"square does not commute at pair {i}"
-    return True, None
-
-
 def _nat_discr_alpha(top: FinTopSpace, v: Variant):
     disc = basic_functors("discr", top)
     ads = ads_space(disc, v)
@@ -1249,39 +1163,40 @@ def _nat_discr_alpha(top: FinTopSpace, v: Variant):
     for pr in ads.pairs:
         if pr.cls.bit_count() != 1:
             return None, "pair class is not a singleton"
-        x = pr.rep
-        if pr.closed != closure(top, 1 << x):
+        if pr.closed != closure(top, 1 << pr.rep):
             return None, "pair closed set is not the closure of its point"
-        alpha.append(x)
+        alpha.append(pr.rep)
     if sorted(alpha) != list(range(top.n)):
         return None, {"pairs": len(ads.pairs), "points": top.n}
-    mapped = {sum(1 << alpha[i] for i in bits_of(u)) for u in ads.space.opens}
-    if mapped != set(top.opens):
+    if not _moves_opens_onto(alpha, ads.space.opens, top.opens):
         return None, "open families do not correspond"
-    for i in range(ads.space.n):
-        for j in range(ads.space.n):
-            if (ads.space.leq[i] >> j & 1) != (1 if alpha[i] == alpha[j] else 0):
-                return None, "pair space is not discretely ordered"
+    if _order_mismatch(ads.space.leq, disc.leq, alpha) is not None:
+        return None, "pair space is not discretely ordered"
     return alpha, None
 
 
-def _run_nat_discr(inst: Instance):
+def _run_nat_square(inst: Instance, lift: str, alpha_of, base_map):
+    """A topology: ``alpha_of`` matches the pair space of its ``lift`` with
+    the expected space.  A map g: the pair-space map of the lifted g
+    commutes, through the matchings, with ``base_map(src, dst, g)``."""
     if inst.kind == "topology":
         top, v = inst.payload
-        alpha, err = _nat_discr_alpha(top, v)
+        alpha, err = alpha_of(top, v)
         return (alpha is not None), err
 
     src, dst, g, v = inst.payload
-    a_src, err = _nat_discr_alpha(src, v)
+    a_src, err = alpha_of(src, v)
     if a_src is None:
         return False, err
-    a_dst, err = _nat_discr_alpha(dst, v)
+    a_dst, err = alpha_of(dst, v)
     if a_dst is None:
         return False, err
-    amap = ads_hom(g, basic_functors("discr", src),
-                   basic_functors("discr", dst), v)
+    amap = ads_hom(g, basic_functors(lift, src), basic_functors(lift, dst), v)
+    gs = base_map(src, dst, g)
+    if gs is None:
+        return False, "image closure left the irreducible family"
     for i in range(len(amap.mapping)):
-        if a_dst[amap.mapping[i]] != g[a_src[i]]:
+        if a_dst[amap.mapping[i]] != gs[a_src[i]]:
             return False, f"square does not commute at pair {i}"
     return True, None
 
@@ -1302,8 +1217,7 @@ def _run_homeo_ads(inst: Instance):
     space, v = inst.payload
     top = space.topology()
     irr = irreducible_closed_sets(top)
-    downs = [sum(1 << y for y in range(space.n) if space.leq[y] >> x & 1)
-             for x in range(space.n)]
+    downs = _down_cones(space)
     literal = True
     if v.sees_up:
         literal = literal and upper_semi_closed(space) and all(
@@ -1323,8 +1237,7 @@ def _run_homeo_ads(inst: Instance):
         pi.append(irr.index(pr.closed))
     if sorted(pi) != list(range(len(irr))):
         return False, {"pairs": len(ads.pairs), "sobrification_points": sob.n}
-    mapped = {sum(1 << pi[i] for i in bits_of(u)) for u in ads.space.opens}
-    if mapped != set(sob.opens):
+    if not _moves_opens_onto(pi, ads.space.opens, sob.opens):
         return False, "open families do not correspond"
     return True, {"hypothesis": "literal" if literal else "t1-sober"}
 
@@ -1361,24 +1274,16 @@ def _run_ind_valid(inst: Instance):
     lat, = inst.payload
     if lat.m < 2:
         return None, "one-element lattice: the lift is degenerate"
-    report = validate_adframe(ind_functor(lat))
-    if report.ok:
-        return True, None
-    return False, [c.law for c in report.failures()]
+    return _laws_verdict(validate_adframe(ind_functor(lat)))
 
 
 def _run_eps_valid(inst: Instance):
     frame, = inst.payload
-    if frame.omega.m < 2:
-        return None, "trivial opens lattice"
     try:
         eps = epsilon_hom(frame)
     except TrivialFrame:
         return None, "trivial opens lattice"
-    report = validate_hom(eps)
-    if report.ok:
-        return True, None
-    return False, [c.law for c in report.failures()]
+    return _laws_verdict(validate_hom(eps))
 
 
 _IND_ADJ_SIZE_GATE = 16
@@ -1410,29 +1315,12 @@ def _run_ind_adj(inst: Instance):
     return True, {"valid_homs": len(valid)}
 
 
-def _sweep_ind_adj(spec: SweepSpec) -> Iterator[Instance]:
-    lattices = [lat for lat in _opens_lattices(spec.n) if lat.m >= 2]
-    spaces = enumerate_spaces(spec.n)
-
-    if spec.count is None and spec.n <= 2:
-        for v in spec.variants:
-            for lat in lattices:
-                for sp in spaces:
-                    yield _hom_family_instance(lat, sp, v)
-        return
-    count = spec.count or _DEFAULT_SAMPLES
-    rng = random.Random(f"sweep-ind-adj|{spec.n}|{spec.seed}")
-    for _ in range(count):
-        yield _hom_family_instance(rng.choice(lattices), rng.choice(spaces),
-                                   rng.choice(spec.variants))
-
-
 def _run_lift_square(inst: Instance):
     top, v = inst.payload
     if top.n == 0:
         return None, "empty carrier"
     left = build_ado(basic_functors("ind_space", top), v)
-    right = ind_functor(subset_lattice(_as_discrete(top), "opens"), variant=v)
+    right = ind_functor(subset_lattice(top, "opens"), variant=v)
     iso = iso_check("adframe", left, right)
     if iso is None:
         return False, {"left": (left.omega.m, left.ell.m),
@@ -1453,137 +1341,113 @@ def _run_cex_lift(inst: Instance):
     return perm is not None, counts
 
 
-def _sweep_eps(spec: SweepSpec) -> Iterator[Instance]:
-    for inst in _sweep_spaces(spec):
-        space, v = inst.payload
-        yield frame_instance(build_ado(space, v), {"from_space": describe_space(space)})
-
-
-def _sweep_lattices(spec: SweepSpec) -> Iterator[Instance]:
-    for lat in _opens_lattices(spec.n):
-        yield lattice_instance(lat)
-
-
 # ---------------------------------------------------------------------------
 # the registry itself
 
 
-def _add(id_: str, doc: str, run, sweep, expected_fail: bool = False) -> None:
-    _REGISTRY[id_] = _Entry(id_, doc, run, sweep, expected_fail)
+def _add(id_: str, doc: str, run, universes: tuple, takes: tuple,
+         expected_fail: bool = False) -> None:
+    _REGISTRY[id_] = _Entry(id_, doc, run, universes, takes, expected_fail)
 
 
 _add("ADO-VALID",
      "The four extensional relations of any preordered space satisfy every "
      "frame law of the chosen variant.",
-     _run_ado_valid, _sweep_spaces)
+     _run_ado_valid, (SPACES,), ("space",))
 _add("ADJ-TRIANGLE",
      "The transpose of a map into a spectrum is the unique hom whose "
      "spectrum map closes the triangle with the unit; transposing the "
      "adjoint of a hom gives the hom back.",
-     _run_triangle, _sweep_triangle)
+     _run_triangle, (TRIANGLES,), ("triangle", "roundtrip"))
 _add("ADJ-EXISTS",
      "The unit is natural: spectra of preimage homs commute with it.",
-     _run_adj_exists, _sweep_morphisms)
+     _run_adj_exists, (MORPHISMS,), ("morphism",))
 _add("USC-LSC",
      "Semi-closedness of a space is recoverable from its frame, and "
      "semi-closed frames have semi-closed spectra.",
-     _run_usc_lsc, _sweep_spaces)
+     _run_usc_lsc, (SPACES,), ("space", "adframe"))
 _add("ADS-ISO",
      "The irreducible-pair space is isomorphic to the spectrum of the "
      "space's frame.",
-     _run_ads_iso, _sweep_spaces)
+     _run_ads_iso, (SPACES,), ("space",))
 _add("OS-ISO",
      "Opens and up-closed sets transfer to the pair space by order "
      "isomorphisms.",
-     _run_os_iso, _sweep_spaces)
+     _run_os_iso, (SPACES,), ("space",))
 _add("ETA-PREIMAGE",
      "Pulling transferred opens and up-sets back along the canonical map "
      "into the pair space recovers the originals.",
-     _run_eta_preimage, _sweep_spaces)
+     _run_eta_preimage, (SPACES,), ("space",))
 _add("ADSOBER-EQ",
      "The pair-space route, the unit-bijectivity route, and unit "
      "invertibility agree on which spaces are sober for the pair notion.",
-     _run_adsober_eq, _sweep_spaces)
+     _run_adsober_eq, (SPACES,), ("space",))
 _add("NAT-IND",
      "Indiscrete lift then pair space agrees naturally with classical "
      "sobrification then indiscrete lift.",
-     _run_nat_ind, _sweep_top_morphisms)
+     lambda inst: _run_nat_square(inst, "ind_space", _nat_ind_alpha,
+                                  _sobrification_map),
+     (TOPOLOGIES, TOP_MORPHISMS), ("topology", "top-morphism"))
 _add("NAT-DISCR",
      "Discrete lift then pair space returns the original space, "
      "naturally.",
-     _run_nat_discr, _sweep_top_morphisms)
+     lambda inst: _run_nat_square(inst, "discr", _nat_discr_alpha,
+                                  lambda src, dst, g: g),
+     (TOPOLOGIES, TOP_MORPHISMS), ("topology", "top-morphism"))
 _add("CEX-ADS",
      "With a discrete preorder over a non-sober topology the pair space "
      "is NOT the classical sobrification; expected to fail.",
-     _run_cex_ads, _sweep_cex, expected_fail=True)
+     _run_cex_ads, (CEX_SPACES,), ("space",), expected_fail=True)
 _add("HOMEO-ADS",
      "Under semi-closedness with pointed irreducible sets (or T1 sober), "
      "forgetting classes maps the pair space onto the sobrification "
      "homeomorphically.",
-     _run_homeo_ads, _sweep_spaces)
+     _run_homeo_ads, (SPACES,), ("space",))
 _add("ADT0-LEMMA",
      "Pair-sobriety is exactly the order-T0 condition plus every "
      "irreducible pair being a point's canonical pair.",
-     _run_adt0_lemma, _sweep_spaces)
+     _run_adt0_lemma, (SPACES,), ("space",))
 _add("IDEMPOTENT",
      "Pair spaces (equivalently all spectra) are themselves sober for the "
      "pair notion.",
-     _run_idempotent, _sweep_spaces)
+     _run_idempotent, (SPACES,), ("space", "adframe"))
 _add("IND-VALID",
      "The two-sided lift of any nontrivial distributive lattice is a "
      "valid frame.",
-     _run_ind_valid, _sweep_lattices)
+     _run_ind_valid, (LATTICES,), ("lattice",))
 _add("EPS-VALID",
      "The counit comparison from the two-sided lift of a frame's opens "
      "back to the frame is a valid hom.",
-     _run_eps_valid, _sweep_eps)
+     _run_eps_valid, (SPACE_FRAMES,), ("adframe",))
 _add("IND-ADJ",
      "Every hom out of a two-sided lift forces the bottom/top second "
      "component and factors uniquely through the counit.",
-     _run_ind_adj, _sweep_ind_adj)
+     _run_ind_adj, (HOM_FAMILIES,), ("hom-family",))
 _add("LIFT-SQUARE",
      "On nonempty carriers, the frame of the indiscrete lift is "
      "isomorphic to the two-sided lift of the opens lattice.",
-     _run_lift_square, _sweep_topologies)
+     _run_lift_square, (TOPOLOGIES,), ("topology",))
 _add("CEX-LIFT",
      "With a discrete preorder over a non-sober topology the spectrum "
      "disagrees with the classical frame spectrum; expected to fail.",
-     _run_cex_lift, _sweep_cex, expected_fail=True)
+     _run_cex_lift, (CEX_SPACES,), ("space",), expected_fail=True)
 
 
 # ---------------------------------------------------------------------------
-# single-payload instance builders (used by the command line)
+# single-payload instances (used by the command line)
 
 
 def instances_for_payload(theorem_id: str, payload,
                           variant=Variant.BOTH) -> list[Instance]:
-    """Adapt one JSON payload (space, frame, or lattice) to the instance
-    kind a check expects.  Morphism checks get the family of self-maps."""
+    """Adapt one JSON payload to the instances of a check.  A frame or a
+    lattice is taken as it is by the checks whose runner takes that kind;
+    a space goes through the adapter of the check's first universe, so
+    morphism checks get the family of self-maps."""
     entry = _lookup(theorem_id)
-    variant = Variant.parse(variant)
-    if isinstance(payload, AdFrame):
-        if theorem_id in ("IDEMPOTENT", "EPS-VALID", "USC-LSC"):
-            return [frame_instance(payload)]
-        raise ValueError(f"{theorem_id} needs a space payload")
-    if isinstance(payload, FinLattice):
-        if theorem_id == "IND-VALID":
-            return [lattice_instance(payload)]
-        raise ValueError(f"{theorem_id} needs a space payload")
-    space = payload
-    if theorem_id in ("NAT-IND", "NAT-DISCR", "LIFT-SQUARE"):
-        return [top_instance(space.topology(), variant)]
-    if theorem_id == "IND-VALID":
-        return [lattice_instance(subset_lattice(space, "opens"))]
-    if theorem_id == "EPS-VALID":
-        return [frame_instance(build_ado(space, variant),
-                               {"from_space": describe_space(space)})]
-    if theorem_id == "IND-ADJ":
-        return [_hom_family_instance(subset_lattice(space, "opens"), space, variant)]
-    if theorem_id == "ADJ-EXISTS":
-        return [_morphism_instance(space, space, m, variant)
-                for m in pretop_maps(space, space)]
-    if theorem_id == "ADJ-TRIANGLE":
-        spectrum = adpt_space(build_ado(space, variant))
-        return [_triangle_instance(space, space, spectrum, m, variant)
-                for m in pretop_maps(space, spectrum.space)]
-    return [space_instance(space, variant)]
+    for cls, kind, make in ((AdFrame, "adframe", frame_instance),
+                            (FinLattice, "lattice", lattice_instance)):
+        if isinstance(payload, cls):
+            if kind not in entry.takes:
+                raise ValueError(f"{theorem_id} needs a space payload")
+            return [make(payload)]
+    return entry.universes[0].adapt(payload, Variant.parse(variant))

@@ -6,8 +6,10 @@ point sets, independently of the bitmask machinery under test.
 
 import itertools
 
-from adframe import FinPreTopSpace, closed_sets, generate_random
+from adframe import (FinPreTopSpace, FinTopSpace, NotContinuous, closed_sets,
+                     generate_random)
 from adframe.bits import bits_of, iter_bits, low_bit, mask_of
+from adframe.finord import continuity_failure
 from adframe.frames import AdFrame, AxiomCheck
 
 
@@ -78,6 +80,37 @@ def naive_irreducible_closeds(space):
                    for c1 in closed for c2 in closed):
             out.add(c)
     return out
+
+
+def is_t0_topology(top):
+    """No two points lie in exactly the same opens."""
+    return len({frozenset(u for u in top.opens if u >> x & 1)
+                for x in range(top.n)}) == top.n
+
+
+def lifted_preorder(base, targets):
+    """Largest preorder on a topology making every given map into a
+    preordered space monotone: the pointwise intersection of the pulled
+    back orders.  Each pulled-back order is a preorder that makes its map
+    monotone, and an intersection of preorders is a preorder, so the
+    result needs no check."""
+    top = base if isinstance(base, FinTopSpace) else base.topology()
+    n = top.n
+    full = (1 << n) - 1
+    rows = [full] * n
+    for mapping, target in targets:
+        mapping = tuple(int(v) for v in mapping)
+        bad = continuity_failure(top, target, mapping)
+        if bad is not None:
+            raise NotContinuous(
+                f"lift target map pulls open {bits_of(bad)} back to a non-open")
+        for x in range(n):
+            mask = 0
+            for y in range(n):
+                if target.leq[mapping[x]] >> mapping[y] & 1:
+                    mask |= 1 << y
+            rows[x] &= mask
+    return FinPreTopSpace(n, top.opens, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

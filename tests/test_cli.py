@@ -11,6 +11,7 @@ import pytest
 from adframe import (adframe_to_json, build_ado, lattice_to_json,
                      space_to_json, subset_lattice)
 from adframe.cli import main, render_dot
+from adframe.theorems import registry_ids
 
 from helpers import CHAIN3, SIERPINSKI
 
@@ -87,13 +88,34 @@ def test_non_integer_pair_indices_exit_two(tmp_path):
     """Floats and booleans are rejected, not truncated to other pairs."""
     frame = adframe_to_json(build_ado(SIERPINSKI))
     lattice = lattice_to_json(subset_lattice(CHAIN3, "opens"))
+    space = space_to_json(SIERPINSKI)
     for bad in ([0.5, 1], [True, 1], [1.0, 1], ["0", "1"], [0, 1, 2], 3):
-        for key, doc in (("tot", frame), ("leq", lattice)):
+        for key, doc in (("tot", frame), ("leq", lattice), ("leq", space)):
             path = tmp_path / "bad.json"
             path.write_text(json.dumps(dict(doc, **{key: [bad] + doc[key]})))
             code, out, err = run_cli("validate", "--in", str(path))
             assert (code, out) == (2, ""), (key, bad)
             assert err.startswith("error: ") and "is not two integers" in err
+
+
+def test_non_integer_space_fields_exit_two(tmp_path):
+    """A space's point count, opens and flags are read strictly too."""
+    space = space_to_json(SIERPINSKI)
+    for key, bad, message in (
+            ("points", "2", "space points '2' is not an integer"),
+            ("points", True, "space points True is not an integer"),
+            ("points", 2.7, "space points 2.7 is not an integer"),
+            ("opens", [0, True, 3], "subset True is neither a mask nor a list of indices"),
+            ("opens", [[], [True], [0, 1]], "subset index True is not an integer"),
+            ("opens", [[], [1.0], [0, 1]], "subset index 1.0 is not an integer"),
+            ("opens", [[], "1", [0, 1]], "subset '1' is neither a mask nor a list of indices"),
+            ("strict", "no", "space strict 'no' is not a boolean"),
+            ("complete", 1, "space complete 1 is not a boolean")):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(space, **{key: bad})))
+        for verb in ("validate", "ado"):
+            code, out, err = run_cli(verb, "--in", str(path))
+            assert (code, out, err.strip()) == (2, "", f"error: {message}"), (key, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +212,39 @@ def test_check_usage_errors():
         ids = ("--id", "ADJ-EXISTS") if verb == "check" else ()
         code, out, err = run_cli(verb, *ids, "--sweep", flag)
         assert (code, out, err.strip()) == (2, "", f"error: {message}")
+
+
+def test_empty_pools_sweep_nothing():
+    # no lattice with two elements and no qualifying space on 0 points
+    code, out, err = run_cli("sweep", "--sweep", "n=0,count=3")
+    assert (code, err) == (0, "")
+    ids = [json.loads(line)["id"] for line in out.splitlines()]
+    for cid in registry_ids():
+        code, one, err = run_cli("check", "--id", cid, "--sweep", "n=0,count=3")
+        assert (code, err) == (0, ""), cid
+        assert len(one.splitlines()) == ids.count(cid), cid
+        if cid in ("CEX-ADS", "CEX-LIFT", "IND-ADJ"):
+            assert one == "", cid
+
+
+def _sweep_records(*flags):
+    code, out, err = run_cli("sweep", *flags)
+    assert (code, err) == (0, "")
+    records = [json.loads(line) for line in out.splitlines()]
+    return [dict(r, ms=0) for r in records]
+
+
+def test_sweep_count_draws_per_universe():
+    """count=C draws C seeded instances from each universe a check sweeps:
+    NAT-IND and NAT-DISCR sweep topologies and maps, every other check one
+    universe."""
+    first = _sweep_records("--sweep", "n=3,count=3", "--seed", "5")
+    for cid in registry_ids():
+        want = 6 if cid in ("NAT-IND", "NAT-DISCR") else 3
+        assert sum(r["id"] == cid for r in first) == want, cid
+    assert _sweep_records("--sweep", "n=3,count=3", "--seed", "5") == first
+    other = _sweep_records("--sweep", "n=3,count=3", "--seed", "6")
+    assert [r["instance"] for r in other] != [r["instance"] for r in first]
 
 
 def test_check_budget_exit_code():

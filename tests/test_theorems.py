@@ -7,18 +7,20 @@ from adframe import (BudgetExceeded, FinPreTopSpace, FinTopSpace,
                      generate_random, instances_for_payload, iso_check,
                      registry_doc, registry_ids, run_check, subset_lattice,
                      validate_adframe)
-from adframe.theorems import (VARIANTS, basic_functors,
+from adframe.theorems import (VARIANTS, SweepSpec, _lookup, _moves_opens_onto,
+                              _order_mismatch, basic_functors,
                               designated_counterexample,
                               enumerate_distributive_lattices,
                               enumerate_preorders, enumerate_spaces,
                               enumerate_topologies, frame_instance,
-                              frame_point_space, is_t0_topology,
-                              lattice_order_iso, lifted_preorder, pretop_maps,
-                              restrict_space, sober_topology, space_instance)
+                              frame_point_space, lattice_order_iso,
+                              pretop_maps, restrict_space, sober_topology,
+                              space_instance)
 from adframe.finord import (continuity_failure, is_reflexive_transitive,
                             monotonicity_failure)
 
-from helpers import CHAIN3, SIERPINSKI, leq_pairs
+from helpers import (CHAIN3, SIERPINSKI, is_t0_topology, leq_pairs,
+                     lifted_preorder)
 
 
 # ---------------------------------------------------------------------------
@@ -47,8 +49,9 @@ def test_alexandroff_bijection():
 def test_space_enumeration_modes():
     assert len(enumerate_spaces(2)) == 16
     assert len(enumerate_spaces(3)) == 841
-    assert len(enumerate_spaces(3, "t0")) == 551
-    fixed = enumerate_spaces(2, "fixed-topology", topology=(0, 3))
+    assert len([sp for sp in enumerate_spaces(3)
+                if is_t0_topology(sp.topology())]) == 551
+    fixed = [sp for sp in enumerate_spaces(2) if sp.opens == (0, 3)]
     assert len(fixed) == 4
     assert all(sp.opens == (0, 3) for sp in fixed)
 
@@ -307,6 +310,33 @@ def test_instances_for_payload_dispatch():
     reports = run_check("ADJ-TRIANGLE",
                         instances=instances_for_payload("ADJ-TRIANGLE", SIERPINSKI))
     assert {r.verdict for r in reports} == {"pass"}
+
+
+def test_checks_declare_the_instance_kinds_they_are_given():
+    frame, lattice = build_ado(CHAIN3), subset_lattice(CHAIN3, "opens")
+    for cid in registry_ids():
+        entry = _lookup(cid)
+        given = {i.kind for n in range(3) for i in entry.sweep(SweepSpec(n=n))}
+        given |= {i.kind for i in entry.sweep(SweepSpec(n=3, count=4))}
+        given |= {i.kind for i in instances_for_payload(cid, CHAIN3)}
+        assert given <= set(entry.takes) <= given | {"adframe", "lattice"}, cid
+        for payload, kind in ((frame, "adframe"), (lattice, "lattice")):
+            if kind in entry.takes:
+                assert [i.kind for i in instances_for_payload(cid, payload)] == [kind]
+            else:
+                with pytest.raises(ValueError, match="needs a space payload"):
+                    instances_for_payload(cid, payload)
+
+
+def test_transport_helpers_find_mismatches():
+    # the runners' order and opens comparisons, on maps that break them
+    leq, opens = SIERPINSKI.leq, SIERPINSKI.opens    # order 1 <= 0, open {1}
+    assert _order_mismatch(leq, leq, (0, 1)) is None
+    assert _order_mismatch(leq, leq, (1, 0)) == (0, 1)
+    assert _order_mismatch(leq, (3, 3), (0, 1)) == (0, 1)
+    assert _moves_opens_onto((0, 1), opens, opens)
+    assert not _moves_opens_onto((1, 0), opens, opens)
+    assert not _moves_opens_onto((0, 1), opens, (0, 3))
 
 
 def test_restrict_space_squashes_bits():
