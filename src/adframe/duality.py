@@ -24,7 +24,7 @@ from .errors import (
     NotMonotone,
 )
 from . import finord
-from .finord import FinLattice, FinPreTopSpace, lattice_analyze
+from .finord import FinLattice, FinPreTopSpace, lattice_analyze, preimage, record_memo
 from .frames import AdFrame, AdFrameHom, Variant, build_ado, rel_rows
 
 _BRUTE_GATE = 20
@@ -160,7 +160,7 @@ def enumerate_points(frame: AdFrame, algorithm: str = "prime") -> tuple[AdPoint,
 # spectra
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """The space of points of an ad-frame.
 
@@ -182,6 +182,7 @@ class Spectrum:
             return None
 
 
+@record_memo(lambda frame: frame)
 def adpt_space(frame: AdFrame) -> Spectrum:
     """The spectrum of a frame: its points, with the opens and up-closed
     sets that the elements of the two sides induce on them.  The test suite
@@ -222,9 +223,7 @@ class SpectrumMap:
 def pullback_point(hom: AdFrameHom, pt: AdPoint) -> AdPoint:
     """Image of a spectrum point of the target under the spectrum map of a
     hom: componentwise preimage of the two filters."""
-    x = sum(1 << v for v in range(hom.source.omega.m) if pt.x >> hom.phi[v] & 1)
-    s = sum(1 << a for a in range(hom.source.ell.m) if pt.s >> hom.p[a] & 1)
-    return AdPoint(x, s)
+    return AdPoint(preimage(hom.phi, pt.x), preimage(hom.p, pt.s))
 
 
 def adpt_hom(hom: AdFrameHom, dom: Optional[Spectrum] = None,

@@ -15,13 +15,19 @@ Conventions used throughout the package:
     tuples of rows of element indices.  When a lattice is a lattice of
     subsets, ``labels`` holds the subsets in element order, its order is
     inclusion, and join/meet are union/intersection.
+  - Inside one check record (:func:`record_scope`) each call of a function
+    marked :func:`record_memo` is computed once per key; outside a record
+    nothing is kept.
 """
 from __future__ import annotations
 
+import functools
 import os
 import weakref
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .bits import (
     bits_of,
@@ -43,6 +49,44 @@ DEFAULT_LATTICE_CAP = 4096
 def carrier_cap() -> int:
     """Maximum number of carrier points, env-overridable."""
     return int(os.environ.get("ADFRAME_MAX_POINTS", "64"))
+
+
+# ---------------------------------------------------------------------------
+# the record-scoped memo
+
+_MEMO: ContextVar[Optional[dict]] = ContextVar("adframe_record_memo", default=None)
+
+
+@contextmanager
+def record_scope() -> Iterator[dict]:
+    """A fresh memo for one check record, dropped when the record ends."""
+    token = _MEMO.set({})
+    try:
+        yield _MEMO.get()
+    finally:
+        _MEMO.reset(token)
+
+
+def record_memo(key_of: Callable) -> Callable:
+    """Decorator: inside a record, a call whose ``key_of(*args)`` was seen
+    before returns the earlier result (never None); outside a record the
+    memo is None and every call computes.  A key is either a value tuple or
+    the argument itself: frames and lattices have ``eq=False`` and hash by
+    identity, and as a dict key the argument stays alive, so its id cannot
+    be reused for another object within the record."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def memo_fn(*args, **kwargs):
+            memo = _MEMO.get()
+            if memo is None:
+                return fn(*args, **kwargs)
+            key = (fn, key_of(*args, **kwargs))
+            result = memo.get(key)
+            if result is None:
+                result = memo[key] = fn(*args, **kwargs)
+            return result
+        return memo_fn
+    return decorate
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +155,10 @@ def pairs_to_rows(pairs: Iterable[Sequence[int]], n: int) -> list[int]:
 
 
 def int_pairs(pairs: Iterable, what: str) -> list[tuple[int, int]]:
-    """The index pairs of a JSON relation; each must be a list of exactly two
+    """The index pairs of a JSON relation: a list of lists of exactly two
     integers.  Floats and booleans are rejected rather than truncated."""
+    if not isinstance(pairs, (list, tuple)):
+        raise ValueError(f"{what} pairs must be a list, not {pairs!r}")
     out = []
     for pair in pairs:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2
@@ -207,7 +253,10 @@ def validate_space(raw: Mapping) -> FinPreTopSpace:
     for key in ("complete", "strict"):
         if type(raw.get(key, False)) is not bool:
             raise ValueError(f"space {key} {raw[key]!r} is not a boolean")
-    topo = make_topology(n, raw.get("opens", []), complete=raw.get("complete", False))
+    opens = raw.get("opens", [])
+    if not isinstance(opens, (list, tuple)):
+        raise ValueError(f"opens must be a list, not {opens!r}")
+    topo = make_topology(n, opens, complete=raw.get("complete", False))
     rows = pairs_to_rows(int_pairs(raw.get("leq", []), "order"), n)
     closed = reflexive_transitive_closure(rows, n)
     if raw.get("strict", False):
@@ -513,6 +562,7 @@ class LatticeAnalysis:
     pitchfork: tuple[tuple[int, int], ...]
 
 
+@record_memo(lambda lat: lat)
 def lattice_analyze(lat: FinLattice) -> LatticeAnalysis:
     r"""Distributivity (with witness triple on failure), prime and coprime
     elements, and the pitchfork pairs (q, b) with b <= a iff a is not <= q.
@@ -521,7 +571,13 @@ def lattice_analyze(lat: FinLattice) -> LatticeAnalysis:
     ``down_masks[q]`` among the up-masks.  They also give the primes and the
     coprimes: q is prime iff the complement of its down-set is a principal
     filter, and b is coprime iff the complement of its up-set is a principal
-    ideal.  Distributivity uses the join-prime criterion: a finite lattice is
+    ideal.
+
+    A labelled lattice is distributive without a scan: both constructors
+    check that its labels send joins to unions and meets to intersections,
+    so i -> labels[i] is an injective lattice hom into a powerset, where
+    intersection distributes over union.  For an abstract lattice,
+    distributivity uses the join-prime criterion: a finite lattice is
     distributive iff every join-irreducible element is coprime (Davey and
     Priestley, *Introduction to Lattices and Order*, ch. 10).  Only when it
     fails are the triples (a, b, c) scanned in lexicographic order for the
@@ -539,7 +595,7 @@ def lattice_analyze(lat: FinLattice) -> LatticeAnalysis:
 
     coprime_set = set(coprimes)
     # b is join-irreducible iff the elements strictly below it do not join to b
-    distributive = all(
+    distributive = lat.labels is not None or all(
         b in coprime_set
         for b in range(m)
         if lat.join_all(iter_bits(lat.down_masks[b] & ~(1 << b))) != b
@@ -583,6 +639,8 @@ def lattice_from_json(doc: Mapping, cap: int = DEFAULT_LATTICE_CAP) -> FinLattic
         leq[i][j] = 1
     labels = None
     if "labels" in doc and doc["labels"] is not None:
+        if not isinstance(doc["labels"], (list, tuple)):
+            raise ValueError(f"labels must be a list, not {doc['labels']!r}")
         labels = [_parse_subset(lab, carrier_cap()) for lab in doc["labels"]]
     return lattice_from_leq(leq, labels=labels, cap=cap)
 
@@ -592,23 +650,16 @@ def lattice_from_json(doc: Mapping, cap: int = DEFAULT_LATTICE_CAP) -> FinLattic
 
 
 def irreducible_closed_sets(space) -> tuple[int, ...]:
-    """Non-empty closed sets C such that C <= C1 u C2 forces C inside one part."""
-    closed = closed_sets(space)
-    out = []
-    for c in closed:
-        if c == 0:
-            continue
-        ok = True
-        for c1 in closed:
-            if not ok:
-                break
-            for c2 in closed:
-                if is_subset(c, c1 | c2) and not is_subset(c, c1) and not is_subset(c, c2):
-                    ok = False
-                    break
-        if ok:
-            out.append(c)
-    return tuple(out)
+    """Non-empty closed sets C such that C <= C1 u C2 forces C inside one
+    part, in canonical order.
+
+    On a finite space these are exactly the point closures (Johnstone,
+    *Stone Spaces*, ch. II): a closure cl(x) lies in C1 u C2 only if x lies
+    in one part, and then cl(x) does; conversely C is the finite union of
+    the cl(x) for x in C, so irreducibility puts C inside one cl(x), which
+    lies in C.
+    """
+    return canonical_subsets(closure(space, 1 << x) for x in range(space.n))
 
 
 def equivalence_classes(leq: Sequence[int]) -> tuple[int, ...]:

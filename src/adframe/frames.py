@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
-from .bits import bits_of, is_subset, iter_bits, low_bit
+from .bits import bits_of, full_mask, is_subset, iter_bits, low_bit
 from .errors import (
     NonDistributiveLattice,
     NotContinuous,
@@ -43,6 +43,7 @@ from .finord import (
     lattice_from_json,
     lattice_from_leq,
     lattice_to_json,
+    record_memo,
     subset_lattice,
 )
 
@@ -75,7 +76,7 @@ class Variant(str, Enum):
 Rel = frozenset  # of (omega index, ell index) pairs
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class AdFrame:
     """All four relations are always stored; ``variant`` selects which of
     them the validator and the point conditions look at."""
@@ -108,6 +109,8 @@ class AdFrame:
                 f"variant={self.variant.value})")
 
 
+@record_memo(lambda space, variant=Variant.BOTH, cap=DEFAULT_LATTICE_CAP:
+             (space.n, space.opens, space.leq, Variant.parse(variant), cap))
 def build_ado(space: FinPreTopSpace, variant=Variant.BOTH,
               cap: int = DEFAULT_LATTICE_CAP) -> AdFrame:
     """The ad-frame of a space: opens vs. up-closed sets, with
@@ -422,48 +425,44 @@ def validate_hom(hom: AdFrameHom) -> ValidationReport:
 
 def bounded_lattice_homs(src: FinLattice, dst: FinLattice) -> list[tuple[int, ...]]:
     """All maps preserving bottom, top, binary join and binary meet,
-    found by backtracking along a linear extension of the source."""
-    order = sorted(range(src.m), key=lambda i: (src.down_masks[i].bit_count(), i))
-    image: dict[int, int] = {}
-    out: list[tuple[int, ...]] = []
+    found by backtracking along a linear extension of the source.
 
-    def consistent(e: int, v: int) -> bool:
-        if e == src.bot and v != dst.bot:
-            return False
-        if e == src.top and v != dst.top:
-            return False
-        for f, w in image.items():
-            if src.le(e, f) and not dst.le(v, w):
-                return False
-            if src.le(f, e) and not dst.le(w, v):
-                return False
-        trial = dict(image)
-        trial[e] = v
-        for f, w in trial.items():
+    Each constraint is tested once, at the position of its last element.
+    Every element below e comes before e, so the images of its lower
+    elements bound e's image to their common up-set, and bottom and top
+    have a single candidate each.  The join and meet of an incomparable
+    pair are compared once both elements and the result are placed; a
+    comparable pair needs no test, since an order-preserving map keeps
+    its join and meet."""
+    order = sorted(range(src.m), key=lambda i: (src.down_masks[i].bit_count(), i))
+    position = {e: k for k, e in enumerate(order)}
+    laws: list[list[tuple]] = [[] for _ in order]
+    for a in range(src.m):
+        for b in range(a + 1, src.m):
+            if src.le(a, b) or src.le(b, a):
+                continue
             for tab_s, tab_d in ((src.join_table, dst.join_table),
                                  (src.meet_table, dst.meet_table)):
-                g = tab_s[e][f]
-                if g in trial and trial[g] != tab_d[v][w]:
-                    return False
-        # pairs among earlier elements whose join/meet is the new element
-        for f, w in image.items():
-            for g, z in image.items():
-                if src.join(f, g) == e and dst.join(w, z) != v:
-                    return False
-                if src.meet(f, g) == e and dst.meet(w, z) != v:
-                    return False
-        return True
+                c = tab_s[a][b]
+                laws[max(position[a], position[b], position[c])].append((a, b, c, tab_d))
+    allowed = [full_mask(dst.m)] * src.m
+    allowed[src.bot] &= 1 << dst.bot
+    allowed[src.top] &= 1 << dst.top
+    image = [0] * src.m
+    out: list[tuple[int, ...]] = []
 
     def extend(k: int) -> None:
-        if k == len(order):
-            out.append(tuple(image[i] for i in range(src.m)))
+        if k == src.m:
+            out.append(tuple(image))
             return
         e = order[k]
-        for v in range(dst.m):
-            if consistent(e, v):
-                image[e] = v
+        free = allowed[e]
+        for f in iter_bits(src.down_masks[e] & ~(1 << e)):
+            free &= dst.up_masks[image[f]]
+        for v in iter_bits(free):
+            image[e] = v
+            if all(image[c] == tab[image[a]][image[b]] for a, b, c, tab in laws[k]):
                 extend(k + 1)
-                del image[e]
 
     extend(0)
     return out

@@ -22,7 +22,7 @@ from .finord import (
     downclose,
     equivalence_classes,
     irreducible_closed_sets,
-    upclose,
+    record_memo,
     upset_family,
 )
 from .frames import Variant, build_ado
@@ -42,31 +42,28 @@ class IrreduciblePair:
         return low_bit(self.cls)
 
 
-def _pair_ok(space: FinPreTopSpace, c: int, x: int, variant: Variant) -> bool:
-    if variant.sees_up:
-        if c & downclose(space, 1 << x) == 0:
-            return False
-        if not is_subset(c, closure(space, upclose(space, 1 << x))):
-            return False
-    if variant.sees_down:
-        if c & upclose(space, 1 << x) == 0:
-            return False
-        if not is_subset(c, closure(space, downclose(space, 1 << x))):
-            return False
-    return True
-
-
+@record_memo(lambda space, variant=Variant.BOTH:
+             (space.n, space.opens, space.leq, Variant.parse(variant)))
 def irreducible_pairs(space: FinPreTopSpace, variant=Variant.BOTH) -> tuple[IrreduciblePair, ...]:
-    """Pairs are tested at the lowest member of the class; the test suite
-    checks that every other member gives the same answer."""
+    """The pairs (C, [x]) such that C meets the down-cone of x and lies
+    inside the closure of its up-cone (for the Up side), and meets the
+    up-cone and lies inside the closure of the down-cone (for the Down
+    side).  Pairs are tested at the lowest member of the class; the test
+    suite checks that every other member gives the same answer."""
     variant = Variant.parse(variant)
-    classes = equivalence_classes(space.leq)
-    out = []
-    for c in irreducible_closed_sets(space):
-        for cls in classes:
-            pair = IrreduciblePair(c, cls)
-            if _pair_ok(space, c, pair.rep, variant):
-                out.append(pair)
+    tests = []
+    for cls in equivalence_classes(space.leq):
+        x = low_bit(cls)
+        up, down = space.leq[x], downclose(space, 1 << x)
+        cones = []
+        if variant.sees_up:
+            cones.append((down, closure(space, up)))
+        if variant.sees_down:
+            cones.append((up, closure(space, down)))
+        tests.append((cls, cones))
+    out = [IrreduciblePair(c, cls) for c in irreducible_closed_sets(space)
+           for cls, cones in tests
+           if all(c & meets and is_subset(c, inside) for meets, inside in cones)]
     out.sort(key=lambda p: (subset_key(p.closed), subset_key(p.cls)))
     return tuple(out)
 
@@ -104,7 +101,7 @@ def standard_sobrification(space) -> tuple[FinTopSpace, tuple[int, ...]]:
 # two-sided sobrification
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class AdsSpace:
     """``diamond_map[k]`` is the image of ``base.opens[k]``; ``bracket_map[a]``
     the image of the a-th up-closed set of the base (canonical order)."""

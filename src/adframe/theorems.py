@@ -9,6 +9,7 @@ counterexample entries, and ``skip`` when an instance misses a hypothesis.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -24,8 +25,8 @@ from .finord import (FinLattice, FinPreTopSpace, FinTopSpace, class_of,
                      closure, continuity_failure, downclose,
                      equivalence_classes, irreducible_closed_sets,
                      is_reflexive_transitive, lattice_analyze,
-                     monotonicity_failure, reflexive_transitive_closure,
-                     subset_lattice, upset_family)
+                     monotonicity_failure, record_scope,
+                     reflexive_transitive_closure, subset_lattice, upset_family)
 from .frames import (AdFrame, AdFrameHom, REL_NAMES, Variant,
                      bounded_lattice_homs, build_ado, build_ado_hom,
                      check_usc_lsc, compose_homs, epsilon_hom, ind_functor,
@@ -47,59 +48,54 @@ _DEFAULT_SAMPLES = 24
 # exhaustive enumeration of small carriers
 
 
-_TOPOLOGY_CACHE: dict[int, tuple] = {}
-_PREORDER_CACHE: dict[int, tuple] = {}
-
-
+@functools.cache
 def enumerate_topologies(n: int) -> tuple[tuple[int, ...], ...]:
     """All topologies on n labelled points, by brute force over set
     families containing the empty and full sets and closed under union
     and intersection."""
     if n < 0 or n > ENUM_POINT_CAP:
         raise BudgetExceeded(f"topology enumeration is capped at {ENUM_POINT_CAP} points")
-    if n not in _TOPOLOGY_CACHE:
-        subs = 1 << n
-        base = 1 | (1 << (subs - 1))
-        free = max(0, subs - 2)
-        found = []
-        for r in range(1 << free):
-            fam = base | (r << 1)
-            members = [s for s in range(subs) if fam >> s & 1]
-            ok = True
-            for i, a in enumerate(members):
-                for b in members[i + 1:]:
-                    if not (fam >> (a | b) & 1) or not (fam >> (a & b) & 1):
-                        ok = False
-                        break
-                if not ok:
+    subs = 1 << n
+    base = 1 | (1 << (subs - 1))
+    free = max(0, subs - 2)
+    found = []
+    for r in range(1 << free):
+        fam = base | (r << 1)
+        members = [s for s in range(subs) if fam >> s & 1]
+        ok = True
+        for i, a in enumerate(members):
+            for b in members[i + 1:]:
+                if not (fam >> (a | b) & 1) or not (fam >> (a & b) & 1):
+                    ok = False
                     break
-            if ok:
-                found.append(canonical_subsets(members))
-        found.sort(key=lambda fam: (len(fam), fam))
-        _TOPOLOGY_CACHE[n] = tuple(found)
-    return _TOPOLOGY_CACHE[n]
+            if not ok:
+                break
+        if ok:
+            found.append(canonical_subsets(members))
+    found.sort(key=lambda fam: (len(fam), fam))
+    return tuple(found)
 
 
+@functools.cache
 def enumerate_preorders(n: int) -> tuple[tuple[int, ...], ...]:
     """All preorders on n labelled points (reflexive transitive relations),
     by filtering every assignment of off-diagonal arrows."""
     if n < 0 or n > ENUM_POINT_CAP:
         raise BudgetExceeded(f"preorder enumeration is capped at {ENUM_POINT_CAP} points")
-    if n not in _PREORDER_CACHE:
-        positions = [(x, y) for x in range(n) for y in range(n) if x != y]
-        found = []
-        for assignment in range(1 << len(positions)):
-            rows = [1 << x for x in range(n)]
-            for k, (x, y) in enumerate(positions):
-                if assignment >> k & 1:
-                    rows[x] |= 1 << y
-            if is_reflexive_transitive(rows, n):
-                found.append(tuple(rows))
-        found.sort()
-        _PREORDER_CACHE[n] = tuple(found)
-    return _PREORDER_CACHE[n]
+    positions = [(x, y) for x in range(n) for y in range(n) if x != y]
+    found = []
+    for assignment in range(1 << len(positions)):
+        rows = [1 << x for x in range(n)]
+        for k, (x, y) in enumerate(positions):
+            if assignment >> k & 1:
+                rows[x] |= 1 << y
+        if is_reflexive_transitive(rows, n):
+            found.append(tuple(rows))
+    found.sort()
+    return tuple(found)
 
 
+@functools.cache
 def enumerate_spaces(n: int) -> tuple[FinPreTopSpace, ...]:
     """Every preordered space on n points: each topology crossed with each
     preorder."""
@@ -206,12 +202,10 @@ def is_t1_topology(top: FinTopSpace) -> bool:
 
 
 def sober_topology(top: FinTopSpace) -> bool:
-    """Every irreducible closed set is the closure of exactly one point."""
-    closures = [closure(top, 1 << x) for x in range(top.n)]
-    for c in irreducible_closed_sets(top):
-        if sum(1 for cl in closures if cl == c) != 1:
-            return False
-    return True
+    """Every irreducible closed set is the closure of exactly one point.
+    The irreducible closed sets are the point closures, so this says that
+    no two points have the same closure."""
+    return len({closure(top, 1 << x) for x in range(top.n)}) == top.n
 
 
 def frame_point_space(lat: FinLattice) -> FinTopSpace:
@@ -637,7 +631,8 @@ def _shrink(entry: _Entry, inst: Instance):
             keep = ((1 << cur.n) - 1) & ~(1 << x)
             sub = restrict_space(cur, keep)
             try:
-                ok, w = entry.run(space_instance(sub, variant))
+                with record_scope():
+                    ok, w = entry.run(space_instance(sub, variant))
             except Exception:
                 continue
             if ok is False:
@@ -672,7 +667,10 @@ def run_check(theorem_id: str, instance: Optional[Instance] = None, *,
               sweep=None, fail_fast: bool = False,
               budget_ms: Optional[float] = None) -> list[CheckReport]:
     """Run one registered check over an instance, an explicit instance
-    stream, or a sweep of all spaces of a given size."""
+    stream, or a sweep of all spaces of a given size.  Each record, and
+    each attempt to shrink its witness, runs in its own record scope
+    (``finord.record_scope``), so the frames, spectra and pair lists it
+    derives are built once and dropped when it ends."""
     entry = _lookup(theorem_id)
     if instance is not None:
         stream: Iterable[Instance] = [instance]
@@ -692,7 +690,8 @@ def run_check(theorem_id: str, instance: Optional[Instance] = None, *,
             exc.reports = reports
             raise exc
         t0 = time.perf_counter()
-        ok, witness = entry.run(inst)
+        with record_scope():
+            ok, witness = entry.run(inst)
         ms = round((time.perf_counter() - t0) * 1000, 3)
         if ok is None:
             verdict = "skip"
@@ -928,39 +927,34 @@ def _run_ado_valid(inst: Instance):
 _UNIQUE_GATE = 64
 
 
-def _triangle_gap(hom: AdFrameHom, spectrum, eta, idxs) -> Optional[int]:
-    """First point x whose unit image does not pull back along ``hom`` to
-    point ``idxs[x]`` of ``spectrum``, or None when the triangle closes."""
-    for x, idx in enumerate(idxs):
-        pulled = pullback_point(hom, eta.spectrum.points[eta.mapping[x]])
-        if spectrum.point_index(pulled) != idx:
-            return x
-    return None
-
-
 def _transpose_failure(spectrum, idxs, hom: AdFrameHom, eta) -> Optional[str]:
     """Why ``hom`` is not the transpose of the map ``idxs`` into
     ``spectrum``, or None.  It must be a valid hom and close the triangle
-    with the unit ``eta``; on small instances an exhaustive scan over the
-    bounded-lattice homs of both sides must find no other such hom.  The
-    scan's candidates are lattice homs by construction, so only their
-    relation preservation is tested."""
+    with the unit ``eta``: for each point x the unit image of x pulls back
+    to point ``idxs[x]`` (spectrum points are distinct, so comparing the
+    points compares their indices).  On small instances an exhaustive scan
+    over the bounded-lattice homs of both sides must find no other such
+    hom.  A pulled-back point's first component depends only on phi and its
+    second only on p, so each side's homs are filtered by its half of the
+    triangle; the surviving pairs are lattice homs by construction, so
+    only their relation preservation is tested."""
     bad = validate_hom(hom).failures()
     if bad:
         return f"transpose is not a hom: {[c.law for c in bad]}"
-    x = _triangle_gap(hom, spectrum, eta, idxs)
-    if x is not None:
-        return f"transpose triangle fails at point {x}"
+    legs = [(eta.spectrum.points[eta.mapping[x]], spectrum.points[idx])
+            for x, idx in enumerate(idxs)]
+    gaps = [x for x, (unit, pt) in enumerate(legs) if pullback_point(hom, unit) != pt]
+    if gaps:
+        return f"transpose triangle fails at point {gaps[0]}"
     frame, ado_x = hom.source, hom.target
     if frame.omega.m * ado_x.omega.m > _UNIQUE_GATE:
         return None
-    ell_homs = bounded_lattice_homs(frame.ell, ado_x.ell)
-    matches = []
-    for phi in bounded_lattice_homs(frame.omega, ado_x.omega):
-        for p in ell_homs:
-            cand = AdFrameHom(frame, ado_x, phi, p)
-            if _triangle_gap(cand, spectrum, eta, idxs) is None and preserves_relations(cand):
-                matches.append(cand)
+    phis = [phi for phi in bounded_lattice_homs(frame.omega, ado_x.omega)
+            if all(finord.preimage(phi, unit.x) == pt.x for unit, pt in legs)]
+    ps = [p for p in bounded_lattice_homs(frame.ell, ado_x.ell)
+          if all(finord.preimage(p, unit.s) == pt.s for unit, pt in legs)]
+    matches = [cand for phi in phis for p in ps
+               if preserves_relations(cand := AdFrameHom(frame, ado_x, phi, p))]
     if len(matches) != 1 or matches[0].key() != hom.key():
         return f"uniqueness scan found {len(matches)} triangle-compatible homs"
     return None

@@ -82,6 +82,21 @@ def naive_irreducible_closeds(space):
     return out
 
 
+def pair_ok(space, c, x, variant):
+    """Whether the closed set c pairs with point x under ``variant``: for
+    the Up side c meets the down-cone of x and lies inside the closure of
+    its up-cone; for the Down side the same with the cones swapped."""
+    down = pts(naive_downclose(space, 1 << x))
+    up = pts(naive_upclose(space, 1 << x))
+    sides = []
+    if variant.sees_up:
+        sides.append((down, up))
+    if variant.sees_down:
+        sides.append((up, down))
+    return all(pts(c) & meets and pts(c) <= pts(naive_closure(space, mask_of(cone)))
+               for meets, cone in sides)
+
+
 def is_t0_topology(top):
     """No two points lie in exactly the same opens."""
     return len({frozenset(u for u in top.opens if u >> x & 1)

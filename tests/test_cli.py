@@ -98,6 +98,24 @@ def test_non_integer_pair_indices_exit_two(tmp_path):
             assert err.startswith("error: ") and "is not two integers" in err
 
 
+def test_non_list_fields_exit_two(tmp_path):
+    """A field that must be a list names itself when it is not one."""
+    frame = adframe_to_json(build_ado(SIERPINSKI))
+    lattice = lattice_to_json(subset_lattice(CHAIN3, "opens"))
+    space = space_to_json(SIERPINSKI)
+    for doc, key, message in (
+            (space, "opens", "opens must be a list, not 5"),
+            (space, "leq", "order pairs must be a list, not 5"),
+            (lattice, "leq", "order pairs must be a list, not 5"),
+            (lattice, "labels", "labels must be a list, not 5"),
+            (frame, "tot", "tot pairs must be a list, not 5"),
+            (frame, "cou", "cou pairs must be a list, not 5")):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(doc, **{key: 5})))
+        code, out, err = run_cli("validate", "--in", str(path))
+        assert (code, out, err.strip()) == (2, "", f"error: {message}"), (key, doc)
+
+
 def test_non_integer_space_fields_exit_two(tmp_path):
     """A space's point count, opens and flags are read strictly too."""
     space = space_to_json(SIERPINSKI)

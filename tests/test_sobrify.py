@@ -5,16 +5,15 @@ from adframe import (FinPreTopSpace, ImageNotIrreducible, IrreduciblePair,
                      ads_hom, ads_space, adpt_space, build_ado, closure,
                      equivalence_classes, irreducible_closed_sets,
                      irreducible_pairs, run_check, standard_sobrification)
-from adframe.bits import bits_of, is_subset, mask_of
+from adframe.bits import bits_of, is_subset, low_bit, mask_of, subset_key
 from adframe.finord import (continuity_failure, downclose, monotonicity_failure,
                             preimage, upclose, upset_family)
-from adframe.sobrify import _pair_ok
 from adframe.theorems import (enumerate_spaces, pretop_maps, sober_topology,
                               space_instance)
 
 from helpers import (CHAIN3, INDISCRETE2_DISCRETE_ORDER, SIERPINSKI,
                      idempotence_frames, naive_closure, naive_irreducible_closeds,
-                     pts)
+                     pair_ok, pts)
 
 VARIANTS = (Variant.UP, Variant.DOWN, Variant.BOTH)
 
@@ -70,8 +69,26 @@ def test_pair_conditions_do_not_depend_on_the_class_representative():
         classes = equivalence_classes(sp.leq)
         for c in irreducible_closed_sets(sp):
             for cls in classes:
-                verdicts = {_pair_ok(sp, c, x, v) for x in bits_of(cls)}
+                verdicts = {pair_ok(sp, c, x, v) for x in bits_of(cls)}
                 assert len(verdicts) == 1, (sp, v, c, cls)
+
+
+def test_irreducible_pairs_are_the_pairs_the_definition_accepts():
+    """Every n <= 3 space and every distinct pair space, under each variant:
+    the pairs are the (irreducible closed set, class) combinations that
+    ``pair_ok`` accepts at the class's lowest point, in canonical order."""
+    spaces = {(sp.n, sp.opens, sp.leq): sp
+              for sp, _ in _base_spaces() + _pair_spaces()}
+    irreducible = {}
+    for sp in spaces.values():
+        top = (sp.n, sp.opens)
+        if top not in irreducible:
+            irreducible[top] = sorted(naive_irreducible_closeds(sp), key=subset_key)
+        classes = sorted(equivalence_classes(sp.leq), key=subset_key)
+        for v in VARIANTS:
+            want = tuple(IrreduciblePair(c, cls) for c in irreducible[top]
+                         for cls in classes if pair_ok(sp, c, low_bit(cls), v))
+            assert irreducible_pairs(sp, v) == want, (sp, v)
 
 
 def test_sober_routes_agree_on_pair_spaces_and_spectra():

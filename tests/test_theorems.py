@@ -1,10 +1,12 @@
+import dataclasses
 import itertools
 
 import pytest
 
 from adframe import (BudgetExceeded, FinPreTopSpace, FinTopSpace,
-                     NotContinuous, UnknownTheorem, Variant, build_ado,
-                     generate_random, instances_for_payload, iso_check,
+                     NotContinuous, UnknownTheorem, Variant, adpt_space,
+                     ads_space, build_ado, finord, generate_random,
+                     instances_for_payload, iso_check,
                      registry_doc, registry_ids, run_check, subset_lattice,
                      validate_adframe)
 from adframe.theorems import (VARIANTS, SweepSpec, _lookup, _moves_opens_onto,
@@ -355,6 +357,77 @@ def test_every_check_passes_tiny_sweep():
         reports = run_check(cid, sweep={"n": 1})
         assert all(r.verdict in ("pass", "skip", "expected-fail")
                    for r in reports), cid
+
+
+# ---------------------------------------------------------------------------
+# the record-scoped memo
+
+
+def test_library_calls_keep_nothing():
+    assert finord._MEMO.get() is None
+    a, b = build_ado(CHAIN3), build_ado(CHAIN3)
+    assert a is not b and a.key() == b.key()
+    assert adpt_space(a) is not adpt_space(a)
+    assert finord._MEMO.get() is None
+
+
+def test_shared_objects_are_frozen():
+    frame = build_ado(CHAIN3)
+    for obj, field in ((frame, "tot"), (adpt_space(frame), "points"),
+                       (ads_space(CHAIN3), "pairs")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, ())
+
+
+def test_run_check_gives_each_record_and_shrink_attempt_a_fresh_memo(monkeypatch):
+    entry = _lookup("CEX-ADS")
+    real, memos = entry.run, []
+
+    def spy(inst):
+        memos.append(finord._MEMO.get())
+        return real(inst)
+
+    monkeypatch.setattr(entry, "run", spy)
+    qualifying = FinPreTopSpace(3, (0, 7), (1, 2, 4))
+    reports = run_check("CEX-ADS", instances=[space_instance(qualifying)] * 2)
+    assert [r.verdict for r in reports] == ["expected-fail"] * 2
+    assert "minimized" in reports[0].witness
+    assert len(memos) > 2 and None not in memos
+    assert len({id(memo) for memo in memos}) == len(memos)
+    assert memos[0]             # the first record filled its own memo
+    assert finord._MEMO.get() is None
+
+
+def _value(obj):
+    if hasattr(obj, "key"):                     # a frame
+        return obj.key()
+    if hasattr(obj, "open_map"):                # a spectrum
+        return (obj.frame.key(), obj.points, obj.space, obj.open_map, obj.upset_map)
+    return obj                                  # pairs, a lattice analysis
+
+
+def test_shared_objects_leave_a_record_equal_to_a_fresh_build():
+    """Every check on every fifth instance of its n = 2 sweep, each in a
+    record scope; afterwards each memo entry equals a fresh build from its
+    key, so no runner changed an object that others in its record share."""
+    memos = []
+    for cid in registry_ids():
+        entry = _lookup(cid)
+        for inst in list(entry.sweep(SweepSpec(n=2)))[::5]:
+            with finord.record_scope() as memo:
+                entry.run(inst)
+            memos.append(memo)
+    built = set()
+    for memo in memos:
+        for (fn, key), obj in memo.items():
+            if isinstance(key, tuple):          # (n, opens, leq, *args)
+                fresh = fn(FinPreTopSpace(*key[:3]), *key[3:])
+            else:                               # a frame or a lattice
+                fresh = fn(key)
+            assert _value(obj) == _value(fresh), (fn.__name__, key)
+            built.add(fn.__name__)
+    assert built == {"build_ado", "adpt_space", "lattice_analyze",
+                     "irreducible_pairs"}
 
 
 def test_adj_exists_sampled_n3():
