@@ -11,8 +11,7 @@ registry with sweeps and random generators, and ``cli`` the command line.
 from .errors import (AdframeError, BudgetExceeded, ImageNotIrreducible,
                      InternalCheckError, NonDistributiveLattice, NotALattice,
                      NotAPointMap, NotAPreorder, NotATopology, NotContinuous,
-                     NotMonotone, TooLarge, TrivialFrame, UnknownTheorem,
-                     VariantMismatch)
+                     NotMonotone, TooLarge, TrivialFrame, UnknownTheorem)
 from .bits import bits_of, full_mask, is_subset, iter_bits, mask_of
 from .finord import (FinLattice, FinPreTopSpace, FinTopSpace, LatticeAnalysis,
                      class_of, closed_sets, closure, equivalence_classes,
@@ -30,8 +29,8 @@ from .duality import (AdPoint, Eta, SoberResult, Spectrum, SpectrumMap,
                       adpt_hom, adpt_space, enumerate_points, eta_map,
                       is_ad_sober, is_ad_t0, pullback_point, transpose)
 from .sobrify import (AdsAdptIso, AdsMap, AdsSpace, IrreduciblePair,
-                      ads_adpt_iso, ads_hom, ads_space, irreducible_pairs,
-                      standard_sobrification)
+                      ads_adpt_iso, ads_hom, ads_space, canonical_pairs,
+                      irreducible_pairs, standard_sobrification)
 from .theorems import (CheckReport, Instance, SweepSpec, enumerate_distributive_lattices,
                        enumerate_preorders, enumerate_spaces,
                        enumerate_topologies, generate_random,

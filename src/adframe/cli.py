@@ -17,8 +17,7 @@ import sys
 import tempfile
 
 from .bits import bits_of
-from .errors import (AdframeError, BudgetExceeded, InternalCheckError,
-                     TooLarge, UnknownTheorem)
+from .errors import AdframeError, BudgetExceeded, InternalCheckError, TooLarge
 from .finord import (FinLattice, FinPreTopSpace, equivalence_classes,
                      lattice_analyze, lattice_from_json, space_from_json,
                      space_to_json)
@@ -387,19 +386,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceeded as exc:
+    except (BudgetExceeded, InternalCheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except InternalCheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except UnknownTheorem as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except AdframeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, TypeError, OSError) as exc:
+    except (AdframeError, ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,7 +25,8 @@ from .errors import (
 )
 from . import finord
 from .finord import FinLattice, FinPreTopSpace, lattice_analyze, preimage, record_memo
-from .frames import AdFrame, AdFrameHom, Variant, build_ado, rel_rows
+from .frames import (AdFrame, AdFrameHom, Variant, build_ado, preimage_hom,
+                     rel_rows)
 
 _BRUTE_GATE = 20
 
@@ -226,13 +227,13 @@ def pullback_point(hom: AdFrameHom, pt: AdPoint) -> AdPoint:
     return AdPoint(preimage(hom.phi, pt.x), preimage(hom.p, pt.s))
 
 
-def adpt_hom(hom: AdFrameHom, dom: Optional[Spectrum] = None,
-             cod: Optional[Spectrum] = None) -> SpectrumMap:
+def adpt_hom(hom: AdFrameHom) -> SpectrumMap:
     """Spectrum map induced by a hom, contravariantly: a point of the
-    target pulls back along (phi, p) to a point of the source.  Continuity
-    and monotonicity of the result are checked by ADJ-EXISTS."""
-    dom = dom if dom is not None else adpt_space(hom.target)
-    cod = cod if cod is not None else adpt_space(hom.source)
+    target's spectrum pulls back along (phi, p) to a point of the source's
+    spectrum.  Continuity and monotonicity of the result are checked by
+    ADJ-EXISTS."""
+    dom = adpt_space(hom.target)
+    cod = adpt_space(hom.source)
     mapping = []
     for pt in dom.points:
         idx = cod.point_index(pullback_point(hom, pt))
@@ -279,25 +280,18 @@ def eta_map(space: FinPreTopSpace, variant=Variant.BOTH) -> Eta:
 
 
 def transpose(space: FinPreTopSpace, spectrum: Spectrum,
-              mapping: Sequence) -> AdFrameHom:
+              mapping: Sequence[int]) -> AdFrameHom:
     """Universal-property transpose of a continuous monotone map into a
-    spectrum: the hom whose spectrum map composed with the unit gives the
-    map back.  Rejects maps that are not continuous monotone maps into the
-    spectrum; ADJ-TRIANGLE checks that the result is a hom, closes the
-    triangle and is the only hom that does."""
-    frame = spectrum.frame
-    idxs = []
-    for value in mapping:
-        if isinstance(value, AdPoint):
-            idx = spectrum.point_index(value)
-            if idx is None:
-                raise NotAPointMap(f"{value} is not a point of the spectrum")
-        else:
-            idx = int(value)
-            if not (0 <= idx < len(spectrum.points)):
-                raise NotAPointMap(f"point index {idx} out of range")
-        idxs.append(idx)
-    idxs = tuple(idxs)
+    spectrum, given as point indices: the hom whose spectrum map composed
+    with the unit gives the map back.  It sends each element of the
+    spectrum's frame to the preimage of the points it picks out.  Rejects
+    maps that are not continuous monotone maps into the spectrum;
+    ADJ-TRIANGLE checks that the result is a hom, closes the triangle and
+    is the only hom that does."""
+    idxs = tuple(int(value) for value in mapping)
+    for idx in idxs:
+        if not (0 <= idx < len(spectrum.points)):
+            raise NotAPointMap(f"point index {idx} out of range")
 
     bad = finord.continuity_failure(space, spectrum.space, idxs)
     if bad is not None:
@@ -305,21 +299,8 @@ def transpose(space: FinPreTopSpace, spectrum: Spectrum,
                             f"{bad} to a non-open")
     if finord.monotonicity_failure(space, spectrum.space, idxs) is not None:
         raise NotMonotone("map into the spectrum is not monotone")
-
-    ado_x = build_ado(space, frame.variant)
-    omega_index = {lab: i for i, lab in enumerate(ado_x.omega.labels)}
-    ell_index = {lab: i for i, lab in enumerate(ado_x.ell.labels)}
-    phi = []
-    for v in range(frame.omega.m):
-        mask = sum(1 << x for x in range(space.n)
-                   if spectrum.points[idxs[x]].x >> v & 1)
-        phi.append(omega_index[mask])
-    p = []
-    for a in range(frame.ell.m):
-        mask = sum(1 << x for x in range(space.n)
-                   if spectrum.points[idxs[x]].s >> a & 1)
-        p.append(ell_index[mask])
-    return AdFrameHom(frame, ado_x, tuple(phi), tuple(p))
+    return preimage_hom(spectrum.frame, spectrum.open_map, spectrum.upset_map,
+                        idxs, space)
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +332,8 @@ def is_ad_sober(space: FinPreTopSpace, variant=Variant.BOTH) -> SoberResult:
 
     variant = Variant.parse(variant)
     pairs = sobrify.irreducible_pairs(space, variant)
-    classes = finord.equivalence_classes(space.leq)
     assigned = {}
-    for x in range(space.n):
-        pair = sobrify.IrreduciblePair(finord.closure(space, 1 << x),
-                                       finord.class_of(classes, x))
+    for x, pair in enumerate(sobrify.canonical_pairs(space)):
         if pair in assigned:
             return SoberResult(False, ("unit-collision", assigned[pair], x))
         assigned[pair] = x

@@ -41,10 +41,6 @@ class ImageNotIrreducible(AdframeError):
     """Direct image of an irreducible closed set failed to close irreducibly."""
 
 
-class VariantMismatch(AdframeError):
-    """Requested a quantity the ad-frame's variant does not carry."""
-
-
 class UnknownTheorem(AdframeError):
     """Check id absent from the registry."""
 

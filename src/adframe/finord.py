@@ -2,8 +2,7 @@
 
 Conventions used throughout the package:
 
-  - Carriers are ``range(n)`` with ``n <= carrier_cap()`` (default 64,
-    overridable through the ``ADFRAME_MAX_POINTS`` environment variable).
+  - Carriers are ``range(n)`` with ``n <= CARRIER_CAP`` (64 points).
   - Subsets of a carrier are int bit vectors (see :mod:`adframe.bits`).
   - A preorder on the carrier is a tuple of ``n`` row masks; bit ``y`` of
     ``rows[x]`` is set iff ``x <= y``.
@@ -22,7 +21,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
-import os
 import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -44,11 +42,7 @@ from .errors import (
 )
 
 DEFAULT_LATTICE_CAP = 4096
-
-
-def carrier_cap() -> int:
-    """Maximum number of carrier points, env-overridable."""
-    return int(os.environ.get("ADFRAME_MAX_POINTS", "64"))
+CARRIER_CAP = 64
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +222,8 @@ def _check_topology(opens: Sequence[int], n: int) -> None:
 
 
 def make_topology(n: int, opens: Iterable, complete: bool = False) -> FinTopSpace:
-    if n < 0 or n > carrier_cap():
-        raise TooLarge(f"carrier size {n} outside [0, {carrier_cap()}]")
+    if n < 0 or n > CARRIER_CAP:
+        raise TooLarge(f"carrier size {n} outside [0, {CARRIER_CAP}]")
     masks = {_parse_subset(o, n) for o in opens}
     if complete:
         masks = _complete_topology(masks, n)
@@ -641,7 +635,7 @@ def lattice_from_json(doc: Mapping, cap: int = DEFAULT_LATTICE_CAP) -> FinLattic
     if "labels" in doc and doc["labels"] is not None:
         if not isinstance(doc["labels"], (list, tuple)):
             raise ValueError(f"labels must be a list, not {doc['labels']!r}")
-        labels = [_parse_subset(lab, carrier_cap()) for lab in doc["labels"]]
+        labels = [_parse_subset(lab, CARRIER_CAP) for lab in doc["labels"]]
     return lattice_from_leq(leq, labels=labels, cap=cap)
 
 

@@ -32,7 +32,6 @@ from .errors import (
     NotContinuous,
     NotMonotone,
     TrivialFrame,
-    VariantMismatch,
 )
 from . import finord
 from .finord import (
@@ -342,13 +341,25 @@ def build_ado_hom(mapping: Sequence[int], src: FinPreTopSpace, dst: FinPreTopSpa
     bad_pair = finord.monotonicity_failure(src, dst, mapping)
     if bad_pair is not None:
         raise NotMonotone(f"map does not respect order at pair {bad_pair}")
-    ado_src = build_ado(src, variant)
     ado_dst = build_ado(dst, variant)
-    omega_index = {lab: i for i, lab in enumerate(ado_src.omega.labels)}
-    ell_index = {lab: i for i, lab in enumerate(ado_src.ell.labels)}
-    phi = tuple(omega_index[finord.preimage(mapping, v)] for v in ado_dst.omega.labels)
-    p = tuple(ell_index[finord.preimage(mapping, a)] for a in ado_dst.ell.labels)
-    return AdFrameHom(ado_dst, ado_src, phi, p)
+    return preimage_hom(ado_dst, ado_dst.omega.labels, ado_dst.ell.labels,
+                        mapping, src)
+
+
+def preimage_hom(source: AdFrame, omega_sets: Sequence[int],
+                 ell_sets: Sequence[int], mapping: Sequence[int],
+                 space: FinPreTopSpace) -> AdFrameHom:
+    """The hom from ``source`` to the ad-frame of ``space`` that sends each
+    element to the preimage under ``mapping`` of the set it stands for:
+    ``omega_sets[u]`` for opens-side element u, ``ell_sets[a]`` for
+    lattice-side element a.  The caller has checked that ``mapping`` is
+    continuous and monotone, so every preimage is an open or an up-set."""
+    target = build_ado(space, source.variant)
+    omega_index = {lab: i for i, lab in enumerate(target.omega.labels)}
+    ell_index = {lab: i for i, lab in enumerate(target.ell.labels)}
+    phi = tuple(omega_index[finord.preimage(mapping, u)] for u in omega_sets)
+    p = tuple(ell_index[finord.preimage(mapping, a)] for a in ell_sets)
+    return AdFrameHom(source, target, phi, p)
 
 
 def identity_hom(frame: AdFrame) -> AdFrameHom:
@@ -357,8 +368,9 @@ def identity_hom(frame: AdFrame) -> AdFrameHom:
 
 
 def compose_homs(second: AdFrameHom, first: AdFrameHom) -> AdFrameHom:
-    """second after first (first.target must be second.source)."""
-    if first.target is not second.source and first.target.key() != second.source.key():
+    """second after first (first.target must be the very frame
+    second.source)."""
+    if first.target is not second.source:
         raise ValueError("homs do not compose: middle frames differ")
     phi = tuple(second.phi[v] for v in first.phi)
     p = tuple(second.p[a] for a in first.p)
@@ -472,10 +484,9 @@ def bounded_lattice_homs(src: FinLattice, dst: FinLattice) -> list[tuple[int, ..
 # semi-continuity flags
 
 
-def check_usc_lsc(frame: AdFrame, side: Optional[str] = None):
+def check_usc_lsc(frame: AdFrame):
     """(usc, lsc) flags: every lattice element a join of tot-and-con values /
-    a meet of fof-and-cou values.  A side the variant cannot see is None;
-    requesting it explicitly raises VariantMismatch."""
+    a meet of fof-and-cou values.  A side the variant cannot see is None."""
     usc: Optional[bool] = None
     lsc: Optional[bool] = None
     ell = frame.ell
@@ -489,16 +500,6 @@ def check_usc_lsc(frame: AdFrame, side: Optional[str] = None):
         seed.add(ell.top)
         closed = _closure_under(seed, ell.meet_table)
         lsc = len(closed) == ell.m
-    if side == "usc":
-        if usc is None:
-            raise VariantMismatch("usc needs the Up or Both variant")
-        return usc
-    if side == "lsc":
-        if lsc is None:
-            raise VariantMismatch("lsc needs the Down or Both variant")
-        return lsc
-    if side is not None:
-        raise ValueError(f"unknown side {side!r}")
     return (usc, lsc)
 
 
@@ -523,31 +524,17 @@ def _two_chain() -> FinLattice:
     return lattice_from_leq([[True, True], [False, True]])
 
 
-def ind_functor(omega: FinLattice, psi: Optional[Sequence[int]] = None,
-                target: Optional[FinLattice] = None,
-                variant=Variant.BOTH):
+def ind_functor(omega: FinLattice, variant=Variant.BOTH) -> AdFrame:
     """Couple a (non-trivial) frame with the two-element lattice:
     tot holds when u = top or a = 1, con when u = bot or a = 0,
     fof when u = top or a = 0, cou when u = bot or a = 1.
 
-    With ``psi``/``target`` given, returns instead the hom (psi, id) between
-    the coupled frames.
+    On a frame hom psi the functor gives the hom (psi, id) between the
+    coupled frames; IND-ADJ builds it as ``AdFrameHom`` directly.
     """
     variant = Variant.parse(variant)
     if omega.m == 1:
         raise TrivialFrame("the coupling needs bottom distinct from top")
-    if psi is not None:
-        if target is None:
-            raise ValueError("a target frame is required alongside psi")
-        src = ind_functor(omega, variant=variant)
-        dst = ind_functor(target, variant=variant)
-        arr = tuple(int(x) for x in psi)
-        hom_checks = _lattice_hom_checks("psi", arr, omega, target)
-        bad = [c for c in hom_checks if not c.ok]
-        if bad:
-            raise ValueError(f"psi is not a frame homomorphism: {bad[0].law}")
-        return AdFrameHom(src, dst, arr, (0, 1))
-
     ell = _two_chain()
     top, bot = omega.top, omega.bot
     tot = {(u, 1) for u in range(omega.m)} | {(top, 0)}
@@ -589,8 +576,16 @@ def adframe_to_json(frame: AdFrame) -> dict:
 
 
 def adframe_from_json(doc: Mapping, cap: int = DEFAULT_LATTICE_CAP) -> AdFrame:
-    omega = lattice_from_json(doc["omega"], cap=cap)
-    ell = lattice_from_json(doc["ell"], cap=cap)
+    sides = []
+    for side in ("omega", "ell"):
+        if side not in doc:
+            raise ValueError(f"frame has no {side} field")
+        if not isinstance(doc[side], Mapping):
+            raise ValueError(f"{side} must be an object, not {doc[side]!r}")
+        if "leq" not in doc[side]:
+            raise ValueError(f"{side} has no leq field")
+        sides.append(lattice_from_json(doc[side], cap=cap))
+    omega, ell = sides
     rels = {}
     for name in REL_NAMES:
         pairs = finord.int_pairs(doc.get(name, []), name)

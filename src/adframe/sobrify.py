@@ -42,6 +42,13 @@ class IrreduciblePair:
         return low_bit(self.cls)
 
 
+def canonical_pairs(space: FinPreTopSpace) -> tuple[IrreduciblePair, ...]:
+    """The canonical pair (cl x, [x]) of each point x, in point order."""
+    classes = equivalence_classes(space.leq)
+    return tuple(IrreduciblePair(closure(space, 1 << x), class_of(classes, x))
+                 for x in range(space.n))
+
+
 @record_memo(lambda space, variant=Variant.BOTH:
              (space.n, space.opens, space.leq, Variant.parse(variant)))
 def irreducible_pairs(space: FinPreTopSpace, variant=Variant.BOTH) -> tuple[IrreduciblePair, ...]:
@@ -191,18 +198,18 @@ def ads_hom(mapping: Sequence[int], src: FinPreTopSpace, dst: FinPreTopSpace,
 @dataclass(eq=False)
 class AdsAdptIso:
     """Explicit isomorphism between the irreducible-pair space and the
-    spectrum of the space's ad-frame, plus the pair-space unit."""
+    spectrum of the space's ad-frame."""
 
     ads: AdsSpace
     spectrum: Spectrum
     forward: tuple[int, ...]   # pair index -> point index
-    unit: tuple[int, ...]      # base point -> pair index
 
 
 def ads_adpt_iso(space: FinPreTopSpace, variant=Variant.BOTH) -> AdsAdptIso:
-    """ADS-ISO checks that ``forward`` is an isomorphism of spaces carrying
-    the transferred up-sets onto the spectrum's; ETA-PREIMAGE checks the
-    unit's preimages."""
+    """The pair (C, [x]) goes to the point whose filters are the opens
+    meeting C and the up-closed sets meeting [x].  ADS-ISO checks that
+    ``forward`` is an isomorphism of spaces carrying the transferred
+    up-sets onto the spectrum's."""
     variant = Variant.parse(variant)
     ads = ads_space(space, variant)
     frame = build_ado(space, variant)
@@ -216,13 +223,4 @@ def ads_adpt_iso(space: FinPreTopSpace, variant=Variant.BOTH) -> AdsAdptIso:
         if idx is None:
             raise InternalCheckError(f"pair {pr} does not map to a point")
         forward.append(idx)
-
-    classes = equivalence_classes(space.leq)
-    pair_index = {pr: i for i, pr in enumerate(ads.pairs)}
-    unit = []
-    for x in range(space.n):
-        pr = IrreduciblePair(closure(space, 1 << x), class_of(classes, x))
-        if pr not in pair_index:
-            raise InternalCheckError(f"unit image of point {x} is not a pair")
-        unit.append(pair_index[pr])
-    return AdsAdptIso(ads, spectrum, tuple(forward), tuple(unit))
+    return AdsAdptIso(ads, spectrum, tuple(forward))

@@ -21,9 +21,8 @@ from .bits import bits_of, canonical_subsets, is_subset
 from .errors import (BudgetExceeded, InternalCheckError, NotATopology,
                      TrivialFrame, UnknownTheorem)
 from . import finord
-from .finord import (FinLattice, FinPreTopSpace, FinTopSpace, class_of,
-                     closure, continuity_failure, downclose,
-                     equivalence_classes, irreducible_closed_sets,
+from .finord import (FinLattice, FinPreTopSpace, FinTopSpace, closure,
+                     continuity_failure, downclose, irreducible_closed_sets,
                      is_reflexive_transitive, lattice_analyze,
                      monotonicity_failure, record_scope,
                      reflexive_transitive_closure, subset_lattice, upset_family)
@@ -34,7 +33,7 @@ from .frames import (AdFrame, AdFrameHom, REL_NAMES, Variant,
                      _two_chain)
 from .duality import (adpt_hom, adpt_space, eta_map, is_ad_sober, is_ad_t0,
                       pullback_point, transpose)
-from .sobrify import (IrreduciblePair, ads_adpt_iso, ads_hom, ads_space,
+from .sobrify import (ads_adpt_iso, ads_hom, ads_space, canonical_pairs,
                       irreducible_pairs, standard_sobrification)
 
 VARIANTS = (Variant.UP, Variant.DOWN, Variant.BOTH)
@@ -376,30 +375,36 @@ def _pretop_profile(space: FinPreTopSpace):
     return out
 
 
-def _iso_search(rows_a, rows_b, prof_a, prof_b, accept: Callable[[tuple], bool],
-                nodes: list[int], budget: int) -> Optional[tuple]:
-    """Backtracking search for a bijection x -> y that matches profiles and
-    preserves and reflects the relation given by the row masks ``rows_a``/
-    ``rows_b`` (bit z of row x: x is related to z); returns the first one
-    ``accept`` takes.  Every candidate tried counts one node in ``nodes[0]``,
-    shared by nested searches, against ``budget``."""
+def _iso_pretop(a: FinPreTopSpace, b: FinPreTopSpace, budget: int):
+    """Backtracking search for a bijection x -> y that matches profiles,
+    preserves and reflects the preorder and moves the opens of ``a`` onto
+    those of ``b``.  Every candidate tried counts one node against
+    ``budget``."""
+    if a.n != b.n or len(a.opens) != len(b.opens):
+        return None
+    if sorted(u.bit_count() for u in a.opens) != sorted(u.bit_count() for u in b.opens):
+        return None
+    rows_a, rows_b = a.leq, b.leq
+    prof_a, prof_b = _pretop_profile(a), _pretop_profile(b)
     if sorted(prof_a) != sorted(prof_b):
         return None
-    n = len(rows_a)
+    n = a.n
     cands = [tuple(y for y in range(n) if prof_b[y] == prof_a[x]) for x in range(n)]
     order = sorted(range(n), key=lambda x: len(cands[x]))
     perm = [-1] * n
     used = [False] * n
+    nodes = 0
 
     def rec(k: int) -> bool:
+        nonlocal nodes
         if k == n:
-            return accept(tuple(perm))
+            return _moves_opens_onto(perm, a.opens, b.opens)
         x = order[k]
         for y in cands[x]:
             if used[y]:
                 continue
-            nodes[0] += 1
-            if nodes[0] > budget:
+            nodes += 1
+            if nodes > budget:
                 raise BudgetExceeded("isomorphism search budget exhausted")
             ok = True
             for j in range(k):
@@ -421,65 +426,15 @@ def _iso_search(rows_a, rows_b, prof_a, prof_b, accept: Callable[[tuple], bool],
     return tuple(perm) if rec(0) else None
 
 
-def _iso_pretop(a: FinPreTopSpace, b: FinPreTopSpace, budget: int):
-    if a.n != b.n or len(a.opens) != len(b.opens):
-        return None
-    if sorted(u.bit_count() for u in a.opens) != sorted(u.bit_count() for u in b.opens):
-        return None
-    return _iso_search(a.leq, b.leq, _pretop_profile(a), _pretop_profile(b),
-                       lambda perm: _moves_opens_onto(perm, a.opens, b.opens),
-                       [0], budget)
-
-
-def _iso_adframe(a: AdFrame, b: AdFrame, budget: int):
-    if a.variant is not b.variant:
-        return None
-    if a.omega.m != b.omega.m or a.ell.m != b.ell.m:
-        return None
-    for name in REL_NAMES:
-        if len(a.rel(name)) != len(b.rel(name)):
-            return None
-
-    def side_profile(frame: AdFrame, omega_side: bool):
-        lat = frame.omega if omega_side else frame.ell
-        out = []
-        for e in range(lat.m):
-            degs = tuple(sum(1 for pair in frame.rel(nm)
-                             if pair[0 if omega_side else 1] == e)
-                         for nm in REL_NAMES)
-            out.append((lat.up_masks[e].bit_count(),
-                        lat.down_masks[e].bit_count(), degs))
-        return out
-
-    nodes = [0]
-    found = {}
-
-    def try_sigma(sigma: tuple) -> bool:
-        def accept(tau: tuple) -> bool:
-            return all({(sigma[u], tau[x]) for u, x in a.rel(name)} == set(b.rel(name))
-                       for name in REL_NAMES)
-        tau = _iso_search(a.ell.up_masks, b.ell.up_masks,
-                          side_profile(a, False), side_profile(b, False),
-                          accept, nodes, budget)
-        found["tau"] = tau
-        return tau is not None
-
-    sigma = _iso_search(a.omega.up_masks, b.omega.up_masks,
-                        side_profile(a, True), side_profile(b, True),
-                        try_sigma, nodes, budget)
-    return None if sigma is None else (sigma, found["tau"])
-
-
 def iso_check(kind: str, left, right, budget: int = DEFAULT_ISO_BUDGET):
-    """Search for an isomorphism; returns the witness permutation(s) or
-    None.  Raises BudgetExceeded if the backtracking budget runs out."""
+    """Search for an isomorphism of preordered spaces (kind "pretop") or of
+    topologies ("top"); returns the witness permutation or None.  Raises
+    BudgetExceeded if the backtracking budget runs out."""
     if kind == "pretop":
         return _iso_pretop(left, right, budget)
     if kind == "top":
         return _iso_pretop(basic_functors("discr", left),
                            basic_functors("discr", right), budget)
-    if kind == "adframe":
-        return _iso_adframe(left, right, budget)
     raise ValueError(f"unknown isomorphism kind {kind!r}")
 
 
@@ -1073,10 +1028,8 @@ def _run_os_iso(inst: Instance):
 def _run_eta_preimage(inst: Instance):
     space, v = inst.payload
     ads = ads_space(space, v)
-    classes = equivalence_classes(space.leq)
     unit = []
-    for x in range(space.n):
-        pair = IrreduciblePair(closure(space, 1 << x), class_of(classes, x))
+    for x, pair in enumerate(canonical_pairs(space)):
         try:
             unit.append(ads.pair_index(pair))
         except ValueError:
@@ -1240,12 +1193,7 @@ def _run_adt0_lemma(inst: Instance):
     space, v = inst.payload
     sober = is_ad_sober(space, v).ad_sober
     t0 = is_ad_t0(space)
-    classes = equivalence_classes(space.leq)
-    canonical = all(
-        any(pr.closed == closure(space, 1 << x)
-            and pr.cls == class_of(classes, x)
-            for x in range(space.n))
-        for pr in irreducible_pairs(space, v))
+    canonical = set(irreducible_pairs(space, v)) <= set(canonical_pairs(space))
     if sober != (t0 and canonical):
         return False, {"ad_sober": sober, "ad_t0": t0,
                        "pairs_all_canonical": canonical}
@@ -1301,9 +1249,7 @@ def _run_ind_adj(inst: Instance):
             valid.append(cand)
     eps = epsilon_hom(frame)
     for cand in valid:
-        through = compose_homs(
-            eps, ind_functor(lat, psi=cand.phi, target=frame.omega,
-                             variant=frame.variant))
+        through = compose_homs(eps, AdFrameHom(source, eps.source, cand.phi, (0, 1)))
         if through.key() != cand.key():
             return False, {"phi": cand.phi}
     return True, {"valid_homs": len(valid)}
@@ -1315,8 +1261,14 @@ def _run_lift_square(inst: Instance):
         return None, "empty carrier"
     left = build_ado(basic_functors("ind_space", top), v)
     right = ind_functor(subset_lattice(top, "opens"), variant=v)
-    iso = iso_check("adframe", left, right)
-    if iso is None:
+    # The canonical isomorphism is the identity on element indices: both
+    # opens sides are the opens lattice of ``top``, and the only up-sets of
+    # the indiscrete preorder are the empty set and the carrier, in the
+    # order of the two-element chain.
+    same = (left.omega.up_masks == right.omega.up_masks
+            and left.ell.up_masks == right.ell.up_masks
+            and all(left.rel(name) == right.rel(name) for name in REL_NAMES))
+    if not same:
         return False, {"left": (left.omega.m, left.ell.m),
                        "right": (right.omega.m, right.ell.m)}
     return True, None

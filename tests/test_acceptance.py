@@ -149,7 +149,7 @@ def test_designated_counterexamples_report_expected_fail():
 
 def test_lifting_square_and_factorization():
     reports = []
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         reports += run_check("LIFT-SQUARE", sweep={"n": n})
     for n in range(4):
         reports += run_check("IND-ADJ", sweep={"n": n})

@@ -103,17 +103,22 @@ def test_non_list_fields_exit_two(tmp_path):
     frame = adframe_to_json(build_ado(SIERPINSKI))
     lattice = lattice_to_json(subset_lattice(CHAIN3, "opens"))
     space = space_to_json(SIERPINSKI)
-    for doc, key, message in (
-            (space, "opens", "opens must be a list, not 5"),
-            (space, "leq", "order pairs must be a list, not 5"),
-            (lattice, "leq", "order pairs must be a list, not 5"),
-            (lattice, "labels", "labels must be a list, not 5"),
-            (frame, "tot", "tot pairs must be a list, not 5"),
-            (frame, "cou", "cou pairs must be a list, not 5")):
+    no_ell = {key: value for key, value in frame.items() if key != "ell"}
+    for doc, message in (
+            (dict(space, opens=5), "opens must be a list, not 5"),
+            (dict(space, leq=5), "order pairs must be a list, not 5"),
+            (dict(lattice, leq=5), "order pairs must be a list, not 5"),
+            (dict(lattice, labels=5), "labels must be a list, not 5"),
+            (dict(frame, tot=5), "tot pairs must be a list, not 5"),
+            (dict(frame, cou=5), "cou pairs must be a list, not 5"),
+            ({"omega": 5, "ell": {"leq": [[0, 0]]}}, "omega must be an object, not 5"),
+            (dict(frame, ell=[1]), "ell must be an object, not [1]"),
+            (dict(frame, omega={"labels": [[]]}), "omega has no leq field"),
+            (no_ell, "frame has no ell field")):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(dict(doc, **{key: 5})))
+        path.write_text(json.dumps(doc))
         code, out, err = run_cli("validate", "--in", str(path))
-        assert (code, out, err.strip()) == (2, "", f"error: {message}"), (key, doc)
+        assert (code, out, err.strip()) == (2, "", f"error: {message}"), doc
 
 
 def test_non_integer_space_fields_exit_two(tmp_path):

@@ -4,13 +4,14 @@ import random
 import pytest
 
 from adframe import (AdFrame, FinPreTopSpace, TrivialFrame, Variant,
-                     VariantMismatch, adframe_from_json, adframe_to_json, bnd_map,
+                     adframe_from_json, adframe_to_json, bnd_map,
                      bounded_lattice_homs, build_ado, build_ado_hom,
                      check_usc_lsc, compose_homs, epsilon_hom, identity_hom,
                      ind_functor, subset_lattice, validate_adframe,
                      validate_hom)
 from adframe.frames import _reach_check, preserves_relations, rel_rows
 from adframe.bits import is_subset
+from adframe.finord import record_scope
 from adframe.frames import AdFrameHom, _two_chain
 from adframe.theorems import enumerate_spaces, pretop_maps, upper_semi_closed, lower_semi_closed
 
@@ -177,9 +178,12 @@ def test_ado_hom_contravariant_functor_laws():
         for g in pretop_maps(mid, CHAIN3):
             gf = tuple(g[f[x]] for x in range(src.n))
             left = build_ado_hom(gf, src, CHAIN3)
-            right = compose_homs(build_ado_hom(f, src, mid),
-                                 build_ado_hom(g, mid, CHAIN3))
+            with record_scope():  # both homs share the frame of mid
+                right = compose_homs(build_ado_hom(f, src, mid),
+                                     build_ado_hom(g, mid, CHAIN3))
             assert left.key() == right.key()
+    with pytest.raises(ValueError):
+        compose_homs(identity_hom(build_ado(mid)), identity_hom(build_ado(mid)))
 
 
 def test_ado_hom_validates_exhaustive_n2():
@@ -245,9 +249,6 @@ def test_usc_lsc_variant_contract():
     up_frame = build_ado(SIERPINSKI, Variant.UP)
     usc, lsc = check_usc_lsc(up_frame)
     assert usc is not None and lsc is None
-    with pytest.raises(VariantMismatch):
-        check_usc_lsc(up_frame, side="lsc")
-    assert check_usc_lsc(up_frame, side="usc") == usc
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +294,9 @@ def test_coupling_hom_form_checks_psi():
     omega = subset_lattice(SIERPINSKI, "opens")
     target = subset_lattice(CHAIN3, "opens")
     good = bounded_lattice_homs(omega, target)[0]
-    hom = ind_functor(omega, psi=good, target=target)
-    assert validate_hom(hom).ok
-    with pytest.raises(ValueError):
-        ind_functor(omega, psi=(0,) * omega.m, target=target)
+    source, lifted = ind_functor(omega), ind_functor(target)
+    assert validate_hom(AdFrameHom(source, lifted, good, (0, 1))).ok
+    assert not validate_hom(AdFrameHom(source, lifted, (0,) * omega.m, (0, 1))).ok
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import pathlib
 import subprocess
 import sys
@@ -27,3 +29,19 @@ def test_package_runs_without_numpy():
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_tracer_names_resolve():
+    """Every function the benchmark's tracer wraps is still a callable of
+    its module; the table is read with ``ast``, so numpy is not imported."""
+    tracer = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tree = ast.parse(tracer.read_text())
+    layers = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "LAYERS"
+                          for t in node.targets))
+    assert layers
+    for module, names in layers.items():
+        home = importlib.import_module(f"adframe.{module}")
+        for name in names:
+            assert callable(getattr(home, name, None)), f"{module}.{name}"

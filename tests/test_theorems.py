@@ -150,13 +150,6 @@ def test_iso_check_distinguishes_order():
     assert iso_check("top", plain, chained) is not None
 
 
-def test_iso_check_adframe_relabeling():
-    left = build_ado(SIERPINSKI)
-    right = build_ado(FinPreTopSpace(2, (0, 1, 3), (3, 2)))
-    assert iso_check("adframe", left, right) is not None
-    assert iso_check("adframe", left, build_ado(CHAIN3)) is None
-
-
 def test_iso_check_budget():
     big_a = basic_functors("discr", FinTopSpace(6, (0, 63)))
     big_b = basic_functors("discr", FinTopSpace(6, (0, 63)))
