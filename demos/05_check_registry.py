@@ -12,7 +12,7 @@ from collections import Counter
 
 from adframe import (generate_random, instances_for_payload, registry_doc,
                      registry_ids, run_check, validate_adframe)
-from adframe.theorems import frame_instance, space_instance
+from adframe.theorems import space_instance
 from adframe.finord import FinPreTopSpace
 
 print("registered checks:")

@@ -3,9 +3,14 @@
 Verbs: validate a payload, build the frame / spectrum / pair-space /
 sobrification constructions, run registered checks singly or as sweeps,
 and render DOT drawings.  Payload kind (space, ad-frame, lattice) is
-detected from the JSON keys.  Exit codes: 0 success (expected failures
-and skips included), 1 failed checks or exhausted budgets, 2 bad usage
-or malformed input.
+detected from the JSON keys.  Each verb declares only the flags it reads,
+and ``check`` and ``sweep`` share one run path (``_cmd_run``): ``check``
+is ``sweep`` narrowed to one id, or run over a payload instead of a sweep.
+``--variant`` reads a space payload (a frame carries its own variant),
+and ``check --in`` takes no ``--sweep`` or ``--seed``.  Exit codes: 0
+success (expected failures and skips included), 1 failed checks or
+exhausted budgets, 2 bad usage or malformed input, including a refused
+flag combination and a payload field no reader knows.
 """
 
 from __future__ import annotations
@@ -113,15 +118,16 @@ def _cmd_validate(args) -> int:
 
 def _cmd_ado(args) -> int:
     space = _require_space(_read_payload(args.infile))
-    frame = build_ado(space, Variant.parse(args.variant))
+    frame = build_ado(space, _space_variant(space, args.variant))
     _emit_json(adframe_to_json(frame), args.out)
     return 0
 
 
 def _cmd_adpt(args) -> int:
     payload = _read_payload(args.infile)
+    variant = _space_variant(payload, args.variant)
     if isinstance(payload, FinPreTopSpace):
-        payload = build_ado(payload, Variant.parse(args.variant))
+        payload = build_ado(payload, variant)
     if not isinstance(payload, AdFrame):
         raise ValueError("adpt needs an ad-frame or space payload")
     spectrum = adpt_space(payload)
@@ -136,7 +142,7 @@ def _cmd_adpt(args) -> int:
 
 def _cmd_ads(args) -> int:
     space = _require_space(_read_payload(args.infile))
-    res = ads_space(space, Variant.parse(args.variant))
+    res = ads_space(space, _space_variant(space, args.variant))
     doc = {"space": space_to_json(res.space),
            "pairs": [{"closed": bits_of(pr.closed), "class": bits_of(pr.cls)}
                      for pr in res.pairs],
@@ -171,7 +177,12 @@ def _parse_sweep_flag(raw: str) -> dict:
         key = key.strip()
         if key not in ("n", "count"):
             raise ValueError(f"unknown sweep key {key!r}; use n or count")
-        out[key] = int(value)
+        if key in out:
+            raise ValueError(f"sweep key {key!r} is given twice")
+        try:
+            out[key] = int(value)
+        except ValueError:
+            raise ValueError(f"sweep component {part!r} needs an integer value") from None
     if "n" not in out:
         raise ValueError("sweep needs n=K")
     cap = theorems.ENUM_POINT_CAP
@@ -182,62 +193,52 @@ def _parse_sweep_flag(raw: str) -> dict:
     return out
 
 
-def _sweep_spec(args) -> theorems.SweepSpec:
-    values = _parse_sweep_flag(args.sweep) if args.sweep else {"n": 2}
-    spec = theorems.SweepSpec(n=values["n"], seed=args.seed)
-    spec.count = values.get("count")
-    if args.variant is not None:
-        spec.variants = (Variant.parse(args.variant),)
-    return spec
+def _space_variant(payload, variant) -> Variant:
+    """The variant a payload is read under: ``--variant`` (default both)
+    for a space; a frame or a lattice payload takes no ``--variant``."""
+    if variant is not None and not isinstance(payload, FinPreTopSpace):
+        raise ValueError("--variant applies only to a space payload")
+    return Variant.parse(variant or "both")
 
 
-def _cmd_check(args) -> int:
-    theorems.registry_doc(args.id)  # fail early on unknown ids
-    try:
-        if args.infile:
-            payload = _read_payload(args.infile)
-            insts = theorems.instances_for_payload(
-                args.id, payload, Variant.parse(args.variant or "both"))
-            reports = theorems.run_check(args.id, instances=insts,
-                                         fail_fast=args.fail_fast,
-                                         budget_ms=args.budget_ms)
-        else:
-            reports = theorems.run_check(args.id, sweep=_sweep_spec(args),
-                                         fail_fast=args.fail_fast,
-                                         budget_ms=args.budget_ms)
-    except BudgetExceeded as exc:
-        _emit(_record_lines(getattr(exc, "reports", [])), args.out)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _emit(_record_lines(reports), args.out)
-    return 1 if any(r.verdict == "fail" for r in reports) else 0
-
-
-def _cmd_sweep(args) -> int:
-    spec = _sweep_spec(args)
+def _cmd_run(args) -> int:
+    """``check`` and ``sweep``: run the ids (``--id``, or every id) over
+    the payload's instances or over the sweep, and write their records.
+    A budget stops the run with the records made so far; ``--fail-fast``
+    stops it after the first id with a failing record."""
     ids = [args.id] if args.id else list(theorems.registry_ids())
     for cid in ids:
-        theorems.registry_doc(cid)
+        theorems.registry_doc(cid)  # fail early on unknown ids
+    payload = sweep = insts = None
+    if getattr(args, "infile", None):
+        if args.sweep or args.seed is not None:
+            raise ValueError("--in excludes --sweep and --seed")
+        payload = _read_payload(args.infile)
+        variant = _space_variant(payload, args.variant)
+    else:
+        sweep = _parse_sweep_flag(args.sweep) if args.sweep else {"n": 2}
+        sweep.update(seed=args.seed or 0, variant=args.variant)
     lines = []
-    failed = False
-    exhausted = False
+    code = 0
     for cid in ids:
+        if payload is not None:
+            insts = theorems.instances_for_payload(cid, payload, variant)
         try:
-            reports = theorems.run_check(cid, sweep=spec,
+            reports = theorems.run_check(cid, instances=insts, sweep=sweep,
                                          fail_fast=args.fail_fast,
                                          budget_ms=args.budget_ms)
         except BudgetExceeded as exc:
             lines.append(_record_lines(getattr(exc, "reports", [])))
             print(f"error: {exc}", file=sys.stderr)
-            exhausted = True
+            code = 1
             break
         lines.append(_record_lines(reports))
         if any(r.verdict == "fail" for r in reports):
-            failed = True
+            code = 1
             if args.fail_fast:
                 break
     _emit("\n".join(line for line in lines if line), args.out)
-    return 1 if failed or exhausted else 0
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +337,24 @@ def _cmd_render(args) -> int:
 # argument wiring
 
 
+_FLAGS = {
+    "--in": dict(dest="infile", metavar="PATH", help="input JSON payload"),
+    "--out": dict(metavar="PATH", help="output path (atomic write); default stdout"),
+    "--variant": dict(choices=["up", "down", "both"],
+                      help="which refinement relations a space is read under "
+                           "(default: both; a sweep runs all three)"),
+    "--id": dict(help="registered check identifier"),
+    "--sweep": dict(metavar="n=K[,count=C]",
+                    help="run over all spaces of size K (count samples "
+                         "instead when given); default n=2"),
+    "--seed": dict(type=int, help="seed for sampled sweeps (default 0)"),
+    "--budget-ms": dict(type=float, help="abort after this many milliseconds"),
+    "--fail-fast": dict(action="store_true",
+                        help="stop at the first failing record"),
+}
+_RUN_FLAGS = ("--variant", "--sweep", "--seed", "--budget-ms", "--fail-fast")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adframe",
@@ -343,41 +362,25 @@ def _build_parser() -> argparse.ArgumentParser:
                     "of preordered spaces.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(verb, fn, helptext, needs_in=True, has_id=False, has_sweep=False):
+    def add(verb, fn, helptext, flags=("--in",), required=("--in",)):
         p = sub.add_parser(verb, help=helptext)
-        p.add_argument("--in", dest="infile", required=needs_in and not has_sweep,
-                       metavar="PATH", help="input JSON payload")
-        p.add_argument("--out", metavar="PATH",
-                       help="output path (atomic write); default stdout")
-        p.add_argument("--variant", choices=["up", "down", "both"],
-                       default="both" if not has_sweep else None,
-                       help="which refinement relations are in force")
-        if has_id:
-            p.add_argument("--id", required=(verb == "check"),
-                           help="registered check identifier")
-        if has_sweep:
-            p.add_argument("--sweep", metavar="n=K[,count=C]",
-                           help="run over all spaces of size K "
-                                "(count samples instead when given)")
-            p.add_argument("--seed", type=int, default=0,
-                           help="seed for sampled sweeps")
-            p.add_argument("--budget-ms", type=float, default=None,
-                           help="abort after this many milliseconds")
-            p.add_argument("--fail-fast", action="store_true",
-                           help="stop at the first failing record")
+        for flag in flags + ("--out",):
+            p.add_argument(flag, required=flag in required, **_FLAGS[flag])
         p.set_defaults(func=fn)
         return p
 
     add("validate", _cmd_validate, "parse a payload and report its laws")
-    add("ado", _cmd_ado, "build the four-relation frame of a space")
-    add("adpt", _cmd_adpt, "enumerate the spectrum of an ad-frame")
-    add("ads", _cmd_ads, "build the irreducible-pair space")
+    add("ado", _cmd_ado, "build the four-relation frame of a space",
+        ("--in", "--variant"))
+    add("adpt", _cmd_adpt, "enumerate the spectrum of an ad-frame",
+        ("--in", "--variant"))
+    add("ads", _cmd_ads, "build the irreducible-pair space", ("--in", "--variant"))
     add("sobrify", _cmd_sobrify, "classical sobrification of the underlying topology")
-    check_p = add("check", _cmd_check, "run one registered check",
-                  needs_in=False, has_id=True, has_sweep=True)
+    check_p = add("check", _cmd_run, "run one registered check",
+                  ("--id", "--in") + _RUN_FLAGS, required=("--id",))
     check_p.description = "known ids: " + ", ".join(theorems.registry_ids())
-    add("sweep", _cmd_sweep, "run every registered check over a sweep",
-        needs_in=False, has_id=True, has_sweep=True)
+    add("sweep", _cmd_run, "run every registered check over a sweep",
+        ("--id",) + _RUN_FLAGS, required=())
     add("render", _cmd_render, "emit a DOT drawing of a payload")
     return parser
 

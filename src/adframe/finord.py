@@ -162,6 +162,17 @@ def int_pairs(pairs: Iterable, what: str) -> list[tuple[int, int]]:
     return out
 
 
+def check_fields(doc: Mapping, what: str, required: tuple, optional: tuple) -> None:
+    """Reject a JSON object that lacks a required field or has a field its
+    reader does not know, so that a misspelt field is not read as absent."""
+    for key in required:
+        if key not in doc:
+            raise ValueError(f"{what} has no {key} field")
+    for key in doc:
+        if key not in required and key not in optional:
+            raise ValueError(f"{what} has unknown field {key!r}")
+
+
 def rows_to_pairs(rows: Sequence[int]) -> list[list[int]]:
     """Non-reflexive pairs of the order, sorted."""
     return [[x, y] for x in range(len(rows)) for y in iter_bits(rows[x]) if y != x]
@@ -239,8 +250,9 @@ def validate_space(raw: Mapping) -> FinPreTopSpace:
     (close opens under union/intersection instead of rejecting) and optional
     ``strict`` (reject order pairs that are not already reflexive-transitive
     instead of closing them).  Counts, indices and masks must be ints and
-    the flags bools; nothing is coerced.
+    the flags bools; nothing is coerced, and no other key is accepted.
     """
+    check_fields(raw, "space", ("points",), ("opens", "leq", "complete", "strict"))
     n = raw["points"]
     if type(n) is not int:
         raise ValueError(f"space points {n!r} is not an integer")
@@ -398,7 +410,7 @@ class FinLattice:
 _LABELLED: "weakref.WeakValueDictionary[tuple, FinLattice]" = weakref.WeakValueDictionary()
 
 
-def lattice_from_labels(labels: Sequence[int], cap: int = DEFAULT_LATTICE_CAP) -> FinLattice:
+def lattice_from_labels(labels: Sequence[int]) -> FinLattice:
     """Lattice of subsets ordered by inclusion; join/meet are union/intersection.
 
     The family must be closed under union and intersection and is put into
@@ -409,8 +421,8 @@ def lattice_from_labels(labels: Sequence[int], cap: int = DEFAULT_LATTICE_CAP) -
     m = len(family)
     if m == 0:
         raise NotALattice("empty element set")
-    if m > cap:
-        raise TooLarge(f"lattice has {m} elements, cap is {cap}")
+    if m > DEFAULT_LATTICE_CAP:
+        raise TooLarge(f"lattice has {m} elements, cap is {DEFAULT_LATTICE_CAP}")
     lat = _LABELLED.get(family)
     if lat is not None:
         return lat
@@ -436,7 +448,6 @@ def lattice_from_labels(labels: Sequence[int], cap: int = DEFAULT_LATTICE_CAP) -
 def lattice_from_leq(
     leq: Sequence[Sequence[bool]],
     labels: Optional[Sequence[int]] = None,
-    cap: int = DEFAULT_LATTICE_CAP,
 ) -> FinLattice:
     """Lattice from an explicit square order matrix (nested sequences or an
     array); validates the order and that every pair has a least upper and
@@ -457,8 +468,8 @@ def lattice_from_leq(
         square = False
     if not square:
         raise NotALattice("order matrix must be square")
-    if m > cap:
-        raise TooLarge(f"lattice has {m} elements, cap is {cap}")
+    if m > DEFAULT_LATTICE_CAP:
+        raise TooLarge(f"lattice has {m} elements, cap is {DEFAULT_LATTICE_CAP}")
     up = tuple(sum(1 << j for j, v in enumerate(row) if v) for row in rows)
     if any(not up[i] >> i & 1 for i in range(m)):
         raise NotALattice("order not reflexive")
@@ -511,7 +522,7 @@ def lattice_from_leq(
                       up_index[full], down_index[full], up, down)
 
 
-def upset_family(space: FinPreTopSpace, cap: int = DEFAULT_LATTICE_CAP) -> tuple[int, ...]:
+def upset_family(space: FinPreTopSpace) -> tuple[int, ...]:
     """All upward-closed subsets: union closure of the point up-cones."""
     family = {0}
     frontier = [0]
@@ -525,21 +536,19 @@ def upset_family(space: FinPreTopSpace, cap: int = DEFAULT_LATTICE_CAP) -> tuple
         for b in list(family):
             c = a | b
             if c not in family:
-                if len(family) >= cap:
-                    raise TooLarge(f"up-set family exceeds cap {cap}")
+                if len(family) >= DEFAULT_LATTICE_CAP:
+                    raise TooLarge(f"up-set family exceeds cap {DEFAULT_LATTICE_CAP}")
                 family.add(c)
                 frontier.append(c)
-    if len(family) > cap:
-        raise TooLarge(f"up-set family exceeds cap {cap}")
     return canonical_subsets(family)
 
 
-def subset_lattice(space: FinPreTopSpace, kind: str, cap: int = DEFAULT_LATTICE_CAP) -> FinLattice:
+def subset_lattice(space: FinPreTopSpace, kind: str) -> FinLattice:
     """Lattice of opens (``kind='opens'``) or of up-closed sets (``kind='upsets'``)."""
     if kind == "opens":
-        return lattice_from_labels(space.opens, cap=cap)
+        return lattice_from_labels(space.opens)
     if kind == "upsets":
-        return lattice_from_labels(upset_family(space, cap), cap=cap)
+        return lattice_from_labels(upset_family(space))
     raise ValueError(f"unknown subset lattice kind {kind!r}")
 
 
@@ -618,7 +627,8 @@ def lattice_to_json(lat: FinLattice) -> dict:
     return doc
 
 
-def lattice_from_json(doc: Mapping, cap: int = DEFAULT_LATTICE_CAP) -> FinLattice:
+def lattice_from_json(doc: Mapping) -> FinLattice:
+    check_fields(doc, "lattice", ("leq",), ("labels",))
     pairs = int_pairs(doc["leq"], "order")
     if not pairs:
         raise NotALattice("order pair list is empty; reflexive pairs are required")
@@ -626,8 +636,8 @@ def lattice_from_json(doc: Mapping, cap: int = DEFAULT_LATTICE_CAP) -> FinLattic
         if i < 0 or j < 0:
             raise ValueError(f"order pair ({i}, {j}) has a negative index")
     m = max(max(i, j) for i, j in pairs) + 1
-    if m > cap:
-        raise TooLarge(f"lattice has {m} elements, cap is {cap}")
+    if m > DEFAULT_LATTICE_CAP:
+        raise TooLarge(f"lattice has {m} elements, cap is {DEFAULT_LATTICE_CAP}")
     leq = [bytearray(m) for _ in range(m)]
     for i, j in pairs:
         leq[i][j] = 1
@@ -636,7 +646,7 @@ def lattice_from_json(doc: Mapping, cap: int = DEFAULT_LATTICE_CAP) -> FinLattic
         if not isinstance(doc["labels"], (list, tuple)):
             raise ValueError(f"labels must be a list, not {doc['labels']!r}")
         labels = [_parse_subset(lab, CARRIER_CAP) for lab in doc["labels"]]
-    return lattice_from_leq(leq, labels=labels, cap=cap)
+    return lattice_from_leq(leq, labels=labels)
 
 
 # ---------------------------------------------------------------------------

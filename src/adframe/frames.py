@@ -35,7 +35,6 @@ from .errors import (
 )
 from . import finord
 from .finord import (
-    DEFAULT_LATTICE_CAP,
     FinLattice,
     FinPreTopSpace,
     lattice_analyze,
@@ -108,16 +107,15 @@ class AdFrame:
                 f"variant={self.variant.value})")
 
 
-@record_memo(lambda space, variant=Variant.BOTH, cap=DEFAULT_LATTICE_CAP:
-             (space.n, space.opens, space.leq, Variant.parse(variant), cap))
-def build_ado(space: FinPreTopSpace, variant=Variant.BOTH,
-              cap: int = DEFAULT_LATTICE_CAP) -> AdFrame:
+@record_memo(lambda space, variant=Variant.BOTH:
+             (space.n, space.opens, space.leq, Variant.parse(variant)))
+def build_ado(space: FinPreTopSpace, variant=Variant.BOTH) -> AdFrame:
     """The ad-frame of a space: opens vs. up-closed sets, with
     tot = covering pairs, con = disjoint pairs, fof = containments U >= A,
     cou = inclusions U <= A."""
     variant = Variant.parse(variant)
-    omega = subset_lattice(space, "opens", cap=cap)
-    ell = subset_lattice(space, "upsets", cap=cap)
+    omega = subset_lattice(space, "opens")
+    ell = subset_lattice(space, "upsets")
     full = space.full
     tot, con, fof, cou = set(), set(), set(), set()
     for i, u in enumerate(omega.labels):
@@ -575,16 +573,14 @@ def adframe_to_json(frame: AdFrame) -> dict:
     }
 
 
-def adframe_from_json(doc: Mapping, cap: int = DEFAULT_LATTICE_CAP) -> AdFrame:
+def adframe_from_json(doc: Mapping) -> AdFrame:
+    finord.check_fields(doc, "frame", ("omega", "ell"), REL_NAMES + ("variant",))
     sides = []
     for side in ("omega", "ell"):
-        if side not in doc:
-            raise ValueError(f"frame has no {side} field")
         if not isinstance(doc[side], Mapping):
             raise ValueError(f"{side} must be an object, not {doc[side]!r}")
-        if "leq" not in doc[side]:
-            raise ValueError(f"{side} has no leq field")
-        sides.append(lattice_from_json(doc[side], cap=cap))
+        finord.check_fields(doc[side], side, ("leq",), ("labels",))
+        sides.append(lattice_from_json(doc[side]))
     omega, ell = sides
     rels = {}
     for name in REL_NAMES:

@@ -444,9 +444,7 @@ def iso_check(kind: str, left, right, budget: int = DEFAULT_ISO_BUDGET):
 
 def basic_functors(which: str, space):
     """discr: equality preorder on a topology.  ind_space: indiscrete
-    preorder on a topology.  underlying: forget the preorder."""
-    if which == "underlying":
-        return space.topology() if isinstance(space, FinPreTopSpace) else space
+    preorder on a topology.  A space is taken by its topology."""
     top = space if isinstance(space, FinTopSpace) else space.topology()
     if which == "discr":
         return FinPreTopSpace(top.n, top.opens,
@@ -604,16 +602,16 @@ def _coerce_sweep(sweep) -> SweepSpec:
         return SweepSpec()
     if isinstance(sweep, SweepSpec):
         return sweep
+    for key in sweep:
+        if key not in ("n", "count", "seed", "variant"):
+            raise ValueError(f"unknown sweep key {key!r}; use n, count, seed or variant")
     spec = SweepSpec()
     spec.n = int(sweep.get("n", spec.n))
     spec.seed = int(sweep.get("seed", spec.seed))
     if sweep.get("count") is not None:
         spec.count = int(sweep["count"])
-    raw_variants = sweep.get("variants") or sweep.get("variant")
-    if raw_variants:
-        if isinstance(raw_variants, (str, Variant)):
-            raw_variants = [raw_variants]
-        spec.variants = tuple(Variant.parse(v) for v in raw_variants)
+    if sweep.get("variant") is not None:
+        spec.variants = (Variant.parse(sweep["variant"]),)
     return spec
 
 
@@ -622,10 +620,11 @@ def run_check(theorem_id: str, instance: Optional[Instance] = None, *,
               sweep=None, fail_fast: bool = False,
               budget_ms: Optional[float] = None) -> list[CheckReport]:
     """Run one registered check over an instance, an explicit instance
-    stream, or a sweep of all spaces of a given size.  Each record, and
-    each attempt to shrink its witness, runs in its own record scope
-    (``finord.record_scope``), so the frames, spectra and pair lists it
-    derives are built once and dropped when it ends."""
+    stream, or a sweep: a ``SweepSpec``, or a dict with some of the keys
+    ``n``, ``count``, ``seed`` and ``variant`` (one; default all) and no
+    other.  Each record, and each attempt to shrink its witness, runs in
+    its own record scope (``finord.record_scope``), so the frames, spectra
+    and pair lists it derives are built once and dropped when it ends."""
     entry = _lookup(theorem_id)
     if instance is not None:
         stream: Iterable[Instance] = [instance]

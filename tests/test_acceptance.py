@@ -6,10 +6,10 @@ a single PASS/FAIL line (run with ``pytest -s`` to see them stream).
 
 import time
 
-from adframe import (Variant, build_ado, enumerate_points, generate_random,
-                     ind_functor, run_check, validate_adframe)
+from adframe import (build_ado, enumerate_points, generate_random,
+                     ind_functor, run_check)
 from adframe.errors import TrivialFrame
-from adframe.finord import FinPreTopSpace, FinTopSpace, upset_family
+from adframe.finord import FinPreTopSpace, upset_family
 from adframe.theorems import (VARIANTS, designated_counterexample,
                               enumerate_distributive_lattices,
                               enumerate_preorders, enumerate_spaces,

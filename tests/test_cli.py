@@ -11,7 +11,7 @@ import pytest
 from adframe import (adframe_to_json, build_ado, lattice_to_json,
                      space_to_json, subset_lattice)
 from adframe.cli import main, render_dot
-from adframe.theorems import registry_ids
+from adframe.theorems import _lookup, registry_ids
 
 from helpers import CHAIN3, SIERPINSKI
 
@@ -99,12 +99,20 @@ def test_non_integer_pair_indices_exit_two(tmp_path):
 
 
 def test_non_list_fields_exit_two(tmp_path):
-    """A field that must be a list names itself when it is not one."""
+    """A field that must be a list names itself when it is not one, and so
+    does a field that no reader knows."""
     frame = adframe_to_json(build_ado(SIERPINSKI))
     lattice = lattice_to_json(subset_lattice(CHAIN3, "opens"))
     space = space_to_json(SIERPINSKI)
     no_ell = {key: value for key, value in frame.items() if key != "ell"}
     for doc, message in (
+            ({"points": 2, "opens": [[], [1], [0, 1]], "order": [[1, 0]]},
+             "space has unknown field 'order'"),
+            (dict(lattice, lables=[]), "lattice has unknown field 'lables'"),
+            (dict(frame, Tot=[]), "frame has unknown field 'Tot'"),
+            (dict(frame, points=2), "frame has unknown field 'points'"),
+            (dict(frame, ell=dict(frame["ell"], top=1)),
+             "ell has unknown field 'top'"),
             (dict(space, opens=5), "opens must be a list, not 5"),
             (dict(space, leq=5), "order pairs must be a list, not 5"),
             (dict(lattice, leq=5), "order pairs must be a list, not 5"),
@@ -220,7 +228,7 @@ def test_check_with_payload_file(payloads):
     assert json.loads(out.strip().splitlines()[0])["verdict"] == "pass"
 
 
-def test_check_usage_errors():
+def test_check_usage_errors(payloads, tmp_path):
     code, _, err = run_cli("check", "--id", "NOPE", "--sweep", "n=1")
     assert code == 2 and "known ids" in err
     code, _, err = run_cli("check", "--id", "ADO-VALID", "--sweep", "bogus")
@@ -231,10 +239,37 @@ def test_check_usage_errors():
             ("check", "n=5", "sweep n=5 is outside [0, 4]"),
             ("sweep", "n=-1", "sweep n=-1 is outside [0, 4]"),
             ("check", "n=2,count=-2", "sweep count=-2 must be at least 1"),
-            ("sweep", "n=2,count=0", "sweep count=0 must be at least 1")):
+            ("sweep", "n=2,count=0", "sweep count=0 must be at least 1"),
+            ("check", "n=abc", "sweep component 'n=abc' needs an integer value"),
+            ("sweep", "n=1,count=2,count=3", "sweep key 'count' is given twice")):
         ids = ("--id", "ADJ-EXISTS") if verb == "check" else ()
         code, out, err = run_cli(verb, *ids, "--sweep", flag)
         assert (code, out, err.strip()) == (2, "", f"error: {message}")
+    no_points = tmp_path / "no_points.json"
+    no_points.write_text(json.dumps({"opens": [[], [0]]}))
+    for argv, message in (
+            (("check", "--id", "ADO-VALID", "--in", str(no_points)),
+             "space has no points field"),
+            (("check", "--id", "ADO-VALID", "--in", payloads["space"],
+              "--sweep", "n=2"), "--in excludes --sweep and --seed"),
+            (("check", "--id", "ADO-VALID", "--in", payloads["space"],
+              "--seed", "0"), "--in excludes --sweep and --seed"),
+            (("check", "--id", "EPS-VALID", "--in", payloads["frame"],
+              "--variant", "up"), "--variant applies only to a space payload"),
+            (("check", "--id", "IND-VALID", "--in", payloads["lattice"],
+              "--variant", "both"), "--variant applies only to a space payload"),
+            (("adpt", "--in", payloads["frame"], "--variant", "down"),
+             "--variant applies only to a space payload")):
+        code, out, err = run_cli(*argv)
+        assert (code, out, err.strip()) == (2, "", f"error: {message}"), argv
+    # flags a verb does not declare are refused by the parser
+    for argv in (("validate", "--in", payloads["space"], "--variant", "up"),
+                 ("sobrify", "--in", payloads["space"], "--variant", "up"),
+                 ("render", "--in", payloads["space"], "--variant", "up"),
+                 ("sweep", "--in", payloads["space"])):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2, argv
 
 
 def test_empty_pools_sweep_nothing():
@@ -283,6 +318,49 @@ def test_sweep_all_checks_smallest_size():
     records = [json.loads(line) for line in out.strip().splitlines()]
     assert {r["verdict"] for r in records} <= {"pass", "skip", "expected-fail"}
     assert len({r["id"] for r in records}) >= 15
+
+
+def _masked(result):
+    code, out, err = result
+    return code, [dict(json.loads(line), ms=0) for line in out.splitlines()], err
+
+
+def _fail_on_down(monkeypatch, cid):
+    """Make ``cid`` fail on every instance read under Down."""
+    entry = _lookup(cid)
+    real = entry.run
+    monkeypatch.setattr(entry, "run", lambda inst: (False, "forced")
+                        if inst.describe.get("variant") == "down" else real(inst))
+
+
+def test_check_and_sweep_share_one_run_path(monkeypatch):
+    """For one id, check and sweep give the same records, stderr and exit
+    code, including the records kept when the budget runs out and the stop
+    at the first failing record."""
+    runs = [("--id", "ADO-VALID", "--sweep", "n=2"),
+            ("--id", "ADS-ISO", "--sweep", "n=3", "--budget-ms", "0")]
+    for flags in runs:
+        assert _masked(run_cli("check", *flags)) == _masked(run_cli("sweep", *flags))
+    code, records, err = _masked(run_cli("check", *runs[1]))
+    assert (code, len(records)) == (1, 1)
+    assert err == "error: ADS-ISO: budget of 0 ms exhausted after 1 instances\n"
+    _fail_on_down(monkeypatch, "IDEMPOTENT")
+    flags = ("--id", "IDEMPOTENT", "--sweep", "n=2", "--fail-fast")
+    code, records, err = _masked(run_cli("check", *flags))
+    assert (code, err) == (1, "")
+    assert [r["verdict"] for r in records] == ["pass", "fail"]
+    assert _masked(run_cli("sweep", *flags)) == (code, records, err)
+
+
+def test_sweep_fail_fast_stops_after_the_failing_id(monkeypatch):
+    _fail_on_down(monkeypatch, "IDEMPOTENT")
+    code, records, err = _masked(run_cli("sweep", "--sweep", "n=1", "--fail-fast"))
+    assert (code, err) == (1, "")
+    ids = list(registry_ids())
+    assert {r["id"] for r in records} <= set(ids[:ids.index("IDEMPOTENT") + 1])
+    assert (records[-1]["id"], records[-1]["verdict"]) == ("IDEMPOTENT", "fail")
+    code, records, _ = _masked(run_cli("sweep", "--sweep", "n=1"))
+    assert code == 1 and records[-1]["id"] == "LIFT-SQUARE"  # CEX-LIFT: none at n=1
 
 
 def test_sweep_can_filter_to_one_id():

@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from adframe import (FinPreTopSpace, FinTopSpace, NotALattice, NotAPreorder,
+from adframe import (FinPreTopSpace, NotALattice, NotAPreorder,
                      NotATopology, TooLarge, class_of, closure,
                      equivalence_classes, interior, irreducible_closed_sets,
                      lattice_analyze, lattice_from_json, lattice_from_labels,
@@ -21,7 +21,7 @@ from helpers import (CHAIN3, SIERPINSKI, bounded_posets, inclusion_matrix,
                      naive_interior, naive_irreducible_closeds,
                      naive_is_lattice, naive_lub, naive_pitchfork,
                      naive_primes, naive_specialization, naive_upclose,
-                     naive_upsets, pts)
+                     naive_upsets)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from adframe import (AdFrame, FinPreTopSpace, TrivialFrame, Variant,
                      ind_functor, subset_lattice, validate_adframe,
                      validate_hom)
 from adframe.frames import _reach_check, preserves_relations, rel_rows
-from adframe.bits import is_subset
 from adframe.finord import record_scope
 from adframe.frames import AdFrameHom, _two_chain
 from adframe.theorems import enumerate_spaces, pretop_maps, upper_semi_closed, lower_semi_closed

@@ -1,6 +1,6 @@
 import pytest
 
-from adframe import (FinPreTopSpace, ImageNotIrreducible, IrreduciblePair,
+from adframe import (FinPreTopSpace, IrreduciblePair,
                      NotContinuous, NotMonotone, Variant, ads_adpt_iso,
                      ads_hom, ads_space, adpt_space, build_ado, closure,
                      equivalence_classes, irreducible_closed_sets,

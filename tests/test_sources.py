@@ -8,6 +8,7 @@ import warnings
 import adframe
 
 SOURCES = sorted(pathlib.Path(adframe.__file__).parent.glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_sources_compile_without_warnings():
@@ -34,7 +35,7 @@ def test_package_runs_without_numpy():
 def test_benchmark_tracer_names_resolve():
     """Every function the benchmark's tracer wraps is still a callable of
     its module; the table is read with ``ast``, so numpy is not imported."""
-    tracer = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tracer = ROOT / "perfbench" / "tracer.py"
     tree = ast.parse(tracer.read_text())
     layers = next(ast.literal_eval(node.value) for node in tree.body
                   if isinstance(node, ast.Assign)
@@ -45,3 +46,23 @@ def test_benchmark_tracer_names_resolve():
         home = importlib.import_module(f"adframe.{module}")
         for name in names:
             assert callable(getattr(home, name, None)), f"{module}.{name}"
+
+
+def test_no_unused_imports():
+    """Every name a module imports is used in it; the package's
+    ``__init__.py`` files only re-export, so they are exempt."""
+    unused = []
+    for path in sorted(p for folder in ("src", "tests", "demos")
+                       for p in (ROOT / folder).rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.relative_to(ROOT)}: {name}" for name in sorted(imported - used)]
+    assert unused == []

@@ -4,19 +4,19 @@ import itertools
 import pytest
 
 from adframe import (BudgetExceeded, FinPreTopSpace, FinTopSpace,
-                     NotContinuous, UnknownTheorem, Variant, adpt_space,
+                     NotContinuous, UnknownTheorem, adpt_space,
                      ads_space, build_ado, finord, generate_random,
                      instances_for_payload, iso_check,
                      registry_doc, registry_ids, run_check, subset_lattice,
                      validate_adframe)
-from adframe.theorems import (VARIANTS, SweepSpec, _lookup, _moves_opens_onto,
+from adframe.theorems import (SweepSpec, _lookup, _moves_opens_onto,
                               _order_mismatch, basic_functors,
                               designated_counterexample,
                               enumerate_distributive_lattices,
                               enumerate_preorders, enumerate_spaces,
                               enumerate_topologies, frame_instance,
                               frame_point_space, lattice_order_iso,
-                              pretop_maps, restrict_space, sober_topology,
+                              restrict_space, sober_topology,
                               space_instance)
 from adframe.finord import (continuity_failure, is_reflexive_transitive,
                             monotonicity_failure)
@@ -163,7 +163,6 @@ def test_iso_check_budget():
 
 def test_basic_functors_shapes():
     top = SIERPINSKI.topology()
-    assert basic_functors("underlying", SIERPINSKI).opens == SIERPINSKI.opens
     assert basic_functors("discr", top).leq == (1, 2)
     assert basic_functors("ind_space", top).leq == (3, 3)
 
@@ -241,6 +240,9 @@ def test_run_check_sweep_counts():
 def test_run_check_single_variant_sweep():
     reports = run_check("IDEMPOTENT", sweep={"n": 2, "variant": "up"})
     assert len(reports) == 16
+    for key in ("N", "variants"):
+        with pytest.raises(ValueError, match=f"unknown sweep key '{key}'"):
+            run_check("IDEMPOTENT", sweep={key: 1})
 
 
 def test_run_check_sampled_sweep_deterministic():
