@@ -27,7 +27,7 @@ from .finord import (FinLattice, FinPreTopSpace, equivalence_classes,
                      lattice_analyze, lattice_from_json, space_from_json,
                      space_to_json)
 from .frames import (AdFrame, Variant, adframe_from_json, adframe_to_json,
-                     build_ado, validate_adframe)
+                     build_ado, rel_pairs, validate_adframe)
 from .duality import adpt_space
 from .sobrify import ads_space, standard_sobrification
 from . import theorems
@@ -318,7 +318,7 @@ def render_dot(payload) -> str:
         styles = {"tot": ("red", "solid"), "con": ("blue", "dashed"),
                   "fof": ("darkgreen", "solid"), "cou": ("orange", "dashed")}
         for name, (color, style) in styles.items():
-            for u, a in sorted(payload.rel(name)):
+            for u, a in rel_pairs(payload.rel(name)):
                 lines.append(f"  o{u} -> l{a} [color={color}, style={style}, "
                              f"arrowhead=none, constraint=false];")
         lines.append("}")

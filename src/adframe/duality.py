@@ -24,9 +24,10 @@ from .errors import (
     NotMonotone,
 )
 from . import finord
-from .finord import FinLattice, FinPreTopSpace, lattice_analyze, preimage, record_memo
+from .finord import (FinLattice, FinPreTopSpace, columns, lattice_analyze, preimage,
+                     record_memo)
 from .frames import (AdFrame, AdFrameHom, Variant, build_ado, preimage_hom,
-                     rel_rows)
+                     rel_pairs)
 
 _BRUTE_GATE = 20
 
@@ -91,17 +92,17 @@ def is_cpc_filter(lat: FinLattice, mask: int) -> bool:
 def point_conditions_ok(frame: AdFrame, x: int, s: int) -> bool:
     """The defining point conditions, verbatim, for the frame's variant."""
     if frame.variant.sees_up:
-        for u, a in frame.tot:
+        for u, a in rel_pairs(frame.tot):
             if not (x >> u & 1 or s >> a & 1):
                 return False
-        for u, a in frame.con:
+        for u, a in rel_pairs(frame.con):
             if x >> u & 1 and s >> a & 1:
                 return False
     if frame.variant.sees_down:
-        for u, a in frame.fof:
+        for u, a in rel_pairs(frame.fof):
             if not (x >> u & 1 or not s >> a & 1):
                 return False
-        for u, a in frame.cou:
+        for u, a in rel_pairs(frame.cou):
             if not (not x >> u & 1 or s >> a & 1):
                 return False
     return True
@@ -116,9 +117,8 @@ def _enumerate_prime(frame: AdFrame) -> tuple[AdPoint, ...]:
     primes = lattice_analyze(omega).primes
     forks = lattice_analyze(ell).pitchfork
     o_down, l_up, l_down = omega.down_masks, ell.up_masks, ell.down_masks
-    tot, fof = rel_rows(frame.tot, omega.m), rel_rows(frame.fof, omega.m)
-    con_cols = rel_rows(((a, u) for u, a in frame.con), ell.m)
-    cou_cols = rel_rows(((a, u) for u, a in frame.cou), ell.m)
+    tot, fof = frame.tot, frame.fof
+    con_cols, cou_cols = columns(frame.con, ell.m), columns(frame.cou, ell.m)
 
     # (p, b) fails the up conditions when some (p, a) in tot lacks b <= a or
     # some (u, b) in con lacks u <= p; the down conditions are the fof/cou
@@ -191,27 +191,15 @@ def adpt_space(frame: AdFrame) -> Spectrum:
     exactly those of the point preorder."""
     points = enumerate_points(frame, "prime")
     n = len(points)
-    open_map = []
-    for u in range(frame.omega.m):
-        mask = 0
-        for i, pt in enumerate(points):
-            if pt.x >> u & 1:
-                mask |= 1 << i
-        open_map.append(mask)
-    upset_map = []
-    for a in range(frame.ell.m):
-        mask = 0
-        for i, pt in enumerate(points):
-            if pt.s >> a & 1:
-                mask |= 1 << i
-        upset_map.append(mask)
+    open_map = columns([pt.x for pt in points], frame.omega.m)
+    upset_map = columns([pt.s for pt in points], frame.ell.m)
     opens = canonical_subsets(open_map)
     rows = tuple(
         sum(1 << j for j, other in enumerate(points) if is_subset(pt.s, other.s))
         for pt in points
     )
     space = FinPreTopSpace(n, opens, rows)
-    return Spectrum(frame, points, space, tuple(open_map), tuple(upset_map))
+    return Spectrum(frame, points, space, open_map, upset_map)
 
 
 @dataclass(eq=False)
@@ -265,9 +253,8 @@ def eta_map(space: FinPreTopSpace, variant=Variant.BOTH) -> Eta:
     frame = build_ado(space, variant)
     spectrum = adpt_space(frame)
     mapping = []
-    for x in range(space.n):
-        nx = sum(1 << u for u, lab in enumerate(frame.omega.labels) if lab >> x & 1)
-        ux = sum(1 << a for a, lab in enumerate(frame.ell.labels) if lab >> x & 1)
+    around = zip(columns(frame.omega.labels, space.n), columns(frame.ell.labels, space.n))
+    for x, (nx, ux) in enumerate(around):
         idx = spectrum.point_index(AdPoint(nx, ux))
         if idx is None:
             raise InternalCheckError(f"unit image of point {x} is not a point")

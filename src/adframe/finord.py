@@ -6,6 +6,9 @@ Conventions used throughout the package:
   - Subsets of a carrier are int bit vectors (see :mod:`adframe.bits`).
   - A preorder on the carrier is a tuple of ``n`` row masks; bit ``y`` of
     ``rows[x]`` is set iff ``x <= y``.
+  - Every relation is stored the same way, as row masks, also one between
+    two carriers: bit ``a`` of ``rows[u]`` is set iff ``u`` is related to
+    ``a``.  :func:`columns` gives the converse relation.
   - Families of subsets are kept in canonical order: cardinality first,
     then numeric bit-vector value.
   - A lattice over elements ``range(m)`` carries its order once, as row
@@ -146,6 +149,17 @@ def pairs_to_rows(pairs: Iterable[Sequence[int]], n: int) -> list[int]:
             raise ValueError(f"order pair ({x}, {y}) out of range for {n} points")
         rows[x] |= 1 << y
     return rows
+
+
+def columns(rows: Sequence[int], width: int) -> tuple[int, ...]:
+    """The converse of a relation given as row masks over ``range(width)``:
+    bit ``u`` of ``columns(rows, width)[a]`` is set iff bit ``a`` of
+    ``rows[u]`` is."""
+    cols = [0] * width
+    for u, row in enumerate(rows):
+        for a in iter_bits(row):
+            cols[a] |= 1 << u
+    return tuple(cols)
 
 
 def int_pairs(pairs: Iterable, what: str) -> list[tuple[int, int]]:
@@ -473,11 +487,7 @@ def lattice_from_leq(
     up = tuple(sum(1 << j for j, v in enumerate(row) if v) for row in rows)
     if any(not up[i] >> i & 1 for i in range(m)):
         raise NotALattice("order not reflexive")
-    down = [0] * m
-    for i, row in enumerate(up):
-        for j in iter_bits(row):
-            down[j] |= 1 << i
-    down = tuple(down)
+    down = columns(up, m)
     if any(up[i] & down[i] != 1 << i for i in range(m)):
         raise NotALattice("order not antisymmetric")
     for i in range(m):
@@ -671,16 +681,12 @@ def equivalence_classes(leq: Sequence[int]) -> tuple[int, ...]:
 
     Each class is a subset mask; its representative is its lowest bit.
     """
-    n = len(leq)
     seen = 0
     classes = []
-    for x in range(n):
+    for x, down in enumerate(columns(leq, len(leq))):
         if seen >> x & 1:
             continue
-        cls = 0
-        for y in iter_bits(leq[x]):
-            if leq[y] >> x & 1:
-                cls |= 1 << y
+        cls = leq[x] & down
         classes.append(cls)
         seen |= cls
     return tuple(classes)

@@ -16,15 +16,16 @@ directed family has a greatest member and that member is its supremum.
 Scott closure is therefore down-closure, which ``con-down-closed`` and
 ``cou-down-closed`` check.
 
-Relations are stored once, as frozensets of (omega index, ell index)
-pairs.  The validator and the point enumeration derive row masks from them
-locally: bit a of row u is set iff (u, a) is in the relation.
+Each relation is stored once, as a tuple of ``omega.m`` row masks over ell
+indices: bit a of row u is set iff (u, a) is in the relation, the
+convention of the preorders in :mod:`adframe.finord`.  ``finord.columns``
+gives its converse and ``rel_pairs`` its pairs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .bits import bits_of, full_mask, is_subset, iter_bits, low_bit
 from .errors import (
@@ -37,6 +38,7 @@ from . import finord
 from .finord import (
     FinLattice,
     FinPreTopSpace,
+    columns,
     lattice_analyze,
     lattice_from_json,
     lattice_from_leq,
@@ -71,9 +73,6 @@ class Variant(str, Enum):
             raise ValueError(f"unknown variant {value!r}") from None
 
 
-Rel = frozenset  # of (omega index, ell index) pairs
-
-
 @dataclass(frozen=True, eq=False)
 class AdFrame:
     """All four relations are always stored; ``variant`` selects which of
@@ -81,13 +80,13 @@ class AdFrame:
 
     omega: FinLattice
     ell: FinLattice
-    tot: Rel
-    con: Rel
-    fof: Rel
-    cou: Rel
+    tot: tuple[int, ...]
+    con: tuple[int, ...]
+    fof: tuple[int, ...]
+    cou: tuple[int, ...]
     variant: Variant
 
-    def rel(self, name: str) -> Rel:
+    def rel(self, name: str) -> tuple[int, ...]:
         if name not in REL_NAMES:
             raise ValueError(f"unknown relation {name!r}")
         return getattr(self, name)
@@ -97,10 +96,8 @@ class AdFrame:
                        self.cou, Variant.parse(variant))
 
     def key(self) -> tuple:
-        return (self.omega.key(), self.ell.key(),
-                tuple(sorted(self.tot)), tuple(sorted(self.con)),
-                tuple(sorted(self.fof)), tuple(sorted(self.cou)),
-                self.variant.value)
+        return (self.omega.key(), self.ell.key(), self.tot, self.con,
+                self.fof, self.cou, self.variant.value)
 
     def __repr__(self):
         return (f"AdFrame(|omega|={self.omega.m}, |ell|={self.ell.m}, "
@@ -117,19 +114,19 @@ def build_ado(space: FinPreTopSpace, variant=Variant.BOTH) -> AdFrame:
     omega = subset_lattice(space, "opens")
     ell = subset_lattice(space, "upsets")
     full = space.full
-    tot, con, fof, cou = set(), set(), set(), set()
+    tot, con, fof, cou = ([0] * omega.m for _ in REL_NAMES)
     for i, u in enumerate(omega.labels):
         for j, a in enumerate(ell.labels):
             if u | a == full:
-                tot.add((i, j))
+                tot[i] |= 1 << j
             if u & a == 0:
-                con.add((i, j))
+                con[i] |= 1 << j
             if is_subset(a, u):
-                fof.add((i, j))
+                fof[i] |= 1 << j
             if is_subset(u, a):
-                cou.add((i, j))
-    return AdFrame(omega, ell, frozenset(tot), frozenset(con),
-                   frozenset(fof), frozenset(cou), variant)
+                cou[i] |= 1 << j
+    return AdFrame(omega, ell, tuple(tot), tuple(con), tuple(fof), tuple(cou),
+                   variant)
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +153,11 @@ class ValidationReport:
         return tuple(c for c in self.checks if not c.ok)
 
 
-def rel_rows(pairs, m: int) -> list[int]:
-    """Row masks of a relation given as pairs: bit a of row u is set iff
-    (u, a) is a pair.  Rows of the swapped pairs are its columns."""
-    rows = [0] * m
-    for u, a in pairs:
-        rows[u] |= 1 << a
-    return rows
+def rel_pairs(rows: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """The pairs (u, a) of a relation given as row masks, in sorted order."""
+    for u, row in enumerate(rows):
+        for a in iter_bits(row):
+            yield (u, a)
 
 
 def _reach_check(name, R, o_to, l_to) -> AxiomCheck:
@@ -208,7 +203,7 @@ def _binary_check(name, R, tab_o, tab_l) -> AxiomCheck:
     return AxiomCheck(name, True)
 
 
-def _aligned_check(name, A, B, A_cols, B_cols, o_up, l_up, logic: bool) -> AxiomCheck:
+def _aligned_check(name, A, B, o_up, l_up, logic: bool) -> AxiomCheck:
     """(u,a) in A and (v,b) in B with u = v or a = b force the pair
     comparison: information order when logic is False, logical order else."""
     for u, (arow, brow) in enumerate(zip(A, B)):
@@ -220,7 +215,7 @@ def _aligned_check(name, A, B, A_cols, B_cols, o_up, l_up, logic: bool) -> Axiom
                 y = low_bit(bad)
                 return AxiomCheck(name, False,
                                   ((u, y), (u, x)) if logic else ((u, x), (u, y)))
-    for a, (acol, bcol) in enumerate(zip(A_cols, B_cols)):
+    for a, (acol, bcol) in enumerate(zip(columns(A, len(l_up)), columns(B, len(l_up)))):
         for u in iter_bits(acol):                   # need u <= v either way
             bad = bcol & ~o_up[u]
             if bad:
@@ -258,50 +253,45 @@ def validate_adframe(frame: AdFrame) -> ValidationReport:
     tt = (omega.top, ell.bot)
     bots = (omega.bot, ell.bot)
     tops = (omega.top, ell.top)
-    R = {name: rel_rows(frame.rel(name), omega.m) for name in REL_NAMES}
-    C = {name: rel_rows(((a, u) for u, a in frame.rel(name)), ell.m)
-         for name in REL_NAMES}
 
     checks: list[AxiomCheck] = []
     if frame.variant.sees_up:
         checks += [
-            _reach_check("tot-up-closed", R["tot"], o_up, l_up),
-            _member_check("tot-has-ff", R["tot"], ff),
-            _member_check("tot-has-tt", R["tot"], tt),
-            _binary_check("tot-logical-meet", R["tot"], mo_t, jl),
-            _binary_check("tot-logical-join", R["tot"], jo, ml_t),
-            _reach_check("con-down-closed", R["con"], o_down, l_down),
-            _member_check("con-has-ff", R["con"], ff),
-            _member_check("con-has-tt", R["con"], tt),
-            _binary_check("con-logical-meet", R["con"], mo_t, jl),
-            _binary_check("con-logical-join", R["con"], jo, ml_t),
-            _aligned_check("con-tot-aligned", R["con"], R["tot"], C["con"],
-                           C["tot"], o_up, l_up, False),
+            _reach_check("tot-up-closed", frame.tot, o_up, l_up),
+            _member_check("tot-has-ff", frame.tot, ff),
+            _member_check("tot-has-tt", frame.tot, tt),
+            _binary_check("tot-logical-meet", frame.tot, mo_t, jl),
+            _binary_check("tot-logical-join", frame.tot, jo, ml_t),
+            _reach_check("con-down-closed", frame.con, o_down, l_down),
+            _member_check("con-has-ff", frame.con, ff),
+            _member_check("con-has-tt", frame.con, tt),
+            _binary_check("con-logical-meet", frame.con, mo_t, jl),
+            _binary_check("con-logical-join", frame.con, jo, ml_t),
+            _aligned_check("con-tot-aligned", frame.con, frame.tot, o_up, l_up, False),
         ]
     if frame.variant.sees_down:
         checks += [
-            _reach_check("fof-up-closed", R["fof"], o_up, l_down),
-            _member_check("fof-has-bots", R["fof"], bots),
-            _member_check("fof-has-tops", R["fof"], tops),
-            _binary_check("fof-info-meet", R["fof"], mo_t, ml_t),
-            _binary_check("fof-info-join", R["fof"], jo, jl),
-            _reach_check("cou-down-closed", R["cou"], o_down, l_up),
-            _member_check("cou-has-bots", R["cou"], bots),
-            _member_check("cou-has-tops", R["cou"], tops),
-            _binary_check("cou-info-meet", R["cou"], mo_t, ml_t),
-            _binary_check("cou-info-join", R["cou"], jo, jl),
-            _aligned_check("cou-fof-aligned", R["cou"], R["fof"], C["cou"],
-                           C["fof"], o_up, l_up, True),
+            _reach_check("fof-up-closed", frame.fof, o_up, l_down),
+            _member_check("fof-has-bots", frame.fof, bots),
+            _member_check("fof-has-tops", frame.fof, tops),
+            _binary_check("fof-info-meet", frame.fof, mo_t, ml_t),
+            _binary_check("fof-info-join", frame.fof, jo, jl),
+            _reach_check("cou-down-closed", frame.cou, o_down, l_up),
+            _member_check("cou-has-bots", frame.cou, bots),
+            _member_check("cou-has-tops", frame.cou, tops),
+            _binary_check("cou-info-meet", frame.cou, mo_t, ml_t),
+            _binary_check("cou-info-join", frame.cou, jo, jl),
+            _aligned_check("cou-fof-aligned", frame.cou, frame.fof, o_up, l_up, True),
         ]
     if frame.variant is Variant.BOTH:
         checks += [
-            _forced_coord_check("con-cou-bottom", R["con"], R["cou"],
+            _forced_coord_check("con-cou-bottom", frame.con, frame.cou,
                                 "omega", omega.bot),
-            _forced_coord_check("tot-fof-top", R["tot"], R["fof"],
+            _forced_coord_check("tot-fof-top", frame.tot, frame.fof,
                                 "omega", omega.top),
-            _forced_coord_check("con-fof-ell-bottom", R["con"], R["fof"],
+            _forced_coord_check("con-fof-ell-bottom", frame.con, frame.fof,
                                 "ell", ell.bot),
-            _forced_coord_check("tot-cou-ell-top", R["tot"], R["cou"],
+            _forced_coord_check("tot-cou-ell-top", frame.tot, frame.cou,
                                 "ell", ell.top),
         ]
     return ValidationReport(frame.variant, tuple(checks))
@@ -401,10 +391,14 @@ def preservation_failure(hom: AdFrameHom, name: str) -> Optional[tuple]:
     """The first pair of relation ``name`` (in sorted order) whose image
     under (phi, p) is missing from the target's relation, as (pair, image),
     or None."""
-    target_rel = hom.target.rel(name)
+    target = hom.target.rel(name)
     phi, p = hom.phi, hom.p
-    return next((((u, a), (phi[u], p[a])) for u, a in sorted(hom.source.rel(name))
-                 if (phi[u], p[a]) not in target_rel), None)
+    for u, row in enumerate(hom.source.rel(name)):
+        image_row = target[phi[u]]
+        for a in iter_bits(row):
+            if not image_row >> p[a] & 1:
+                return ((u, a), (phi[u], p[a]))
+    return None
 
 
 def preserves_relations(hom: AdFrameHom) -> bool:
@@ -489,12 +483,12 @@ def check_usc_lsc(frame: AdFrame):
     lsc: Optional[bool] = None
     ell = frame.ell
     if frame.variant.sees_up:
-        seed = {a for (u, a) in frame.tot & frame.con}
+        seed = {a for t, c in zip(frame.tot, frame.con) for a in iter_bits(t & c)}
         seed.add(ell.bot)
         closed = _closure_under(seed, ell.join_table)
         usc = len(closed) == ell.m
     if frame.variant.sees_down:
-        seed = {a for (u, a) in frame.fof & frame.cou}
+        seed = {a for f, c in zip(frame.fof, frame.cou) for a in iter_bits(f & c)}
         seed.add(ell.top)
         closed = _closure_under(seed, ell.meet_table)
         lsc = len(closed) == ell.m
@@ -535,12 +529,12 @@ def ind_functor(omega: FinLattice, variant=Variant.BOTH) -> AdFrame:
         raise TrivialFrame("the coupling needs bottom distinct from top")
     ell = _two_chain()
     top, bot = omega.top, omega.bot
-    tot = {(u, 1) for u in range(omega.m)} | {(top, 0)}
-    con = {(u, 0) for u in range(omega.m)} | {(bot, 1)}
-    fof = {(u, 0) for u in range(omega.m)} | {(top, 1)}
-    cou = {(u, 1) for u in range(omega.m)} | {(bot, 0)}
-    return AdFrame(omega, ell, frozenset(tot), frozenset(con),
-                   frozenset(fof), frozenset(cou), variant)
+    # bit 0 of a row is the chain's bottom, bit 1 its top
+    tot = tuple(0b11 if u == top else 0b10 for u in range(omega.m))
+    con = tuple(0b11 if u == bot else 0b01 for u in range(omega.m))
+    fof = tuple(0b11 if u == top else 0b01 for u in range(omega.m))
+    cou = tuple(0b11 if u == bot else 0b10 for u in range(omega.m))
+    return AdFrame(omega, ell, tot, con, fof, cou, variant)
 
 
 def bnd_map(ell: FinLattice) -> tuple[int, int]:
@@ -565,10 +559,8 @@ def adframe_to_json(frame: AdFrame) -> dict:
     return {
         "omega": lattice_to_json(frame.omega),
         "ell": lattice_to_json(frame.ell),
-        "tot": sorted([i, j] for i, j in frame.tot),
-        "con": sorted([i, j] for i, j in frame.con),
-        "fof": sorted([i, j] for i, j in frame.fof),
-        "cou": sorted([i, j] for i, j in frame.cou),
+        **{name: [list(pair) for pair in rel_pairs(frame.rel(name))]
+           for name in REL_NAMES},
         "variant": frame.variant.value,
     }
 
@@ -584,10 +576,11 @@ def adframe_from_json(doc: Mapping) -> AdFrame:
     omega, ell = sides
     rels = {}
     for name in REL_NAMES:
-        pairs = finord.int_pairs(doc.get(name, []), name)
-        for i, j in pairs:
+        rows = [0] * omega.m
+        for i, j in finord.int_pairs(doc.get(name, []), name):
             if not (0 <= i < omega.m and 0 <= j < ell.m):
                 raise ValueError(f"{name} pair ({i}, {j}) out of range")
-        rels[name] = frozenset(pairs)
+            rows[i] |= 1 << j
+        rels[name] = tuple(rows)
     return AdFrame(omega, ell, rels["tot"], rels["con"], rels["fof"],
                    rels["cou"], Variant.parse(doc.get("variant", "both")))

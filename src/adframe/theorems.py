@@ -22,7 +22,7 @@ from .errors import (BudgetExceeded, InternalCheckError, NotATopology,
                      TrivialFrame, UnknownTheorem)
 from . import finord
 from .finord import (FinLattice, FinPreTopSpace, FinTopSpace, closure,
-                     continuity_failure, downclose, irreducible_closed_sets,
+                     columns, continuity_failure, irreducible_closed_sets,
                      is_reflexive_transitive, lattice_analyze,
                      monotonicity_failure, record_scope,
                      reflexive_transitive_closure, subset_lattice, upset_family)
@@ -41,6 +41,7 @@ VARIANTS = (Variant.UP, Variant.DOWN, Variant.BOTH)
 ENUM_POINT_CAP = 4
 DEFAULT_ISO_BUDGET = 200_000
 _DEFAULT_SAMPLES = 24
+_SPACE_DENSITY = 0.35  # chance of each arrow of a random preorder
 
 
 # ---------------------------------------------------------------------------
@@ -49,28 +50,13 @@ _DEFAULT_SAMPLES = 24
 
 @functools.cache
 def enumerate_topologies(n: int) -> tuple[tuple[int, ...], ...]:
-    """All topologies on n labelled points, by brute force over set
-    families containing the empty and full sets and closed under union
-    and intersection."""
+    """All topologies on n labelled points, ordered by size, then family.
+    A finite topology is the family of up-sets of its specialisation
+    preorder (the finite Alexandrov correspondence), so these are the
+    up-set families of the preorders."""
     if n < 0 or n > ENUM_POINT_CAP:
         raise BudgetExceeded(f"topology enumeration is capped at {ENUM_POINT_CAP} points")
-    subs = 1 << n
-    base = 1 | (1 << (subs - 1))
-    free = max(0, subs - 2)
-    found = []
-    for r in range(1 << free):
-        fam = base | (r << 1)
-        members = [s for s in range(subs) if fam >> s & 1]
-        ok = True
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                if not (fam >> (a | b) & 1) or not (fam >> (a & b) & 1):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(canonical_subsets(members))
+    found = [upset_family(_poset_shell(rows)) for rows in enumerate_preorders(n)]
     found.sort(key=lambda fam: (len(fam), fam))
     return tuple(found)
 
@@ -148,7 +134,7 @@ def enumerate_distributive_lattices(max_size: int = 8) -> list[FinLattice]:
             return
         register(subset_lattice(shell, "upsets"))
         k = len(rows)
-        downs = [sum(1 << y for y in range(k) if rows[y] >> x & 1) for x in range(k)]
+        downs = columns(rows, k)
         for d in range(1 << k):
             if any(d >> x & 1 and not is_subset(downs[x], d) for x in range(k)):
                 continue  # the strict lower set must be down-closed
@@ -186,14 +172,10 @@ def upper_semi_closed(space: FinPreTopSpace) -> bool:
 
 
 def lower_semi_closed(space: FinPreTopSpace) -> bool:
-    for down in _down_cones(space):
+    for down in columns(space.leq, space.n):
         if closure(space, down) != down:
             return False
     return True
-
-
-def _down_cones(space: FinPreTopSpace) -> list[int]:
-    return [downclose(space, 1 << x) for x in range(space.n)]
 
 
 def is_t1_topology(top: FinTopSpace) -> bool:
@@ -251,114 +233,118 @@ def _random_poset(rng: random.Random, n: int, density: float = 0.4) -> tuple[int
     return reflexive_transitive_closure(rows, n)
 
 
-def _random_space(rng: random.Random, n: int, density: float) -> FinPreTopSpace:
-    shell = FinPreTopSpace(n, (0,) if n == 0 else (0, (1 << n) - 1),
-                           _random_preorder(rng, n, density))
-    opens = canonical_subsets(upset_family(shell))
-    return FinPreTopSpace(n, opens, _random_preorder(rng, n, density))
+def _random_space(rng: random.Random, n: int) -> FinPreTopSpace:
+    opens = upset_family(_poset_shell(_random_preorder(rng, n, _SPACE_DENSITY)))
+    return FinPreTopSpace(n, opens, _random_preorder(rng, n, _SPACE_DENSITY))
+
+
+def _flip(frame: AdFrame, name: str, pair: tuple[int, int]) -> AdFrame:
+    """``frame`` with the membership of ``pair`` in relation ``name`` flipped."""
+    rows = list(frame.rel(name))
+    rows[pair[0]] ^= 1 << pair[1]
+    return replace(frame, **{name: tuple(rows)})
 
 
 def _mutations(frame: AdFrame) -> list[tuple[str, Callable[[], AdFrame]]]:
-    """Single-edit corruptions, each tagged with the law it should break."""
+    """Single-bit corruptions, each tagged with the law it should break: a
+    table of (law, relation, pair, condition under which it is offered)."""
     om, el = frame.omega, frame.ell
     tt = (om.top, el.bot)
     ff = (om.bot, el.top)
     bots = (om.bot, el.bot)
     tops = (om.top, el.top)
-    out = []
-    if frame.variant.sees_up:
-        if tops != tt and tops in frame.tot:
-            out.append(("tot-up-closed",
-                        lambda f=frame: replace(f, tot=f.tot - {tops})))
-        if tt in frame.tot:
-            out.append(("tot-has-tt",
-                        lambda f=frame: replace(f, tot=f.tot - {tt})))
-        if bots not in (ff, tt) and bots in frame.con:
-            out.append(("con-down-closed",
-                        lambda f=frame: replace(f, con=f.con - {bots})))
-        if el.m > 1 and tops not in frame.con:
-            out.append(("con-tot-aligned",
-                        lambda f=frame: replace(f, con=f.con | {tops})))
-    if frame.variant.sees_down:
-        if tops != tt and tops in frame.fof and tt in frame.fof:
-            out.append(("fof-up-closed",
-                        lambda f=frame: replace(f, fof=f.fof - {tt})))
-        if bots in frame.fof and (om.m > 1 or el.m > 1):
-            out.append(("fof-has-bots",
-                        lambda f=frame: replace(f, fof=f.fof - {bots})))
-        if ff != bots and ff in frame.cou and bots in frame.cou:
-            out.append(("cou-down-closed",
-                        lambda f=frame: replace(f, cou=f.cou - {ff})))
-    if frame.variant is Variant.BOTH and el.m > 1 and tt not in frame.cou:
-        out.append(("tot-cou-ell-top",
-                    lambda f=frame: replace(f, cou=f.cou | {tt})))
-    return out
+    up, down = frame.variant.sees_up, frame.variant.sees_down
+
+    def has(name, pair):
+        return bool(frame.rel(name)[pair[0]] >> pair[1] & 1)
+
+    table = (
+        ("tot-up-closed", "tot", tops, up and tops != tt and has("tot", tops)),
+        ("tot-has-tt", "tot", tt, up and has("tot", tt)),
+        ("con-down-closed", "con", bots,
+         up and bots not in (ff, tt) and has("con", bots)),
+        ("con-tot-aligned", "con", tops, up and el.m > 1 and not has("con", tops)),
+        ("fof-up-closed", "fof", tt,
+         down and tops != tt and has("fof", tops) and has("fof", tt)),
+        ("fof-has-bots", "fof", bots,
+         down and has("fof", bots) and (om.m > 1 or el.m > 1)),
+        ("cou-down-closed", "cou", ff,
+         down and ff != bots and has("cou", ff) and has("cou", bots)),
+        ("tot-cou-ell-top", "cou", tt,
+         frame.variant is Variant.BOTH and el.m > 1 and not has("cou", tt)),
+    )
+    return [(law, functools.partial(_flip, frame, name, pair))
+            for law, name, pair, offered in table if offered]
+
+
+# the params keys each generator reads
+_PARAM_KEYS = {"space": ("n",), "ado": ("family", "n"), "ind": ("family",),
+               "mutated": ("family", "target")}
 
 
 def generate_random(kind: str, params=None, seed: int = 0) -> Generated:
-    """Deterministic seeded instance families.
+    """Deterministic seeded instance families, all of them under the Both
+    variant.
 
-    kind "space": a random topology (up-sets of one random preorder) with an
-    independently random preorder on top.
-    kind "adframe": family "ado" (frame of a random space), "ind" (two-sided
-    lift of the up-set lattice of a random poset), or "mutated" (a valid
-    frame with one edit aimed at a named axiom).
+    kind "space" (params: n): a random topology (up-sets of one random
+    preorder) with an independently random preorder on top.
+    kind "adframe" (params: family, and what the family reads): family
+    "ado" (frame of a random space of n points), "ind" (two-sided lift of
+    the up-set lattice of a random poset), or "mutated" (a valid "ado" or
+    "ind" frame with one edit aimed at the named ``target`` law, or at any).
+    A key that the chosen kind or family does not read is a ValueError.
     """
     params = dict(params or {})
-    if kind == "space":
-        n = int(params.get("n", 3))
-        density = float(params.get("density", 0.35))
-        rng = _rng("space", params, seed)
-        space = _random_space(rng, n, density)
-        return Generated("space", space, {"family": "space", "n": n, "seed": seed})
-    if kind != "adframe":
+    if kind not in ("space", "adframe"):
         raise ValueError(f"unknown generation kind {kind!r}")
-
-    family = params.get("family", "ado")
-    variant = Variant.parse(params.get("variant", "both"))
+    family = kind if kind == "space" else params.get("family", "ado")
+    if family not in _PARAM_KEYS:
+        raise ValueError(f"unknown adframe family {family!r}")
+    unread = sorted(set(params) - set(_PARAM_KEYS[family]))
+    if unread:
+        raise ValueError(f"unknown params key {', '.join(map(repr, unread))} for "
+                         f"generator {family!r}; it reads {', '.join(_PARAM_KEYS[family])}")
+    variant = Variant.BOTH
+    if family == "space":
+        n = int(params.get("n", 3))
+        space = _random_space(_rng("space", params, seed), n)
+        return Generated("space", space, {"family": "space", "n": n, "seed": seed})
     if family == "ado":
         n = int(params.get("n", 3))
-        density = float(params.get("density", 0.35))
-        rng = _rng("adframe-ado", params, seed)
-        space = _random_space(rng, n, density)
+        space = _random_space(_rng("adframe-ado", params, seed), n)
         frame = build_ado(space, variant)
         return Generated("adframe", frame,
                          {"family": "ado", "n": n, "seed": seed,
                           "variant": variant.value})
     if family == "ind":
         rng = _rng("adframe-ind", params, seed)
-        k = int(params.get("base_points", rng.randint(1, 4)))
-        shell = FinPreTopSpace(k, (0, (1 << k) - 1), _random_poset(rng, k))
-        lat = subset_lattice(shell, "upsets")
+        k = rng.randint(1, 4)
+        lat = subset_lattice(_poset_shell(_random_poset(rng, k)), "upsets")
         frame = ind_functor(lat, variant=variant)
         return Generated("adframe", frame,
                          {"family": "ind", "base_points": k, "seed": seed,
                           "variant": variant.value})
-    if family == "mutated":
-        target = params.get("target")
-        for attempt in range(64):
-            rng = _rng(f"adframe-mutated-{attempt}", params, seed)
-            base_family = rng.choice(("ado", "ind"))
-            inner = dict(params)
-            inner["family"] = base_family
-            inner.pop("target", None)
-            base = generate_random("adframe", inner, seed * 131 + attempt)
-            frame = base.payload
-            options = _mutations(frame)
-            if target is not None:
-                options = [m for m in options if m[0] == target]
-            if not options:
-                continue
-            law, edit = rng.choice(options)
-            mutated = edit()
-            report = validate_adframe(mutated)
-            if not report.ok and law in {c.law for c in report.failures()}:
-                return Generated("adframe", mutated,
-                                 {"family": "mutated", "target": law,
-                                  "seed": seed, "variant": variant.value,
-                                  "base": base.meta})
-        raise InternalCheckError("mutation search failed to break the target axiom")
-    raise ValueError(f"unknown adframe family {family!r}")
+    # "mutated": draw base frames until one edit breaks its law
+    target = params.get("target")
+    for attempt in range(64):
+        rng = _rng(f"adframe-mutated-{attempt}", params, seed)
+        base_family = rng.choice(("ado", "ind"))
+        base = generate_random("adframe", {"family": base_family}, seed * 131 + attempt)
+        frame = base.payload
+        options = _mutations(frame)
+        if target is not None:
+            options = [m for m in options if m[0] == target]
+        if not options:
+            continue
+        law, edit = rng.choice(options)
+        mutated = edit()
+        report = validate_adframe(mutated)
+        if not report.ok and law in {c.law for c in report.failures()}:
+            return Generated("adframe", mutated,
+                             {"family": "mutated", "target": law,
+                              "seed": seed, "variant": variant.value,
+                              "base": base.meta})
+    raise InternalCheckError("mutation search failed to break the target axiom")
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +353,10 @@ def generate_random(kind: str, params=None, seed: int = 0) -> Generated:
 
 def _pretop_profile(space: FinPreTopSpace):
     out = []
-    for x in range(space.n):
+    for x, down in enumerate(columns(space.leq, space.n)):
         sizes = tuple(sorted(u.bit_count() for u in space.opens if u >> x & 1))
         outdeg = space.leq[x].bit_count()
-        indeg = sum(1 for y in range(space.n) if space.leq[y] >> x & 1)
+        indeg = down.bit_count()
         out.append((sizes, outdeg, indeg))
     return out
 
@@ -534,8 +520,7 @@ def describe(obj, variant: Optional[Variant] = None) -> dict:
     doc = {"kind": "topology", "points": obj.n,
            "opens": [bits_of(u) for u in obj.opens]}
     if isinstance(obj, FinPreTopSpace):
-        doc.update(kind="space", leq=[[x, y] for x in range(obj.n)
-                                      for y in bits_of(obj.leq[x]) if x != y])
+        doc.update(kind="space", leq=finord.rows_to_pairs(obj.leq))
     if variant is not None:
         doc["variant"] = variant.value
     return doc
@@ -1163,7 +1148,7 @@ def _run_homeo_ads(inst: Instance):
     space, v = inst.payload
     top = space.topology()
     irr = irreducible_closed_sets(top)
-    downs = _down_cones(space)
+    downs = columns(space.leq, space.n)
     literal = True
     if v.sees_up:
         literal = literal and upper_semi_closed(space) and all(

@@ -8,7 +8,7 @@ import itertools
 
 from adframe import (FinPreTopSpace, FinTopSpace, NotContinuous, closed_sets,
                      generate_random)
-from adframe.bits import bits_of, iter_bits, low_bit, mask_of
+from adframe.bits import bits_of, canonical_subsets, iter_bits, low_bit, mask_of
 from adframe.finord import continuity_failure
 from adframe.frames import AdFrame, AxiomCheck
 
@@ -101,6 +101,23 @@ def is_t0_topology(top):
     """No two points lie in exactly the same opens."""
     return len({frozenset(u for u in top.opens if u >> x & 1)
                 for x in range(top.n)}) == top.n
+
+
+def naive_topologies(n):
+    """All topologies on n labelled points, by brute force over set
+    families containing the empty and full sets and closed under union
+    and intersection, ordered by size, then family."""
+    subs = 1 << n
+    base = 1 | (1 << (subs - 1))
+    found = []
+    for r in range(1 << max(0, subs - 2)):
+        fam = base | (r << 1)
+        members = [s for s in range(subs) if fam >> s & 1]
+        if all(fam >> (a | b) & 1 and fam >> (a & b) & 1
+               for a, b in itertools.combinations(members, 2)):
+            found.append(canonical_subsets(members))
+    found.sort(key=lambda fam: (len(fam), fam))
+    return tuple(found)
 
 
 def lifted_preorder(base, targets):

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -10,7 +11,7 @@ from adframe import (FinPreTopSpace, NotALattice, NotAPreorder,
                      make_topology, space_from_json, space_to_json,
                      specialization_preorder, subset_lattice, upset_family,
                      validate_space)
-from adframe.finord import (continuity_failure, downclose, image,
+from adframe.finord import (columns, continuity_failure, downclose, image,
                             monotonicity_failure, preimage,
                             reflexive_transitive_closure, upclose)
 from adframe.theorems import enumerate_distributive_lattices, enumerate_spaces
@@ -63,6 +64,22 @@ def test_reflexive_transitive_closure_idempotent():
     closed = reflexive_transitive_closure(rows, 3)
     assert closed == (7, 6, 4)
     assert reflexive_transitive_closure(closed, 3) == closed
+
+
+def test_columns_is_the_converse():
+    rng = random.Random(0)
+    for _ in range(300):
+        m, width = rng.randint(0, 9), rng.randint(0, 9)
+        rows = tuple(rng.getrandbits(width) for _ in range(m))
+        cols = columns(rows, width)
+        assert len(cols) == width
+        assert all(bool(cols[a] >> u & 1) == bool(rows[u] >> a & 1)
+                   for u in range(m) for a in range(width))
+        assert columns(cols, m) == rows
+    lattices = enumerate_distributive_lattices(8)
+    assert lattices
+    for lat in lattices:
+        assert columns(lat.up_masks, lat.m) == lat.down_masks
 
 
 def test_space_json_roundtrip_exhaustive_n2():

@@ -9,8 +9,8 @@ from adframe import (AdFrame, FinPreTopSpace, TrivialFrame, Variant,
                      check_usc_lsc, compose_homs, epsilon_hom, identity_hom,
                      ind_functor, subset_lattice, validate_adframe,
                      validate_hom)
-from adframe.frames import _reach_check, preserves_relations, rel_rows
-from adframe.finord import record_scope
+from adframe.frames import _reach_check, preserves_relations, rel_pairs
+from adframe.finord import lattice_from_labels, record_scope
 from adframe.frames import AdFrameHom, _two_chain
 from adframe.theorems import enumerate_spaces, pretop_maps, upper_semi_closed, lower_semi_closed
 
@@ -39,11 +39,14 @@ def relation_oracle(space):
 
 
 def test_relations_match_definitions_exhaustive_n2():
-    for sp in enumerate_spaces(2):
-        frame = build_ado(sp)
+    """Every space of up to three points, under each variant."""
+    for sp in (sp for n in range(4) for sp in enumerate_spaces(n)):
         oracle = relation_oracle(sp)
-        for name in ("tot", "con", "fof", "cou"):
-            assert frame.rel(name) == oracle[name], (sp, name)
+        for variant in VARIANTS:
+            frame = build_ado(sp, variant)
+            for name in ("tot", "con", "fof", "cou"):
+                assert len(frame.rel(name)) == frame.omega.m
+                assert set(rel_pairs(frame.rel(name))) == oracle[name], (sp, name)
 
 
 def test_sierpinski_relations_spot():
@@ -51,10 +54,10 @@ def test_sierpinski_relations_spot():
     # omega: {}, {1}, {0,1}; ell: {}, {0}, {0,1}
     assert frame.omega.labels == (0, 2, 3)
     assert frame.ell.labels == (0, 1, 3)
-    assert frame.tot == {(0, 2), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)}
-    assert frame.con == {(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)}
-    assert frame.fof == {(0, 0), (1, 0), (2, 0), (2, 1), (2, 2)}
-    assert frame.cou == {(0, 0), (0, 1), (0, 2), (1, 2), (2, 2)}
+    assert set(rel_pairs(frame.tot)) == {(0, 2), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)}
+    assert set(rel_pairs(frame.con)) == {(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)}
+    assert set(rel_pairs(frame.fof)) == {(0, 0), (1, 0), (2, 0), (2, 1), (2, 2)}
+    assert set(rel_pairs(frame.cou)) == {(0, 0), (0, 1), (0, 2), (1, 2), (2, 2)}
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -64,9 +67,15 @@ def test_validator_passes_on_canonical_frames(variant):
         assert report.ok, report.failures()
 
 
-def drop(rel, pair):
-    assert pair in rel
-    return frozenset(rel - {pair})
+def flip(rows, pair):
+    """The relation ``rows`` with the membership of ``pair`` flipped."""
+    u, a = pair
+    return rows[:u] + (rows[u] ^ 1 << a,) + rows[u + 1:]
+
+
+def drop(rows, pair):
+    assert rows[pair[0]] >> pair[1] & 1
+    return flip(rows, pair)
 
 
 def test_validator_flags_missing_top_pair():
@@ -91,7 +100,7 @@ def test_validator_flags_alignment_break():
     frame = build_ado(SIERPINSKI)
     # declare the top pair consistent as well: con and tot now share it
     broken = AdFrame(frame.omega, frame.ell, frame.tot,
-                     frame.con | {(frame.omega.top, frame.ell.top)},
+                     flip(frame.con, (frame.omega.top, frame.ell.top)),
                      frame.fof, frame.cou, frame.variant)
     failed = {c.law for c in validate_adframe(broken).failures()}
     assert failed & {"con-tot-aligned", "con-down-closed", "con-cou-bottom",
@@ -101,7 +110,7 @@ def test_validator_flags_alignment_break():
 def test_validator_variant_scoping():
     frame = build_ado(SIERPINSKI, Variant.UP)
     broken = AdFrame(frame.omega, frame.ell, frame.tot, frame.con,
-                     frozenset(), frame.cou, Variant.UP)
+                     (0,) * frame.omega.m, frame.cou, Variant.UP)
     assert validate_adframe(broken).ok  # fof laws invisible to the Up variant
     assert not validate_adframe(broken.with_variant(Variant.BOTH)).ok
 
@@ -146,8 +155,7 @@ def test_scott_closure_is_down_closure_on_finite_lattices():
             if frame.omega.m * frame.ell.m > SCOTT_GATE:
                 continue
             for name, logic in (("con", False), ("cou", True)):
-                rows = rel_rows(frame.rel(name), frame.omega.m)
-                assert scott_oracle(name, frame, rows, logic).ok, (sp, name)
+                assert scott_oracle(name, frame, frame.rel(name), logic).ok, (sp, name)
             shapes.setdefault((frame.omega.up_masks, frame.ell.up_masks), frame)
     assert len(shapes) == 122
     rng = random.Random(0)
@@ -198,7 +206,8 @@ def test_validate_hom_rejects_non_hom():
     bad = AdFrameHom(frame, frame, (0, 2, 2), (0, 1, 2))  # breaks disjointness
     report = validate_hom(bad)
     assert not report.ok
-    assert any(c.law == "con-preserved" for c in report.failures())
+    assert [(c.law, c.witness) for c in report.failures()] == \
+        [("con-preserved", ((1, 1), (2, 1)))]
 
 
 def test_bounded_lattice_homs_against_bruteforce():
@@ -260,15 +269,14 @@ def test_coupling_relations_by_cases():
     top, bot = omega.top, omega.bot
     for u in range(omega.m):
         for a in (0, 1):
-            assert ((u, a) in frame.tot) == (u == top or a == 1)
-            assert ((u, a) in frame.con) == (u == bot or a == 0)
-            assert ((u, a) in frame.fof) == (u == top or a == 0)
-            assert ((u, a) in frame.cou) == (u == bot or a == 1)
+            assert bool(frame.tot[u] >> a & 1) == (u == top or a == 1)
+            assert bool(frame.con[u] >> a & 1) == (u == bot or a == 0)
+            assert bool(frame.fof[u] >> a & 1) == (u == top or a == 0)
+            assert bool(frame.cou[u] >> a & 1) == (u == bot or a == 1)
     assert validate_adframe(frame).ok
 
 
 def test_coupling_rejects_trivial_lattice():
-    from adframe.finord import lattice_from_labels
     with pytest.raises(TrivialFrame):
         ind_functor(lattice_from_labels((0,)))
 

@@ -4,13 +4,14 @@ import itertools
 import pytest
 
 from adframe import (BudgetExceeded, FinPreTopSpace, FinTopSpace,
-                     NotContinuous, UnknownTheorem, adpt_space,
+                     NotContinuous, UnknownTheorem, Variant, adpt_space,
                      ads_space, build_ado, finord, generate_random,
-                     instances_for_payload, iso_check,
+                     ind_functor, instances_for_payload, iso_check,
                      registry_doc, registry_ids, run_check, subset_lattice,
                      validate_adframe)
+from adframe.frames import REL_NAMES
 from adframe.theorems import (SweepSpec, _lookup, _moves_opens_onto,
-                              _order_mismatch, basic_functors,
+                              _mutations, _order_mismatch, basic_functors,
                               designated_counterexample,
                               enumerate_distributive_lattices,
                               enumerate_preorders, enumerate_spaces,
@@ -22,7 +23,7 @@ from adframe.finord import (continuity_failure, is_reflexive_transitive,
                             monotonicity_failure)
 
 from helpers import (CHAIN3, SIERPINSKI, is_t0_topology, leq_pairs,
-                     lifted_preorder)
+                     lifted_preorder, naive_topologies)
 
 
 # ---------------------------------------------------------------------------
@@ -36,16 +37,24 @@ def test_topology_and_preorder_counts_agree():
         assert len(enumerate_preorders(n)) == count
 
 
+def test_topologies_match_bruteforce_oracle():
+    for n in range(5):
+        assert enumerate_topologies(n) == naive_topologies(n)
+
+
 def test_alexandroff_bijection():
-    # sending a preorder to its up-set topology hits every topology once
+    # sending a preorder to its up-set topology hits every topology once;
+    # the topologies are the brute-force oracle's, since
+    # ``enumerate_topologies`` is this image by construction
     from adframe.finord import upset_family
     for n in (0, 1, 2, 3):
-        tops = set(enumerate_topologies(n))
+        tops = set(naive_topologies(n))
         image = {
             upset_family(FinPreTopSpace(n, (0, (1 << n) - 1) if n else (0,), rows))
             for rows in enumerate_preorders(n)
         }
         assert image == tops
+        assert len(image) == len(enumerate_preorders(n))
 
 
 def test_space_enumeration_modes():
@@ -108,6 +117,16 @@ def test_generator_is_deterministic():
     assert a.payload != c.payload or a.meta != c.meta
 
 
+def test_generator_rejects_keys_it_does_not_read():
+    with pytest.raises(ValueError, match="'N'"):
+        generate_random("space", {"N": 4}, seed=1)
+    with pytest.raises(ValueError, match="'famly'"):
+        generate_random("adframe", {"famly": "ind"}, seed=1)
+    for unread in ("density", "base_points", "variant"):
+        with pytest.raises(ValueError, match=unread):
+            generate_random("adframe", {"family": "ind", unread: 1}, seed=1)
+
+
 def test_generated_frames_validate():
     for seed in range(10):
         for family in ("ado", "ind"):
@@ -121,6 +140,31 @@ def test_mutated_frames_break_their_target_law():
         report = validate_adframe(gen.payload)
         assert not report.ok
         assert gen.meta["target"] in {c.law for c in report.failures()}
+
+
+MUTATION_LAWS = ("tot-up-closed", "tot-has-tt", "con-down-closed",
+                 "con-tot-aligned", "fof-up-closed", "fof-has-bots",
+                 "cou-down-closed", "tot-cou-ell-top")
+
+
+def test_every_mutation_flips_one_bit_and_breaks_its_law():
+    """Each law of the mutation table is offered on some frame of a space
+    of at most two points or on some two-sided lift, and wherever it is
+    offered its edit flips one pair and breaks that law."""
+    frames = [build_ado(sp, v) for n in range(3) for sp in enumerate_spaces(n)
+              for v in Variant]
+    frames += [ind_functor(subset_lattice(sp, "opens"), v)
+               for n in (1, 2) for sp in enumerate_spaces(n) for v in Variant]
+    offered = set()
+    for frame in frames:
+        for law, edit in _mutations(frame):
+            offered.add(law)
+            mutated = edit()
+            flipped = sum((mutated.rel(name)[u] ^ frame.rel(name)[u]).bit_count()
+                          for name in REL_NAMES for u in range(frame.omega.m))
+            assert flipped == 1, (frame, law)
+            assert law in {c.law for c in validate_adframe(mutated).failures()}, (frame, law)
+    assert offered == set(MUTATION_LAWS)
 
 
 def test_mutation_target_can_be_forced():
