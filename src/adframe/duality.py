@@ -24,8 +24,8 @@ from .errors import (
     NotMonotone,
 )
 from . import finord
-from .finord import (FinLattice, FinPreTopSpace, columns, lattice_analyze, preimage,
-                     record_memo)
+from .finord import (FinLattice, FinPreTopSpace, columns, lattice_analyze,
+                     lattice_memo, preimage, record_memo)
 from .frames import (AdFrame, AdFrameHom, Variant, build_ado, preimage_hom,
                      rel_pairs)
 
@@ -246,6 +246,13 @@ class Eta:
     mapping: tuple[int, ...]
 
 
+@lattice_memo
+def _point_masks(lat: FinLattice) -> tuple[int, ...]:
+    """For each point of the carrier (the top label), the mask of the
+    elements of a lattice of subsets whose labels contain it."""
+    return columns(lat.labels, lat.labels[lat.top].bit_length())
+
+
 def eta_map(space: FinPreTopSpace, variant=Variant.BOTH) -> Eta:
     """The unit at ``space``.  ADSOBER-EQ checks that it pulls spectrum
     opens back to opens and is monotone."""
@@ -253,7 +260,7 @@ def eta_map(space: FinPreTopSpace, variant=Variant.BOTH) -> Eta:
     frame = build_ado(space, variant)
     spectrum = adpt_space(frame)
     mapping = []
-    around = zip(columns(frame.omega.labels, space.n), columns(frame.ell.labels, space.n))
+    around = zip(_point_masks(frame.omega), _point_masks(frame.ell))
     for x, (nx, ux) in enumerate(around):
         idx = spectrum.point_index(AdPoint(nx, ux))
         if idx is None:

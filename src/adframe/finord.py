@@ -17,9 +17,12 @@ Conventions used throughout the package:
     tuples of rows of element indices.  When a lattice is a lattice of
     subsets, ``labels`` holds the subsets in element order, its order is
     inclusion, and join/meet are union/intersection.
-  - Inside one check record (:func:`record_scope`) each call of a function
-    marked :func:`record_memo` is computed once per key; outside a record
-    nothing is kept.
+  - What is derived is kept where it lives as long as its inputs.  Inside
+    one check record (:func:`record_scope`) each call of a function marked
+    :func:`record_memo` (frames, spectra, pair lists) is computed once per
+    key and dropped with the record.  A space keeps its two lattices
+    (:func:`subset_lattice`), and a lattice keeps the facts of the
+    functions marked :func:`lattice_memo` while it is alive.
 """
 from __future__ import annotations
 
@@ -68,9 +71,9 @@ def record_memo(key_of: Callable) -> Callable:
     """Decorator: inside a record, a call whose ``key_of(*args)`` was seen
     before returns the earlier result (never None); outside a record the
     memo is None and every call computes.  A key is either a value tuple or
-    the argument itself: frames and lattices have ``eq=False`` and hash by
-    identity, and as a dict key the argument stays alive, so its id cannot
-    be reused for another object within the record."""
+    the argument itself: frames have ``eq=False`` and hash by identity, and
+    as a dict key the argument stays alive, so its id cannot be reused for
+    another object within the record."""
     def decorate(fn):
         @functools.wraps(fn)
         def memo_fn(*args, **kwargs):
@@ -84,6 +87,38 @@ def record_memo(key_of: Callable) -> Callable:
             return result
         return memo_fn
     return decorate
+
+
+# facts of live lattices: lattice -> {fn: result, or for a function of two
+# lattices fn: {second lattice: result}}.  A result holds only ints, never a
+# lattice, so the weak keys are the only references to the lattices.
+_FACTS: "weakref.WeakKeyDictionary[FinLattice, dict]" = weakref.WeakKeyDictionary()
+
+
+def lattice_memo(fn: Callable) -> Callable:
+    """Decorator for a function of one lattice, or of two: its result is
+    computed once and kept with the lattice (the pair) while it is alive
+    (while both are).  The result is shared by every caller, and none may
+    change it."""
+    @functools.wraps(fn)
+    def memo_fn(lat, *other):
+        facts = _FACTS.get(lat)
+        if facts is None:
+            facts = _FACTS[lat] = {}
+        if not other:
+            result = facts.get(fn)
+            if result is None:
+                result = facts[fn] = fn(lat)
+            return result
+        second, = other
+        table = facts.get(fn)
+        if table is None:
+            table = facts[fn] = weakref.WeakKeyDictionary()
+        result = table.get(second)
+        if result is None:
+            result = table[second] = fn(lat, second)
+        return result
+    return memo_fn
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +455,7 @@ class FinLattice:
         return f"FinLattice(m={self.m}, {tag})"
 
 
-# sweeps hold thousands of frames over a few hundred label families
+# a sweep's spaces share a few label families (29 at three points)
 _LABELLED: "weakref.WeakValueDictionary[tuple, FinLattice]" = weakref.WeakValueDictionary()
 
 
@@ -429,7 +464,9 @@ def lattice_from_labels(labels: Sequence[int]) -> FinLattice:
 
     The family must be closed under union and intersection and is put into
     canonical order first.  Calls with the same family return the same
-    (immutable) lattice while it is alive.
+    (immutable) lattice while something holds it: a space that has built
+    it (:func:`subset_lattice`), a frame, or a caller.  Once nothing does,
+    the lattice is collected and its facts (:func:`lattice_memo`) with it.
     """
     family = canonical_subsets(labels)
     m = len(family)
@@ -554,12 +591,19 @@ def upset_family(space: FinPreTopSpace) -> tuple[int, ...]:
 
 
 def subset_lattice(space: FinPreTopSpace, kind: str) -> FinLattice:
-    """Lattice of opens (``kind='opens'``) or of up-closed sets (``kind='upsets'``)."""
-    if kind == "opens":
-        return lattice_from_labels(space.opens)
-    if kind == "upsets":
-        return lattice_from_labels(upset_family(space))
-    raise ValueError(f"unknown subset lattice kind {kind!r}")
+    """Lattice of opens (``kind='opens'``) or of up-closed sets (``kind='upsets'``).
+
+    The space keeps each lattice the first time it is asked for, in an
+    attribute outside its dataclass fields, so equality, hashing and the
+    space's JSON do not see it."""
+    if kind not in ("opens", "upsets"):
+        raise ValueError(f"unknown subset lattice kind {kind!r}")
+    attr = f"_{kind}_lattice"
+    lat = space.__dict__.get(attr)
+    if lat is None:
+        lat = lattice_from_labels(space.opens if kind == "opens" else upset_family(space))
+        object.__setattr__(space, attr, lat)
+    return lat
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +619,7 @@ class LatticeAnalysis:
     pitchfork: tuple[tuple[int, int], ...]
 
 
-@record_memo(lambda lat: lat)
+@lattice_memo
 def lattice_analyze(lat: FinLattice) -> LatticeAnalysis:
     r"""Distributivity (with witness triple on failure), prime and coprime
     elements, and the pitchfork pairs (q, b) with b <= a iff a is not <= q.

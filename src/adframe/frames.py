@@ -42,6 +42,7 @@ from .finord import (
     lattice_analyze,
     lattice_from_json,
     lattice_from_leq,
+    lattice_memo,
     lattice_to_json,
     record_memo,
     subset_lattice,
@@ -110,10 +111,16 @@ def build_ado(space: FinPreTopSpace, variant=Variant.BOTH) -> AdFrame:
     """The ad-frame of a space: opens vs. up-closed sets, with
     tot = covering pairs, con = disjoint pairs, fof = containments U >= A,
     cou = inclusions U <= A."""
-    variant = Variant.parse(variant)
     omega = subset_lattice(space, "opens")
     ell = subset_lattice(space, "upsets")
-    full = space.full
+    return AdFrame(omega, ell, *_relation_rows(omega, ell), Variant.parse(variant))
+
+
+@lattice_memo
+def _relation_rows(omega: FinLattice, ell: FinLattice) -> tuple[tuple[int, ...], ...]:
+    """The rows of tot, con, fof and cou between a lattice of opens and a
+    lattice of up-sets of one carrier, which is omega's top label."""
+    full = omega.labels[omega.top]
     tot, con, fof, cou = ([0] * omega.m for _ in REL_NAMES)
     for i, u in enumerate(omega.labels):
         for j, a in enumerate(ell.labels):
@@ -125,8 +132,7 @@ def build_ado(space: FinPreTopSpace, variant=Variant.BOTH) -> AdFrame:
                 fof[i] |= 1 << j
             if is_subset(u, a):
                 cou[i] |= 1 << j
-    return AdFrame(omega, ell, tuple(tot), tuple(con), tuple(fof), tuple(cou),
-                   variant)
+    return tuple(tot), tuple(con), tuple(fof), tuple(cou)
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +433,11 @@ def validate_hom(hom: AdFrameHom) -> ValidationReport:
     return ValidationReport(variant, tuple(checks))
 
 
+@lattice_memo
 def bounded_lattice_homs(src: FinLattice, dst: FinLattice) -> list[tuple[int, ...]]:
     """All maps preserving bottom, top, binary join and binary meet,
-    found by backtracking along a linear extension of the source.
+    found by backtracking along a linear extension of the source.  The
+    list is kept with the two lattices and shared; callers do not change it.
 
     Each constraint is tested once, at the position of its last element.
     Every element below e comes before e, so the images of its lower
@@ -512,8 +520,7 @@ def _closure_under(seed: set[int], table) -> set[int]:
 # the two-element-lattice functor and its counit
 
 
-def _two_chain() -> FinLattice:
-    return lattice_from_leq([[True, True], [False, True]])
+TWO_CHAIN = lattice_from_leq([[True, True], [False, True]])
 
 
 def ind_functor(omega: FinLattice, variant=Variant.BOTH) -> AdFrame:
@@ -527,7 +534,7 @@ def ind_functor(omega: FinLattice, variant=Variant.BOTH) -> AdFrame:
     variant = Variant.parse(variant)
     if omega.m == 1:
         raise TrivialFrame("the coupling needs bottom distinct from top")
-    ell = _two_chain()
+    ell = TWO_CHAIN
     top, bot = omega.top, omega.bot
     # bit 0 of a row is the chain's bottom, bit 1 its top
     tot = tuple(0b11 if u == top else 0b10 for u in range(omega.m))

@@ -26,11 +26,10 @@ from .finord import (FinLattice, FinPreTopSpace, FinTopSpace, closure,
                      is_reflexive_transitive, lattice_analyze,
                      monotonicity_failure, record_scope,
                      reflexive_transitive_closure, subset_lattice, upset_family)
-from .frames import (AdFrame, AdFrameHom, REL_NAMES, Variant,
+from .frames import (TWO_CHAIN, AdFrame, AdFrameHom, REL_NAMES, Variant,
                      bounded_lattice_homs, build_ado, build_ado_hom,
                      check_usc_lsc, compose_homs, epsilon_hom, ind_functor,
-                     preserves_relations, validate_adframe, validate_hom,
-                     _two_chain)
+                     preserves_relations, validate_adframe, validate_hom)
 from .duality import (adpt_hom, adpt_space, eta_map, is_ad_sober, is_ad_t0,
                       pullback_point, transpose)
 from .sobrify import (ads_adpt_iso, ads_hom, ads_space, canonical_pairs,
@@ -292,7 +291,8 @@ def generate_random(kind: str, params=None, seed: int = 0) -> Generated:
     "ado" (frame of a random space of n points), "ind" (two-sided lift of
     the up-set lattice of a random poset), or "mutated" (a valid "ado" or
     "ind" frame with one edit aimed at the named ``target`` law, or at any).
-    A key that the chosen kind or family does not read is a ValueError.
+    A key that the chosen kind or family does not read is a ValueError, and
+    so is an ``n`` that is not an int (a bool included) in 0..CARRIER_CAP.
     """
     params = dict(params or {})
     if kind not in ("space", "adframe"):
@@ -305,12 +305,13 @@ def generate_random(kind: str, params=None, seed: int = 0) -> Generated:
         raise ValueError(f"unknown params key {', '.join(map(repr, unread))} for "
                          f"generator {family!r}; it reads {', '.join(_PARAM_KEYS[family])}")
     variant = Variant.BOTH
+    n = params.get("n", 3)
+    if type(n) is not int or not 0 <= n <= finord.CARRIER_CAP:
+        raise ValueError(f"params n {n!r} is not an integer in 0..{finord.CARRIER_CAP}")
     if family == "space":
-        n = int(params.get("n", 3))
         space = _random_space(_rng("space", params, seed), n)
         return Generated("space", space, {"family": "space", "n": n, "seed": seed})
     if family == "ado":
-        n = int(params.get("n", 3))
         space = _random_space(_rng("adframe-ado", params, seed), n)
         frame = build_ado(space, variant)
         return Generated("adframe", frame,
@@ -516,14 +517,19 @@ def _lookup(theorem_id: str) -> _Entry:
 
 
 def describe(obj, variant: Optional[Variant] = None) -> dict:
-    """A space, or a topology (no ``leq``), as a JSON record."""
-    doc = {"kind": "topology", "points": obj.n,
-           "opens": [bits_of(u) for u in obj.opens]}
-    if isinstance(obj, FinPreTopSpace):
-        doc.update(kind="space", leq=finord.rows_to_pairs(obj.leq))
-    if variant is not None:
-        doc["variant"] = variant.value
-    return doc
+    """A space, or a topology (no ``leq``), as a JSON record.  The object
+    keeps its record without a variant, outside its dataclass fields, and
+    every call shares it or its lists; nothing changes them."""
+    doc = obj.__dict__.get("_doc")
+    if doc is None:
+        doc = {"kind": "topology", "points": obj.n,
+               "opens": [bits_of(u) for u in obj.opens]}
+        if isinstance(obj, FinPreTopSpace):
+            doc.update(kind="space", leq=finord.rows_to_pairs(obj.leq))
+        object.__setattr__(obj, "_doc", doc)
+    if variant is None:
+        return doc
+    return dict(doc, variant=variant.value)
 
 
 def space_instance(space, variant=Variant.BOTH) -> Instance:
@@ -1221,7 +1227,7 @@ def _run_ind_adj(inst: Instance):
         return None, "one-element source lattice"
     if lat.m > _IND_ADJ_SIZE_GATE or frame.omega.m > 64:
         return None, "size gate"
-    second = bounded_lattice_homs(_two_chain(), frame.ell)
+    second = bounded_lattice_homs(TWO_CHAIN, frame.ell)
     if second != [(frame.ell.bot, frame.ell.top)]:
         return False, {"second_component_maps": second}
     source = ind_functor(lat, variant=frame.variant)

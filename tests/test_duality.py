@@ -7,7 +7,7 @@ from adframe import (AdPoint, Variant, adpt_hom, adpt_space, build_ado,
 from adframe.duality import (is_cp_filter, is_cpc_filter, min_of_filter,
                              point_conditions_ok)
 from adframe.finord import _check_topology, lattice_from_labels, upset_family
-from adframe.frames import _two_chain
+from adframe.frames import TWO_CHAIN
 from adframe.theorems import (enumerate_distributive_lattices,
                               enumerate_spaces, pretop_maps)
 
@@ -68,7 +68,7 @@ def test_points_satisfy_their_conditions():
 
 
 def test_coupling_of_two_chain_has_one_point():
-    pts = enumerate_points(ind_functor(_two_chain()))
+    pts = enumerate_points(ind_functor(TWO_CHAIN))
     assert pts == (AdPoint(2, 2),)
 
 

@@ -1,10 +1,13 @@
+import gc
 import random
 import time
+import weakref
 
 import pytest
 
 from adframe import (FinPreTopSpace, NotALattice, NotAPreorder,
-                     NotATopology, TooLarge, class_of, closure,
+                     NotATopology, TooLarge, bounded_lattice_homs, build_ado,
+                     class_of, closure, eta_map, finord,
                      equivalence_classes, interior, irreducible_closed_sets,
                      lattice_analyze, lattice_from_json, lattice_from_labels,
                      lattice_from_leq, lattice_to_json, make_space,
@@ -14,6 +17,7 @@ from adframe import (FinPreTopSpace, NotALattice, NotAPreorder,
 from adframe.finord import (columns, continuity_failure, downclose, image,
                             monotonicity_failure, preimage,
                             reflexive_transitive_closure, upclose)
+from adframe.frames import TWO_CHAIN
 from adframe.theorems import enumerate_distributive_lattices, enumerate_spaces
 
 from helpers import (CHAIN3, SIERPINSKI, bounded_posets, inclusion_matrix,
@@ -263,6 +267,47 @@ def test_labelled_lattices_are_shared_and_frozen():
     assert lattice_from_labels([3, 1, 0, 1]) is lat
     with pytest.raises(AttributeError):
         lat.top = 0
+
+
+def test_spaces_keep_their_two_lattices():
+    space = FinPreTopSpace(CHAIN3.n, CHAIN3.opens, CHAIN3.leq)
+    twin = FinPreTopSpace(CHAIN3.n, CHAIN3.opens, CHAIN3.leq)
+    opens, upsets = subset_lattice(space, "opens"), subset_lattice(space, "upsets")
+    assert subset_lattice(space, "opens") is opens
+    assert subset_lattice(space, "upsets") is upsets
+    assert upsets.labels == upset_family(space)
+    # the kept lattices are not fields: equality, hashing and JSON ignore them
+    assert space == twin and hash(space) == hash(twin) and repr(space) == repr(twin)
+    assert space_to_json(space) == space_to_json(twin)
+    with pytest.raises(ValueError):
+        subset_lattice(space, "closed")
+
+
+def test_a_dropped_lattice_takes_its_facts_with_it():
+    """A lattice that nothing else holds is collected, and with it its
+    entry in the label-family table and every fact kept for it, also the
+    facts of a pair in the table of the other lattice."""
+    n = 9
+    full = (1 << n) - 1
+    opens = tuple((1 << k) - 1 for k in range(n + 1))      # a chain of ten opens
+    space = FinPreTopSpace(n, opens, (full,) * n)          # indiscrete preorder
+    frame = build_ado(space)
+    eta_map(space)
+    lattice_analyze(frame.omega)
+    bounded_lattice_homs(frame.omega, frame.ell)
+    bounded_lattice_homs(TWO_CHAIN, frame.ell)
+    families = (opens, (0, full))
+    assert {lat.labels for lat in finord._FACTS} >= set(families)
+    dropped = [weakref.ref(frame.omega), weakref.ref(frame.ell)]
+    del space, frame
+    gc.collect()
+    assert [ref() for ref in dropped] == [None, None]
+    assert not set(families) & set(finord._LABELLED)
+    for lat, facts in finord._FACTS.items():
+        assert lat.labels not in families
+        for table in facts.values():
+            if isinstance(table, weakref.WeakKeyDictionary):
+                assert not {other.labels for other in table} & set(families)
 
 
 def test_lattice_from_leq_on_a_200_chain_is_fast():

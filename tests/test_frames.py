@@ -11,7 +11,7 @@ from adframe import (AdFrame, FinPreTopSpace, TrivialFrame, Variant,
                      validate_hom)
 from adframe.frames import _reach_check, preserves_relations, rel_pairs
 from adframe.finord import lattice_from_labels, record_scope
-from adframe.frames import AdFrameHom, _two_chain
+from adframe.frames import AdFrameHom, TWO_CHAIN
 from adframe.theorems import enumerate_spaces, pretop_maps, upper_semi_closed, lower_semi_closed
 
 from helpers import CHAIN3, SCOTT_GATE, SIERPINSKI, pts, scott_oracle
@@ -211,7 +211,7 @@ def test_validate_hom_rejects_non_hom():
 
 
 def test_bounded_lattice_homs_against_bruteforce():
-    two = _two_chain()
+    two = TWO_CHAIN
     opens = subset_lattice(CHAIN3, "opens")
     for src, dst in ((two, opens), (opens, two), (opens, opens)):
         brute = []
@@ -284,7 +284,7 @@ def test_coupling_rejects_trivial_lattice():
 def test_bnd_is_the_only_bounded_hom_from_two():
     for sp in enumerate_spaces(2)[:6]:
         ell = subset_lattice(sp, "upsets")
-        homs = bounded_lattice_homs(_two_chain(), ell)
+        homs = bounded_lattice_homs(TWO_CHAIN, ell)
         assert homs == [bnd_map(ell)]
         assert bnd_map(ell) == (ell.bot, ell.top)
 

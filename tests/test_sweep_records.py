@@ -5,7 +5,9 @@ pins what it reports.  For every registered check it takes the sha256 of
 the records of ``run_check(id, sweep={"n": 2})``, with the ``ms`` timing
 field zeroed, so that any change to a verdict, a witness, a minimised
 counterexample or the order of the records shows up here.  Recompute a
-digest with ``record_digest(cid)``.
+digest with ``record_digest(cid)``.  Three checks are also pinned at n = 3:
+they read the ad-frame's relation rows, the per-point label masks of the
+unit and the lattice analyses, over every label family of three points.
 """
 
 import hashlib
@@ -18,9 +20,10 @@ from adframe.theorems import registry_ids, run_check
 SWEEP = {"n": 2}
 
 
-def record_digest(cid: str) -> tuple[int, str]:
-    """The number of records of the n = 2 sweep of ``cid`` and their digest."""
-    docs = [dict(r.to_json(), ms=0) for r in run_check(cid, sweep=SWEEP)]
+def record_digest(cid: str, sweep=SWEEP) -> tuple[int, str]:
+    """The number of records of the sweep (n = 2 by default) of ``cid`` and
+    their digest."""
+    docs = [dict(r.to_json(), ms=0) for r in run_check(cid, sweep=sweep)]
     blob = json.dumps(docs, sort_keys=True).encode()
     return len(docs), hashlib.sha256(blob).hexdigest()[:16]
 
@@ -47,6 +50,12 @@ PINNED = {
     "CEX-LIFT": (3, "4552245bf06e1c25"),
 }
 
+PINNED_N3 = {
+    "ADO-VALID": (2523, "0b8fefd1a2fad1ef"),
+    "ADS-ISO": (2523, "f65e9a8e6f46c3f1"),
+    "ADSOBER-EQ": (2523, "5f379a273082c53c"),
+}
+
 
 def test_every_check_is_pinned():
     assert tuple(PINNED) == registry_ids()
@@ -59,3 +68,8 @@ def test_record_count():
 @pytest.mark.parametrize("cid", list(PINNED))
 def test_sweep_records_are_pinned(cid):
     assert record_digest(cid) == PINNED[cid]
+
+
+@pytest.mark.parametrize("cid", list(PINNED_N3))
+def test_n3_sweep_records_are_pinned(cid):
+    assert record_digest(cid, {"n": 3}) == PINNED_N3[cid]

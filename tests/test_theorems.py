@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import itertools
+import weakref
 
 import pytest
 
-from adframe import (BudgetExceeded, FinPreTopSpace, FinTopSpace,
+from adframe import (BudgetExceeded, FinLattice, FinPreTopSpace, FinTopSpace,
                      NotContinuous, UnknownTheorem, Variant, adpt_space,
                      ads_space, build_ado, finord, generate_random,
                      ind_functor, instances_for_payload, iso_check,
@@ -125,6 +127,20 @@ def test_generator_rejects_keys_it_does_not_read():
     for unread in ("density", "base_points", "variant"):
         with pytest.raises(ValueError, match=unread):
             generate_random("adframe", {"family": "ind", unread: 1}, seed=1)
+
+
+@pytest.mark.parametrize("n", [-1, 65, 70, 2.7, 3.0, True, "3", None])
+def test_generator_rejects_an_n_that_is_not_a_carrier_size(n):
+    for kind, params in (("space", {"n": n}), ("adframe", {"family": "ado", "n": n})):
+        with pytest.raises(ValueError, match=f"params n {n!r} "):
+            generate_random(kind, params, seed=1)
+
+
+def test_generator_accepts_every_carrier_size_up_to_four():
+    for n in range(5):
+        assert generate_random("space", {"n": n}, seed=1).payload.n == n
+        assert generate_random("adframe", {"family": "ado", "n": n},
+                               seed=1).meta["n"] == n
 
 
 def test_generated_frames_validate():
@@ -442,7 +458,7 @@ def _value(obj):
         return obj.key()
     if hasattr(obj, "open_map"):                # a spectrum
         return (obj.frame.key(), obj.points, obj.space, obj.open_map, obj.upset_map)
-    return obj                                  # pairs, a lattice analysis
+    return obj                                  # pairs
 
 
 def test_shared_objects_leave_a_record_equal_to_a_fresh_build():
@@ -461,12 +477,53 @@ def test_shared_objects_leave_a_record_equal_to_a_fresh_build():
         for (fn, key), obj in memo.items():
             if isinstance(key, tuple):          # (n, opens, leq, *args)
                 fresh = fn(FinPreTopSpace(*key[:3]), *key[3:])
-            else:                               # a frame or a lattice
+            else:                               # a frame
                 fresh = fn(key)
             assert _value(obj) == _value(fresh), (fn.__name__, key)
             built.add(fn.__name__)
-    assert built == {"build_ado", "adpt_space", "lattice_analyze",
-                     "irreducible_pairs"}
+    assert built == {"build_ado", "adpt_space", "irreducible_pairs"}
+
+
+def test_facts_kept_after_an_n2_sweep_equal_fresh_computations():
+    """After every check's n = 2 sweep, each fact a live lattice keeps (of
+    it alone, or of it and a second lattice) equals the function computed
+    afresh, so no runner changed a shared fact."""
+    for cid in registry_ids():
+        run_check(cid, sweep={"n": 2})
+    seen = set()
+    for lat, facts in list(finord._FACTS.items()):
+        for fn, fact in facts.items():
+            if isinstance(fact, weakref.WeakKeyDictionary):
+                for other, value in list(fact.items()):
+                    assert value == fn(lat, other), (fn.__name__, lat, other)
+            else:
+                assert fact == fn(lat), (fn.__name__, lat)
+            seen.add(fn.__name__)
+    assert seen == {"lattice_analyze", "_point_masks", "_relation_rows",
+                    "bounded_lattice_homs"}
+
+
+def test_ado_valid_n3_builds_each_label_family_once(monkeypatch):
+    """The 841 spaces on three points have 29 label families, and each
+    space of the enumeration keeps its two lattices, so the n = 3 sweep of
+    ADO-VALID constructs one lattice per family (4,959 when nothing held a
+    lattice past its record).  A family already alive elsewhere is not
+    built again."""
+    enumerate_spaces.cache_clear()
+    gc.collect()
+    families = set(enumerate_topologies(3))
+    alive = len(families & set(finord._LABELLED))
+    built = []
+    init = FinLattice.__init__
+
+    def counting_init(self, *args):
+        built.append(args[1])
+        init(self, *args)
+
+    monkeypatch.setattr(FinLattice, "__init__", counting_init)
+    run_check("ADO-VALID", sweep={"n": 3})
+    assert len(built) == len(families) - alive
+    assert set(built) <= families and len(set(built)) == len(built)
 
 
 def test_adj_exists_sampled_n3():
