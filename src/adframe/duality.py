@@ -24,8 +24,8 @@ from .errors import (
     NotMonotone,
 )
 from . import finord
-from .finord import (FinLattice, FinPreTopSpace, columns, lattice_analyze,
-                     lattice_memo, preimage, record_memo)
+from .finord import (FinLattice, FinPreTopSpace, columns, kept, lattice_analyze,
+                     preimage, record_memo)
 from .frames import (AdFrame, AdFrameHom, Variant, build_ado, preimage_hom,
                      rel_pairs)
 
@@ -183,7 +183,7 @@ class Spectrum:
             return None
 
 
-@record_memo(lambda frame: frame)
+@record_memo
 def adpt_space(frame: AdFrame) -> Spectrum:
     """The spectrum of a frame: its points, with the opens and up-closed
     sets that the elements of the two sides induce on them.  The test suite
@@ -246,11 +246,12 @@ class Eta:
     mapping: tuple[int, ...]
 
 
-@lattice_memo
 def _point_masks(lat: FinLattice) -> tuple[int, ...]:
     """For each point of the carrier (the top label), the mask of the
-    elements of a lattice of subsets whose labels contain it."""
-    return columns(lat.labels, lat.labels[lat.top].bit_length())
+    elements of a lattice of subsets whose labels contain it; the lattice
+    keeps them."""
+    return kept(lat, "_point_masks",
+                lambda: columns(lat.labels, lat.labels[lat.top].bit_length()))
 
 
 def eta_map(space: FinPreTopSpace, variant=Variant.BOTH) -> Eta:

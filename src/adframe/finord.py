@@ -17,12 +17,13 @@ Conventions used throughout the package:
     tuples of rows of element indices.  When a lattice is a lattice of
     subsets, ``labels`` holds the subsets in element order, its order is
     inclusion, and join/meet are union/intersection.
-  - What is derived is kept where it lives as long as its inputs.  Inside
-    one check record (:func:`record_scope`) each call of a function marked
-    :func:`record_memo` (frames, spectra, pair lists) is computed once per
-    key and dropped with the record.  A space keeps its two lattices
-    (:func:`subset_lattice`), and a lattice keeps the facts of the
-    functions marked :func:`lattice_memo` while it is alive.
+  - What is derived lives as long as what it is derived from, in one of two
+    homes.  A record (:func:`record_scope`) keeps frames, spectra and pair
+    lists: each call of a function marked :func:`record_memo` is computed
+    once per argument tuple and dropped with the record.  An object keeps
+    what is derived from it alone (:func:`kept`): a space its lattices, its
+    frame rows and its document, a lattice its analysis, its point masks
+    and its homs to live lattices.
 """
 from __future__ import annotations
 
@@ -67,58 +68,40 @@ def record_scope() -> Iterator[dict]:
         _MEMO.reset(token)
 
 
-def record_memo(key_of: Callable) -> Callable:
-    """Decorator: inside a record, a call whose ``key_of(*args)`` was seen
-    before returns the earlier result (never None); outside a record the
-    memo is None and every call computes.  A key is either a value tuple or
-    the argument itself: frames have ``eq=False`` and hash by identity, and
-    as a dict key the argument stays alive, so its id cannot be reused for
-    another object within the record."""
-    def decorate(fn):
-        @functools.wraps(fn)
-        def memo_fn(*args, **kwargs):
-            memo = _MEMO.get()
-            if memo is None:
-                return fn(*args, **kwargs)
-            key = (fn, key_of(*args, **kwargs))
-            result = memo.get(key)
-            if result is None:
-                result = memo[key] = fn(*args, **kwargs)
-            return result
-        return memo_fn
-    return decorate
-
-
-# facts of live lattices: lattice -> {fn: result, or for a function of two
-# lattices fn: {second lattice: result}}.  A result holds only ints, never a
-# lattice, so the weak keys are the only references to the lattices.
-_FACTS: "weakref.WeakKeyDictionary[FinLattice, dict]" = weakref.WeakKeyDictionary()
-
-
-def lattice_memo(fn: Callable) -> Callable:
-    """Decorator for a function of one lattice, or of two: its result is
-    computed once and kept with the lattice (the pair) while it is alive
-    (while both are).  The result is shared by every caller, and none may
-    change it."""
+def record_memo(fn: Callable) -> Callable:
+    """Decorator: inside a record, a call with arguments seen before returns
+    the earlier result (never None); outside a record the memo is None and
+    every call computes.  The key is ``(fn, *args)``: spaces and variants
+    hash by value, frames by identity, and as a dict key an argument stays
+    alive, so its id cannot be reused for another object within the record.
+    A call with keyword arguments computes."""
     @functools.wraps(fn)
-    def memo_fn(lat, *other):
-        facts = _FACTS.get(lat)
-        if facts is None:
-            facts = _FACTS[lat] = {}
-        if not other:
-            result = facts.get(fn)
-            if result is None:
-                result = facts[fn] = fn(lat)
-            return result
-        second, = other
-        table = facts.get(fn)
-        if table is None:
-            table = facts[fn] = weakref.WeakKeyDictionary()
-        result = table.get(second)
+    def memo_fn(*args, **kwargs):
+        memo = _MEMO.get()
+        if memo is None or kwargs:
+            return fn(*args, **kwargs)
+        key = (fn, *args)
+        result = memo.get(key)
         if result is None:
-            result = table[second] = fn(lat, second)
+            result = memo[key] = fn(*args)
         return result
     return memo_fn
+
+
+def kept(obj, name: str, make: Callable):
+    """The value ``obj`` keeps under ``name``: ``make()`` the first time,
+    kept outside the dataclass fields for as long as ``obj`` lives, so
+    equality, hashing and JSON do not see it.  The value is shared by every
+    caller, and none may change it.  ``name`` must start with ``_``; no
+    field does."""
+    if name[:1] != "_":
+        raise ValueError(f"kept name {name!r} must start with '_'")
+    try:
+        return obj.__dict__[name]
+    except KeyError:
+        value = make()
+        object.__setattr__(obj, name, value)
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +449,7 @@ def lattice_from_labels(labels: Sequence[int]) -> FinLattice:
     canonical order first.  Calls with the same family return the same
     (immutable) lattice while something holds it: a space that has built
     it (:func:`subset_lattice`), a frame, or a caller.  Once nothing does,
-    the lattice is collected and its facts (:func:`lattice_memo`) with it.
+    the lattice is collected, and what it keeps (:func:`kept`) with it.
     """
     family = canonical_subsets(labels)
     m = len(family)
@@ -591,19 +574,14 @@ def upset_family(space: FinPreTopSpace) -> tuple[int, ...]:
 
 
 def subset_lattice(space: FinPreTopSpace, kind: str) -> FinLattice:
-    """Lattice of opens (``kind='opens'``) or of up-closed sets (``kind='upsets'``).
-
-    The space keeps each lattice the first time it is asked for, in an
-    attribute outside its dataclass fields, so equality, hashing and the
-    space's JSON do not see it."""
-    if kind not in ("opens", "upsets"):
-        raise ValueError(f"unknown subset lattice kind {kind!r}")
-    attr = f"_{kind}_lattice"
-    lat = space.__dict__.get(attr)
-    if lat is None:
-        lat = lattice_from_labels(space.opens if kind == "opens" else upset_family(space))
-        object.__setattr__(space, attr, lat)
-    return lat
+    """Lattice of opens (``kind='opens'``) or of up-closed sets
+    (``kind='upsets'``), which the space keeps (:func:`kept`)."""
+    if kind == "opens":
+        return kept(space, "_opens_lattice", lambda: lattice_from_labels(space.opens))
+    if kind == "upsets":
+        return kept(space, "_upsets_lattice",
+                    lambda: lattice_from_labels(upset_family(space)))
+    raise ValueError(f"unknown subset lattice kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +597,12 @@ class LatticeAnalysis:
     pitchfork: tuple[tuple[int, int], ...]
 
 
-@lattice_memo
 def lattice_analyze(lat: FinLattice) -> LatticeAnalysis:
+    """The analysis of a lattice, which the lattice keeps (:func:`kept`)."""
+    return kept(lat, "_analysis", lambda: _analyze(lat))
+
+
+def _analyze(lat: FinLattice) -> LatticeAnalysis:
     r"""Distributivity (with witness triple on failure), prime and coprime
     elements, and the pitchfork pairs (q, b) with b <= a iff a is not <= q.
 

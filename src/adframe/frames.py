@@ -23,6 +23,7 @@ gives its converse and ``rel_pairs`` its pairs.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping, Optional, Sequence
@@ -39,10 +40,10 @@ from .finord import (
     FinLattice,
     FinPreTopSpace,
     columns,
+    kept,
     lattice_analyze,
     lattice_from_json,
     lattice_from_leq,
-    lattice_memo,
     lattice_to_json,
     record_memo,
     subset_lattice,
@@ -105,18 +106,17 @@ class AdFrame:
                 f"variant={self.variant.value})")
 
 
-@record_memo(lambda space, variant=Variant.BOTH:
-             (space.n, space.opens, space.leq, Variant.parse(variant)))
+@record_memo
 def build_ado(space: FinPreTopSpace, variant=Variant.BOTH) -> AdFrame:
     """The ad-frame of a space: opens vs. up-closed sets, with
     tot = covering pairs, con = disjoint pairs, fof = containments U >= A,
-    cou = inclusions U <= A."""
+    cou = inclusions U <= A.  The space keeps the four rows."""
     omega = subset_lattice(space, "opens")
     ell = subset_lattice(space, "upsets")
-    return AdFrame(omega, ell, *_relation_rows(omega, ell), Variant.parse(variant))
+    rows = kept(space, "_relation_rows", lambda: _relation_rows(omega, ell))
+    return AdFrame(omega, ell, *rows, Variant.parse(variant))
 
 
-@lattice_memo
 def _relation_rows(omega: FinLattice, ell: FinLattice) -> tuple[tuple[int, ...], ...]:
     """The rows of tot, con, fof and cou between a lattice of opens and a
     lattice of up-sets of one carrier, which is omega's top label."""
@@ -362,9 +362,9 @@ def identity_hom(frame: AdFrame) -> AdFrameHom:
 
 
 def compose_homs(second: AdFrameHom, first: AdFrameHom) -> AdFrameHom:
-    """second after first (first.target must be the very frame
-    second.source)."""
-    if first.target is not second.source:
+    """second after first; first.target must equal second.source by
+    ``key()``, so homs compose also when each side built its own frame."""
+    if first.target.key() != second.source.key():
         raise ValueError("homs do not compose: middle frames differ")
     phi = tuple(second.phi[v] for v in first.phi)
     p = tuple(second.p[a] for a in first.p)
@@ -433,11 +433,21 @@ def validate_hom(hom: AdFrameHom) -> ValidationReport:
     return ValidationReport(variant, tuple(checks))
 
 
-@lattice_memo
 def bounded_lattice_homs(src: FinLattice, dst: FinLattice) -> list[tuple[int, ...]]:
-    """All maps preserving bottom, top, binary join and binary meet,
-    found by backtracking along a linear extension of the source.  The
-    list is kept with the two lattices and shared; callers do not change it.
+    """All maps preserving bottom, top, binary join and binary meet.  The
+    source keeps (:func:`finord.kept`) a table of them keyed weakly by the
+    target, so an entry goes with either lattice; the list is shared, and
+    callers do not change it."""
+    table = kept(src, "_homs", weakref.WeakKeyDictionary)
+    homs = table.get(dst)
+    if homs is None:
+        homs = table[dst] = _find_homs(src, dst)
+    return homs
+
+
+def _find_homs(src: FinLattice, dst: FinLattice) -> list[tuple[int, ...]]:
+    """The bounded lattice homs, found by backtracking along a linear
+    extension of the source.
 
     Each constraint is tested once, at the position of its last element.
     Every element below e comes before e, so the images of its lower

@@ -23,7 +23,7 @@ from .finord import (
     equivalence_classes,
     irreducible_closed_sets,
     record_memo,
-    upset_family,
+    subset_lattice,
 )
 from .frames import Variant, build_ado
 from .duality import AdPoint, Spectrum, adpt_space
@@ -49,8 +49,7 @@ def canonical_pairs(space: FinPreTopSpace) -> tuple[IrreduciblePair, ...]:
                  for x in range(space.n))
 
 
-@record_memo(lambda space, variant=Variant.BOTH:
-             (space.n, space.opens, space.leq, Variant.parse(variant)))
+@record_memo
 def irreducible_pairs(space: FinPreTopSpace, variant=Variant.BOTH) -> tuple[IrreduciblePair, ...]:
     """The pairs (C, [x]) such that C meets the down-cone of x and lies
     inside the closure of its up-cone (for the Up side), and meets the
@@ -136,7 +135,7 @@ def ads_space(space: FinPreTopSpace, variant=Variant.BOTH) -> AdsSpace:
         sum(1 << i for i, pr in enumerate(pairs) if pr.closed & u)
         for u in space.opens
     )
-    base_upsets = upset_family(space)
+    base_upsets = subset_lattice(space, "upsets").labels
     bracket = tuple(
         sum(1 << i for i, pr in enumerate(pairs) if pr.cls & a)
         for a in base_upsets

@@ -24,7 +24,7 @@ from . import finord
 from .finord import (FinLattice, FinPreTopSpace, FinTopSpace, closure,
                      columns, continuity_failure, irreducible_closed_sets,
                      is_reflexive_transitive, lattice_analyze,
-                     monotonicity_failure, record_scope,
+                     lattice_from_labels, monotonicity_failure, record_scope,
                      reflexive_transitive_closure, subset_lattice, upset_family)
 from .frames import (TWO_CHAIN, AdFrame, AdFrameHom, REL_NAMES, Variant,
                      bounded_lattice_homs, build_ado, build_ado_hom,
@@ -518,18 +518,20 @@ def _lookup(theorem_id: str) -> _Entry:
 
 def describe(obj, variant: Optional[Variant] = None) -> dict:
     """A space, or a topology (no ``leq``), as a JSON record.  The object
-    keeps its record without a variant, outside its dataclass fields, and
-    every call shares it or its lists; nothing changes them."""
-    doc = obj.__dict__.get("_doc")
-    if doc is None:
-        doc = {"kind": "topology", "points": obj.n,
-               "opens": [bits_of(u) for u in obj.opens]}
-        if isinstance(obj, FinPreTopSpace):
-            doc.update(kind="space", leq=finord.rows_to_pairs(obj.leq))
-        object.__setattr__(obj, "_doc", doc)
+    keeps its record without a variant (``finord.kept``), and every call
+    shares it or its lists; nothing changes them."""
+    doc = finord.kept(obj, "_doc", lambda: _document(obj))
     if variant is None:
         return doc
     return dict(doc, variant=variant.value)
+
+
+def _document(obj) -> dict:
+    doc = {"kind": "topology", "points": obj.n,
+           "opens": [bits_of(u) for u in obj.opens]}
+    if isinstance(obj, FinPreTopSpace):
+        doc.update(kind="space", leq=finord.rows_to_pairs(obj.leq))
+    return doc
 
 
 def space_instance(space, variant=Variant.BOTH) -> Instance:
@@ -589,20 +591,26 @@ def _shrink(entry: _Entry, inst: Instance):
 
 
 def _coerce_sweep(sweep) -> SweepSpec:
-    if sweep is None:
-        return SweepSpec()
-    if isinstance(sweep, SweepSpec):
-        return sweep
-    for key in sweep:
-        if key not in ("n", "count", "seed", "variant"):
-            raise ValueError(f"unknown sweep key {key!r}; use n, count, seed or variant")
     spec = SweepSpec()
-    spec.n = int(sweep.get("n", spec.n))
-    spec.seed = int(sweep.get("seed", spec.seed))
-    if sweep.get("count") is not None:
-        spec.count = int(sweep["count"])
-    if sweep.get("variant") is not None:
-        spec.variants = (Variant.parse(sweep["variant"]),)
+    if isinstance(sweep, SweepSpec):
+        spec = sweep
+    elif sweep is not None:
+        for key in sweep:
+            if key not in ("n", "count", "seed", "variant"):
+                raise ValueError(f"unknown sweep key {key!r}; use n, count, seed or variant")
+        spec.n = sweep.get("n", spec.n)
+        spec.seed = sweep.get("seed", spec.seed)
+        spec.count = sweep.get("count")
+        if sweep.get("variant") is not None:
+            spec.variants = (Variant.parse(sweep["variant"]),)
+    for key in ("n", "seed", "count"):
+        value = getattr(spec, key)
+        if type(value) is not int and (key != "count" or value is not None):
+            raise ValueError(f"sweep {key}={value!r} is not an integer")
+    if not 0 <= spec.n <= ENUM_POINT_CAP:
+        raise ValueError(f"sweep n={spec.n} is outside [0, {ENUM_POINT_CAP}]")
+    if spec.count is not None and spec.count < 1:
+        raise ValueError(f"sweep count={spec.count} must be at least 1")
     return spec
 
 
@@ -613,9 +621,13 @@ def run_check(theorem_id: str, instance: Optional[Instance] = None, *,
     """Run one registered check over an instance, an explicit instance
     stream, or a sweep: a ``SweepSpec``, or a dict with some of the keys
     ``n``, ``count``, ``seed`` and ``variant`` (one; default all) and no
-    other.  Each record, and each attempt to shrink its witness, runs in
-    its own record scope (``finord.record_scope``), so the frames, spectra
-    and pair lists it derives are built once and dropped when it ends."""
+    other; an ``n``, ``seed`` or ``count`` that is not an int (a bool
+    included), an ``n`` outside 0..``ENUM_POINT_CAP`` or a ``count`` below
+    1 is a ValueError.  Each record, and each attempt to shrink its witness,
+    runs in its own record scope (``finord.record_scope``), so the frames,
+    spectra and pair lists it derives are built once and dropped when it
+    ends; a space or a lattice keeps what is derived from it alone
+    (``finord.kept``)."""
     entry = _lookup(theorem_id)
     if instance is not None:
         stream: Iterable[Instance] = [instance]
@@ -796,12 +808,8 @@ def _cex_qualifies(space: FinPreTopSpace) -> bool:
 
 
 def _opens_lattices(n: int) -> list[FinLattice]:
-    """The distinct opens lattices of the topologies on n points."""
-    lattices = {}
-    for fam in enumerate_topologies(n):
-        lat = subset_lattice(FinTopSpace(n, fam), "opens")
-        lattices.setdefault(lat.key(), lat)
-    return list(lattices.values())
+    """The opens lattices of the topologies on n points, one per family."""
+    return [lattice_from_labels(fam) for fam in enumerate_topologies(n)]
 
 
 def _topologies(n: int) -> list[FinTopSpace]:

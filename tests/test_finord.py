@@ -283,10 +283,25 @@ def test_spaces_keep_their_two_lattices():
         subset_lattice(space, "closed")
 
 
+def test_kept_makes_a_value_once_and_refuses_a_field_name():
+    space = FinPreTopSpace(CHAIN3.n, CHAIN3.opens, CHAIN3.leq)
+    made = []
+
+    def make():
+        made.append(1)
+        return [len(made)]
+
+    assert finord.kept(space, "_probe", make) is finord.kept(space, "_probe", make)
+    assert made == [1]
+    with pytest.raises(ValueError, match="must start with '_'"):
+        finord.kept(space, "opens", make)      # would return the field
+    assert space == CHAIN3 and hash(space) == hash(CHAIN3)
+
+
 def test_a_dropped_lattice_takes_its_facts_with_it():
     """A lattice that nothing else holds is collected, and with it its
-    entry in the label-family table and every fact kept for it, also the
-    facts of a pair in the table of the other lattice."""
+    entry in the label-family table and every value it keeps, also its
+    entry in the hom table of a lattice that outlives it."""
     n = 9
     full = (1 << n) - 1
     opens = tuple((1 << k) - 1 for k in range(n + 1))      # a chain of ten opens
@@ -297,17 +312,16 @@ def test_a_dropped_lattice_takes_its_facts_with_it():
     bounded_lattice_homs(frame.omega, frame.ell)
     bounded_lattice_homs(TWO_CHAIN, frame.ell)
     families = (opens, (0, full))
-    assert {lat.labels for lat in finord._FACTS} >= set(families)
+    assert {"_analysis", "_point_masks", "_homs"} <= set(vars(frame.omega))
+    assert "_point_masks" in vars(frame.ell)
+    assert frame.ell in vars(frame.omega)["_homs"]
+    assert frame.ell in vars(TWO_CHAIN)["_homs"]
     dropped = [weakref.ref(frame.omega), weakref.ref(frame.ell)]
     del space, frame
     gc.collect()
     assert [ref() for ref in dropped] == [None, None]
     assert not set(families) & set(finord._LABELLED)
-    for lat, facts in finord._FACTS.items():
-        assert lat.labels not in families
-        for table in facts.values():
-            if isinstance(table, weakref.WeakKeyDictionary):
-                assert not {other.labels for other in table} & set(families)
+    assert not {other.labels for other in vars(TWO_CHAIN)["_homs"]} & set(families)
 
 
 def test_lattice_from_leq_on_a_200_chain_is_fast():

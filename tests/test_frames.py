@@ -10,7 +10,7 @@ from adframe import (AdFrame, FinPreTopSpace, TrivialFrame, Variant,
                      ind_functor, subset_lattice, validate_adframe,
                      validate_hom)
 from adframe.frames import _reach_check, preserves_relations, rel_pairs
-from adframe.finord import lattice_from_labels, record_scope
+from adframe.finord import _MEMO, lattice_from_labels
 from adframe.frames import AdFrameHom, TWO_CHAIN
 from adframe.theorems import enumerate_spaces, pretop_maps, upper_semi_closed, lower_semi_closed
 
@@ -185,12 +185,33 @@ def test_ado_hom_contravariant_functor_laws():
         for g in pretop_maps(mid, CHAIN3):
             gf = tuple(g[f[x]] for x in range(src.n))
             left = build_ado_hom(gf, src, CHAIN3)
-            with record_scope():  # both homs share the frame of mid
-                right = compose_homs(build_ado_hom(f, src, mid),
-                                     build_ado_hom(g, mid, CHAIN3))
+            right = compose_homs(build_ado_hom(f, src, mid),
+                                 build_ado_hom(g, mid, CHAIN3))
             assert left.key() == right.key()
-    with pytest.raises(ValueError):
-        compose_homs(identity_hom(build_ado(mid)), identity_hom(build_ado(mid)))
+    with pytest.raises(ValueError):  # the middle frames differ in variant
+        compose_homs(identity_hom(build_ado(mid, "up")), identity_hom(build_ado(mid)))
+
+
+def test_homs_compose_by_value_outside_a_record():
+    """Outside a record each hom builds its own frame of the middle space;
+    the two are equal in value, so the homs compose, and the composite is
+    the hom of the composite map."""
+    assert _MEMO.get() is None
+    spaces = (SIERPINSKI, CHAIN3, enumerate_spaces(2)[3], enumerate_spaces(2)[1])
+    composed = 0
+    for src, mid, dst in itertools.product(spaces, repeat=3):
+        for variant in VARIANTS:
+            for f in pretop_maps(src, mid):
+                for g in pretop_maps(mid, dst):
+                    first = build_ado_hom(g, mid, dst, variant)
+                    second = build_ado_hom(f, src, mid, variant)
+                    assert first.target is not second.source
+                    gf = tuple(g[f[x]] for x in range(src.n))
+                    right = compose_homs(second, first)
+                    assert right.key() == build_ado_hom(gf, src, dst, variant).key()
+                    assert validate_hom(right).ok
+                    composed += 1
+    assert composed > 500
 
 
 def test_ado_hom_validates_exhaustive_n2():

@@ -176,6 +176,16 @@ def test_pair_space_transfer_maps(variant):
         assert res.upsets == upset_family(sp)
 
 
+def test_pair_space_reads_the_up_sets_of_its_base():
+    """``ads_space`` reads the base's up-sets off the lattice the space
+    keeps; on every space with up to three points they are its up-set
+    family, in canonical order."""
+    spaces = [sp for n in range(4) for sp in enumerate_spaces(n)]
+    assert len(spaces) == 1 + 1 + 16 + 841
+    for sp in spaces:
+        assert ads_space(sp).upsets == upset_family(sp)
+
+
 def test_pair_space_of_counterexample_keeps_both_points():
     res = ads_space(INDISCRETE2_DISCRETE_ORDER)
     assert len(res.pairs) == 2

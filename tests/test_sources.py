@@ -66,3 +66,28 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.relative_to(ROOT)}: {name}" for name in sorted(imported - used)]
     assert unused == []
+
+
+def test_derived_values_have_one_home():
+    """An object stores what is derived from it only through
+    ``finord.kept``, and the one weak-keyed table is the hom table that
+    ``bounded_lattice_homs`` keeps on a lattice.  A new cache goes through
+    ``kept`` or ``record_memo``."""
+    homes = {"__setattr__": ("finord.py", "kept"),
+             "WeakKeyDictionary": ("frames.py", "bounded_lattice_homs")}
+    stray = []
+
+    def visit(path, node, function):
+        for child in ast.iter_child_nodes(node):
+            inner = function
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            name = (child.attr if isinstance(child, ast.Attribute)
+                    else child.id if isinstance(child, ast.Name) else None)
+            if name in homes and (path.name, inner) != homes[name]:
+                stray.append(f"{path.name}:{child.lineno}: {name} in {inner}")
+            visit(path, child, inner)
+
+    for path in SOURCES:
+        visit(path, ast.parse(path.read_text()), None)
+    assert stray == []

@@ -7,14 +7,15 @@ import pytest
 
 from adframe import (BudgetExceeded, FinLattice, FinPreTopSpace, FinTopSpace,
                      NotContinuous, UnknownTheorem, Variant, adpt_space,
-                     ads_space, build_ado, finord, generate_random,
-                     ind_functor, instances_for_payload, iso_check,
-                     registry_doc, registry_ids, run_check, subset_lattice,
-                     validate_adframe)
+                     ads_space, bounded_lattice_homs, build_ado, finord,
+                     generate_random, ind_functor, instances_for_payload,
+                     iso_check, lattice_analyze, registry_doc, registry_ids,
+                     run_check, subset_lattice, validate_adframe)
+from adframe.duality import _point_masks
 from adframe.frames import REL_NAMES
 from adframe.theorems import (SweepSpec, _lookup, _moves_opens_onto,
                               _mutations, _order_mismatch, basic_functors,
-                              designated_counterexample,
+                              describe, designated_counterexample,
                               enumerate_distributive_lattices,
                               enumerate_preorders, enumerate_spaces,
                               enumerate_topologies, frame_instance,
@@ -305,6 +306,27 @@ def test_run_check_single_variant_sweep():
             run_check("IDEMPOTENT", sweep={key: 1})
 
 
+@pytest.mark.parametrize("sweep, message", [
+    ({"n": 2, "count": 0}, "sweep count=0 must be at least 1"),
+    ({"n": 2, "count": -2}, "sweep count=-2 must be at least 1"),
+    ({"n": 2.7}, "sweep n=2.7 is not an integer"),
+    ({"n": True}, "sweep n=True is not an integer"),
+    ({"n": "2"}, "sweep n='2' is not an integer"),
+    ({"n": 5}, "sweep n=5 is outside [0, 4]"),
+    ({"n": -1}, "sweep n=-1 is outside [0, 4]"),
+    ({"n": 2, "count": 3.0}, "sweep count=3.0 is not an integer"),
+    ({"n": 2, "seed": False}, "sweep seed=False is not an integer"),
+    (SweepSpec(n=5), "sweep n=5 is outside [0, 4]"),
+    (SweepSpec(n=2, count=0), "sweep count=0 must be at least 1"),
+])
+def test_run_check_refuses_bad_sweep_values(sweep, message):
+    """The library refuses what the CLI refuses, with the same messages,
+    before any record runs."""
+    with pytest.raises(ValueError) as exc:
+        run_check("IDEMPOTENT", sweep=sweep)
+    assert str(exc.value) == message
+
+
 def test_run_check_sampled_sweep_deterministic():
     a = run_check("ADO-VALID", sweep={"n": 3, "count": 5, "seed": 9})
     b = run_check("ADO-VALID", sweep={"n": 3, "count": 5, "seed": 9})
@@ -474,33 +496,59 @@ def test_shared_objects_leave_a_record_equal_to_a_fresh_build():
             memos.append(memo)
     built = set()
     for memo in memos:
-        for (fn, key), obj in memo.items():
-            if isinstance(key, tuple):          # (n, opens, leq, *args)
-                fresh = fn(FinPreTopSpace(*key[:3]), *key[3:])
-            else:                               # a frame
-                fresh = fn(key)
-            assert _value(obj) == _value(fresh), (fn.__name__, key)
+        for (fn, *args), obj in memo.items():
+            # a space is rebuilt from its fields, without what it keeps
+            fresh = fn(*(_unkept(arg) if isinstance(arg, FinPreTopSpace) else arg
+                         for arg in args))
+            assert _value(obj) == _value(fresh), (fn.__name__, args)
             built.add(fn.__name__)
     assert built == {"build_ado", "adpt_space", "irreducible_pairs"}
 
 
+def _unkept(obj):
+    """A copy of a space or a lattice with its fields and nothing it keeps."""
+    return type(obj)(*(getattr(obj, f.name) for f in dataclasses.fields(obj)))
+
+
+def _plain(value):
+    if isinstance(value, FinLattice):
+        return value.key()
+    if isinstance(value, weakref.WeakKeyDictionary):
+        return dict(value)
+    return value
+
+
+# how each kept value is made again on a copy without it
+_REMAKE = {
+    "_opens_lattice": lambda obj, copy: subset_lattice(copy, "opens"),
+    "_upsets_lattice": lambda obj, copy: subset_lattice(copy, "upsets"),
+    "_relation_rows": lambda obj, copy: build_ado(copy),
+    "_doc": lambda obj, copy: describe(copy),
+    "_analysis": lambda obj, copy: lattice_analyze(copy),
+    "_point_masks": lambda obj, copy: _point_masks(copy),
+    "_homs": lambda obj, copy: [bounded_lattice_homs(copy, dst)
+                                for dst in list(vars(obj)["_homs"])],
+}
+
+
 def test_facts_kept_after_an_n2_sweep_equal_fresh_computations():
-    """After every check's n = 2 sweep, each fact a live lattice keeps (of
-    it alone, or of it and a second lattice) equals the function computed
-    afresh, so no runner changed a shared fact."""
+    """After every check's n = 2 sweep, each value a live space, topology or
+    lattice keeps equals the value made afresh on a copy that keeps
+    nothing, so no runner changed a shared value."""
     for cid in registry_ids():
         run_check(cid, sweep={"n": 2})
     seen = set()
-    for lat, facts in list(finord._FACTS.items()):
-        for fn, fact in facts.items():
-            if isinstance(fact, weakref.WeakKeyDictionary):
-                for other, value in list(fact.items()):
-                    assert value == fn(lat, other), (fn.__name__, lat, other)
-            else:
-                assert fact == fn(lat), (fn.__name__, lat)
-            seen.add(fn.__name__)
-    assert seen == {"lattice_analyze", "_point_masks", "_relation_rows",
-                    "bounded_lattice_homs"}
+    for obj in gc.get_objects():
+        if not isinstance(obj, (FinPreTopSpace, FinTopSpace, FinLattice)):
+            continue
+        names = set(vars(obj)) - {f.name for f in dataclasses.fields(obj)}
+        assert names <= set(_REMAKE), names
+        copy = _unkept(obj)
+        for name in names:
+            _REMAKE[name](obj, copy)
+            assert _plain(vars(obj)[name]) == _plain(vars(copy)[name]), (name, obj)
+        seen |= names
+    assert seen == set(_REMAKE)
 
 
 def test_ado_valid_n3_builds_each_label_family_once(monkeypatch):
