@@ -14,12 +14,13 @@ from .errors import (AdframeError, BudgetExceeded, ImageNotIrreducible,
                      NotMonotone, TooLarge, TrivialFrame, UnknownTheorem)
 from .bits import bits_of, full_mask, is_subset, iter_bits, mask_of
 from .finord import (FinLattice, FinPreTopSpace, FinTopSpace, LatticeAnalysis,
-                     class_of, closed_sets, closure, equivalence_classes,
-                     interior, irreducible_closed_sets, lattice_analyze,
-                     lattice_from_json, lattice_from_labels, lattice_from_leq,
-                     lattice_to_json, make_space, make_topology,
-                     space_from_json, space_to_json, specialization_preorder,
-                     subset_lattice, upset_family, validate_space)
+                     class_of, closed_sets, closure, distributivity_witness,
+                     equivalence_classes, interior, irreducible_closed_sets,
+                     lattice_analyze, lattice_from_json, lattice_from_labels,
+                     lattice_from_leq, lattice_to_json, make_space,
+                     make_topology, point_classes, space_from_json,
+                     space_to_json, specialization_preorder, subset_lattice,
+                     upset_family, validate_space)
 from .frames import (AdFrame, AdFrameHom, Variant, adframe_from_json,
                      adframe_to_json, bnd_map, bounded_lattice_homs,
                      build_ado, build_ado_hom, check_usc_lsc, compose_homs,

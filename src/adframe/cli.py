@@ -23,8 +23,8 @@ import tempfile
 
 from .bits import bits_of
 from .errors import AdframeError, BudgetExceeded, InternalCheckError, TooLarge
-from .finord import (FinLattice, FinPreTopSpace, equivalence_classes,
-                     lattice_analyze, lattice_from_json, space_from_json,
+from .finord import (FinLattice, FinPreTopSpace, lattice_analyze,
+                     lattice_from_json, point_classes, space_from_json,
                      space_to_json)
 from .frames import (AdFrame, Variant, adframe_from_json, adframe_to_json,
                      build_ado, rel_pairs, validate_adframe)
@@ -287,7 +287,7 @@ def render_dot(payload) -> str:
         return "\n".join(lines)
 
     if isinstance(payload, FinPreTopSpace):
-        classes = equivalence_classes(payload.leq)
+        classes = point_classes(payload)
         if len(classes) > RENDER_NODE_CAP:
             raise TooLarge(f"space has {len(classes)} order classes; rendering caps at {RENDER_NODE_CAP}")
         reps = [bits_of(cls)[0] for cls in classes]

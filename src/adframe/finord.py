@@ -22,8 +22,9 @@ Conventions used throughout the package:
     lists: each call of a function marked :func:`record_memo` is computed
     once per argument tuple and dropped with the record.  An object keeps
     what is derived from it alone (:func:`kept`): a space its lattices, its
-    frame rows and its document, a lattice its analysis, its point masks
-    and its homs to live lattices.
+    frame rows, its point classes, its irreducible closed sets and its
+    document, a lattice its analysis, its point masks and its homs to live
+    lattices.
 """
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .bits import (
@@ -182,9 +184,16 @@ def columns(rows: Sequence[int], width: int) -> tuple[int, ...]:
 
 def int_pairs(pairs: Iterable, what: str) -> list[tuple[int, int]]:
     """The index pairs of a JSON relation: a list of lists of exactly two
-    integers.  Floats and booleans are rejected rather than truncated."""
+    integers.  Floats and booleans are rejected rather than truncated.
+
+    Whole-list passes over the pair types, lengths and entry types accept a
+    well-formed relation; only when one fails does the loop below run, to
+    name the first bad pair."""
     if not isinstance(pairs, (list, tuple)):
         raise ValueError(f"{what} pairs must be a list, not {pairs!r}")
+    if (set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) <= {2}
+            and set(map(type, chain.from_iterable(pairs))) <= {int}):
+        return list(map(tuple, pairs))
     out = []
     for pair in pairs:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2
@@ -485,13 +494,9 @@ def lattice_from_leq(
 ) -> FinLattice:
     """Lattice from an explicit square order matrix (nested sequences or an
     array); validates the order and that every pair has a least upper and
-    greatest lower bound.
-
-    The matrix is read once into up-masks.  With the order a partial order,
-    ``up[i] & up[j]`` is the set of upper bounds of i and j, and i, j have a
-    least upper bound exactly when that set is the up-mask of some element;
-    meets are found the same way with down-masks.
-    """
+    greatest lower bound.  The matrix is read once into up-masks, which
+    :func:`_lattice_from_masks` checks; :func:`lattice_from_json` starts
+    from its pairs instead."""
     rows = list(leq)
     m = len(rows)
     if m == 0:
@@ -504,35 +509,51 @@ def lattice_from_leq(
         raise NotALattice("order matrix must be square")
     if m > DEFAULT_LATTICE_CAP:
         raise TooLarge(f"lattice has {m} elements, cap is {DEFAULT_LATTICE_CAP}")
-    up = tuple(sum(1 << j for j, v in enumerate(row) if v) for row in rows)
+    up = [sum(1 << j for j, v in enumerate(row) if v) for row in rows]
+    return _lattice_from_masks(up, columns(up, m), labels)
+
+
+def _bound_table(masks: Sequence[int], index: Mapping[int, int]) -> tuple[tuple, ...]:
+    """Rows of ``index.get(masks[i] & masks[j])``, None where the
+    intersection is no mask of ``index``.  The intersection commutes, so
+    each unordered pair is looked up once: row i copies its first i
+    entries from the column i of the rows above it."""
+    get = index.get
+    rows: list[tuple] = []
+    for i, mask in enumerate(masks):
+        rows.append(tuple([row[i] for row in rows]
+                          + [get(mask & other) for other in masks[i:]]))
+    return tuple(rows)
+
+
+def _lattice_from_masks(up: Sequence[int], down: Sequence[int],
+                        labels: Optional[Sequence[int]]) -> FinLattice:
+    """The lattice whose order has these up-masks and down-masks (bit j of
+    ``up[i]`` and bit i of ``down[j]`` set iff i <= j).
+
+    With the order a partial order, ``up[i] & up[j]`` is the set of upper
+    bounds of i and j, and i, j have a least upper bound exactly when that
+    set is the up-mask of some element; meets are found the same way with
+    down-masks.  Transitivity needs no pass of its own when every pair has
+    a join: for a reflexive, antisymmetric order and k in ``up[i]``, the
+    mask ``up[i] & up[k]`` holds k and is ``up[x]`` for some x, which it
+    holds too; so k is in ``up[x]`` and x in ``up[k]``, x = k, and
+    ``up[k]`` lies inside ``up[i]``.
+    Only when a bound is missing is transitivity checked, and then the
+    pairs are scanned in row order, join before meet, to name the first
+    pair without one.
+    """
+    m = len(up)
     if any(not up[i] >> i & 1 for i in range(m)):
         raise NotALattice("order not reflexive")
-    down = columns(up, m)
     if any(up[i] & down[i] != 1 << i for i in range(m)):
         raise NotALattice("order not antisymmetric")
-    for i in range(m):
-        reach = 0
-        for k in iter_bits(up[i]):
-            reach |= up[k]
-        if reach != up[i]:
-            raise NotALattice("order not transitive")
-
     up_index = {mask: i for i, mask in enumerate(up)}
     down_index = {mask: i for i, mask in enumerate(down)}
-    join_t, meet_t = [], []
-    for i in range(m):
-        join_row, meet_row = [], []
-        for j in range(m):
-            k = up_index.get(up[i] & up[j])
-            if k is None:
-                raise NotALattice(f"elements {i}, {j} have no least upper bound")
-            join_row.append(k)
-            k = down_index.get(down[i] & down[j])
-            if k is None:
-                raise NotALattice(f"elements {i}, {j} have no greatest lower bound")
-            meet_row.append(k)
-        join_t.append(tuple(join_row))
-        meet_t.append(tuple(meet_row))
+    join_t = _bound_table(up, up_index)
+    meet_t = _bound_table(down, down_index)
+    if any(None in row for row in join_t + meet_t):
+        _raise_missing_bound(up, down, up_index, down_index)
 
     fam: Optional[tuple[int, ...]] = None
     if labels is not None:
@@ -548,8 +569,26 @@ def lattice_from_leq(
                 if fam[meet_t[i][j]] != fam[i] & fam[j]:
                     raise NotALattice(f"meet disagrees with label intersection at ({i}, {j})")
     full = full_mask(m)
-    return FinLattice(m, fam, tuple(join_t), tuple(meet_t),
-                      up_index[full], down_index[full], up, down)
+    return FinLattice(m, fam, join_t, meet_t, up_index[full], down_index[full],
+                      tuple(up), tuple(down))
+
+
+def _raise_missing_bound(up, down, up_index, down_index) -> None:
+    """Raise NotALattice for an order in which some pair lacks a bound: the
+    order is not transitive, or else the first pair in row order without a
+    join or a meet, the join tested first."""
+    for mask in up:
+        reach = 0
+        for k in iter_bits(mask):
+            reach |= up[k]
+        if reach != mask:
+            raise NotALattice("order not transitive")
+    for i in range(len(up)):
+        for j in range(len(up)):
+            if up[i] & up[j] not in up_index:
+                raise NotALattice(f"elements {i}, {j} have no least upper bound")
+            if down[i] & down[j] not in down_index:
+                raise NotALattice(f"elements {i}, {j} have no greatest lower bound")
 
 
 def upset_family(space: FinPreTopSpace) -> tuple[int, ...]:
@@ -591,7 +630,6 @@ def subset_lattice(space: FinPreTopSpace, kind: str) -> FinLattice:
 @dataclass(frozen=True)
 class LatticeAnalysis:
     distributive: bool
-    distributivity_witness: Optional[tuple[int, int, int]]
     primes: tuple[int, ...]
     coprimes: tuple[int, ...]
     pitchfork: tuple[tuple[int, int], ...]
@@ -603,8 +641,8 @@ def lattice_analyze(lat: FinLattice) -> LatticeAnalysis:
 
 
 def _analyze(lat: FinLattice) -> LatticeAnalysis:
-    r"""Distributivity (with witness triple on failure), prime and coprime
-    elements, and the pitchfork pairs (q, b) with b <= a iff a is not <= q.
+    r"""Distributivity, prime and coprime elements, and the pitchfork pairs
+    (q, b) with b <= a iff a is not <= q.
 
     The pitchfork pairs are found by looking up the complement of each
     ``down_masks[q]`` among the up-masks.  They also give the primes and the
@@ -618,9 +656,8 @@ def _analyze(lat: FinLattice) -> LatticeAnalysis:
     intersection distributes over union.  For an abstract lattice,
     distributivity uses the join-prime criterion: a finite lattice is
     distributive iff every join-irreducible element is coprime (Davey and
-    Priestley, *Introduction to Lattices and Order*, ch. 10).  Only when it
-    fails are the triples (a, b, c) scanned in lexicographic order for the
-    first one with a /\ (b \/ c) != (a /\ b) \/ (a /\ c).
+    Priestley, *Introduction to Lattices and Order*, ch. 10).  The failing
+    triple is :func:`distributivity_witness`, asked for only when needed.
     """
     m = lat.m
     full = full_mask(m)
@@ -639,19 +676,23 @@ def _analyze(lat: FinLattice) -> LatticeAnalysis:
         for b in range(m)
         if lat.join_all(iter_bits(lat.down_masks[b] & ~(1 << b))) != b
     )
-    witness = None
-    if not distributive:
-        jt, mt = lat.join_table, lat.meet_table
-        witness = next((a, b, c) for a in range(m) for b in range(m) for c in range(m)
-                       if mt[a][jt[b][c]] != jt[mt[a][b]][mt[a][c]])
-
     return LatticeAnalysis(
         distributive=distributive,
-        distributivity_witness=witness,
         primes=tuple(q for q, _ in pitchfork),
         coprimes=tuple(coprimes),
         pitchfork=tuple(pitchfork),
     )
+
+
+def distributivity_witness(lat: FinLattice) -> Optional[tuple[int, int, int]]:
+    r"""The first triple (a, b, c) in lexicographic order with
+    a /\ (b \/ c) != (a /\ b) \/ (a /\ c), or None when the lattice is
+    distributive.  The scan is cubic in the size of the lattice."""
+    if lattice_analyze(lat).distributive:
+        return None
+    jt, mt, m = lat.join_table, lat.meet_table, lat.m
+    return next((a, b, c) for a in range(m) for b in range(m) for c in range(m)
+                if mt[a][jt[b][c]] != jt[mt[a][b]][mt[a][c]])
 
 
 def lattice_to_json(lat: FinLattice) -> dict:
@@ -664,25 +705,30 @@ def lattice_to_json(lat: FinLattice) -> dict:
 
 
 def lattice_from_json(doc: Mapping) -> FinLattice:
+    """The lattice of a JSON document: ``leq`` lists the order pairs, the
+    reflexive ones included, and ``labels`` (optional) the subset of each
+    element.  One pass over the pairs sets the up-masks and down-masks."""
     check_fields(doc, "lattice", ("leq",), ("labels",))
     pairs = int_pairs(doc["leq"], "order")
     if not pairs:
         raise NotALattice("order pair list is empty; reflexive pairs are required")
-    for i, j in pairs:
-        if i < 0 or j < 0:
-            raise ValueError(f"order pair ({i}, {j}) has a negative index")
-    m = max(max(i, j) for i, j in pairs) + 1
+    indices = list(chain.from_iterable(pairs))
+    if min(indices) < 0:
+        i, j = next(pair for pair in pairs if min(pair) < 0)
+        raise ValueError(f"order pair ({i}, {j}) has a negative index")
+    m = max(indices) + 1
     if m > DEFAULT_LATTICE_CAP:
         raise TooLarge(f"lattice has {m} elements, cap is {DEFAULT_LATTICE_CAP}")
-    leq = [bytearray(m) for _ in range(m)]
-    for i, j in pairs:
-        leq[i][j] = 1
     labels = None
     if "labels" in doc and doc["labels"] is not None:
         if not isinstance(doc["labels"], (list, tuple)):
             raise ValueError(f"labels must be a list, not {doc['labels']!r}")
         labels = [_parse_subset(lab, CARRIER_CAP) for lab in doc["labels"]]
-    return lattice_from_leq(leq, labels=labels)
+    up, down = [0] * m, [0] * m
+    for i, j in pairs:
+        up[i] |= 1 << j
+        down[j] |= 1 << i
+    return _lattice_from_masks(up, down, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -697,9 +743,16 @@ def irreducible_closed_sets(space) -> tuple[int, ...]:
     *Stone Spaces*, ch. II): a closure cl(x) lies in C1 u C2 only if x lies
     in one part, and then cl(x) does; conversely C is the finite union of
     the cl(x) for x in C, so irreducibility puts C inside one cl(x), which
-    lies in C.
+    lies in C.  The space keeps them (:func:`kept`).
     """
-    return canonical_subsets(closure(space, 1 << x) for x in range(space.n))
+    return kept(space, "_irreducible_closed_sets", lambda: canonical_subsets(
+        closure(space, 1 << x) for x in range(space.n)))
+
+
+def point_classes(space: FinPreTopSpace) -> tuple[int, ...]:
+    """The :func:`equivalence_classes` of the space's preorder, which the
+    space keeps (:func:`kept`)."""
+    return kept(space, "_point_classes", lambda: equivalence_classes(space.leq))
 
 
 def equivalence_classes(leq: Sequence[int]) -> tuple[int, ...]:

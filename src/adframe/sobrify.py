@@ -20,8 +20,8 @@ from .finord import (
     class_of,
     closure,
     downclose,
-    equivalence_classes,
     irreducible_closed_sets,
+    point_classes,
     record_memo,
     subset_lattice,
 )
@@ -44,7 +44,7 @@ class IrreduciblePair:
 
 def canonical_pairs(space: FinPreTopSpace) -> tuple[IrreduciblePair, ...]:
     """The canonical pair (cl x, [x]) of each point x, in point order."""
-    classes = equivalence_classes(space.leq)
+    classes = point_classes(space)
     return tuple(IrreduciblePair(closure(space, 1 << x), class_of(classes, x))
                  for x in range(space.n))
 
@@ -58,7 +58,7 @@ def irreducible_pairs(space: FinPreTopSpace, variant=Variant.BOTH) -> tuple[Irre
     suite checks that every other member gives the same answer."""
     variant = Variant.parse(variant)
     tests = []
-    for cls in equivalence_classes(space.leq):
+    for cls in point_classes(space):
         x = low_bit(cls)
         up, down = space.leq[x], downclose(space, 1 << x)
         cones = []
@@ -175,7 +175,7 @@ def ads_hom(mapping: Sequence[int], src: FinPreTopSpace, dst: FinPreTopSpace,
         raise NotMonotone("map does not respect the preorders")
     ads_src = ads_space(src, variant)
     ads_dst = ads_space(dst, variant)
-    classes_dst = equivalence_classes(dst.leq)
+    classes_dst = point_classes(dst)
     index = {pr: i for i, pr in enumerate(ads_dst.pairs)}
     out = []
     for pr in ads_src.pairs:

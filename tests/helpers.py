@@ -300,6 +300,50 @@ def scott_oracle(name, frame: AdFrame, R, logic_second: bool) -> AxiomCheck:
     return AxiomCheck(name, True)
 
 
+# ---------------------------------------------------------------------------
+# reference scans of the closure laws of a frame relation (row masks R)
+
+
+def reference_reach_check(name, R, o_to, l_to) -> AxiomCheck:
+    """Closure of R under moving a member (u, a) to any (v, b) with v in
+    ``o_to[u]`` and b in ``l_to[a]``, by collecting every reachable pair.
+    On failure the witness is the first missing (v, b) in row order and the
+    first member reaching it."""
+    reach = [0] * len(R)
+    for u, row in enumerate(R):
+        if row:
+            targets = 0
+            for a in iter_bits(row):
+                targets |= l_to[a]
+            for v in iter_bits(o_to[u]):
+                reach[v] |= targets
+    for v, row in enumerate(R):
+        missing = reach[v] & ~row
+        if missing:
+            b = low_bit(missing)
+            member = next((u, a) for u, row_u in enumerate(R) if o_to[u] >> v & 1
+                          for a in iter_bits(row_u) if l_to[a] >> b & 1)
+            return AxiomCheck(name, False, (member, (v, b)))
+    return AxiomCheck(name, True)
+
+
+def reference_binary_check(name, R, tab_o, tab_l) -> AxiomCheck:
+    """R is closed under (u, a), (v, b) -> (tab_o[u][v], tab_l[a][b]), by
+    trying every ordered pair of members; the witness is the first failing
+    pair in pair order."""
+    rows = [(u, bits_of(row)) for u, row in enumerate(R) if row]
+    for u, row_u in rows:
+        for a in row_u:
+            lrow = tab_l[a]
+            for v, row_v in rows:
+                target = R[tab_o[u][v]]
+                for b in row_v:
+                    if not target >> lrow[b] & 1:
+                        return AxiomCheck(name, False,
+                                          ((u, a), (v, b), (tab_o[u][v], lrow[b])))
+    return AxiomCheck(name, True)
+
+
 # canonical small spaces used by several files
 SIERPINSKI = FinPreTopSpace(2, (0, 2, 3), (1, 3))      # open {1}; order 1 <= 0
 DISCRETE2 = FinPreTopSpace(2, (0, 1, 2, 3), (1, 2))
@@ -312,3 +356,57 @@ def idempotence_frames():
     return [generate_random("adframe", {"family": ("ado", "ind")[seed % 2]},
                             seed=seed).payload
             for seed in range(500)]
+
+
+# ---------------------------------------------------------------------------
+# large JSON payloads, built from their shape alone
+
+
+def _relabelled(pairs, m):
+    """Order pairs under the relabelling i -> (k i + 3) mod m, sorted, as a
+    JSON order document; k is 7, or 5 when 7 divides m, so the relabelling
+    is a bijection for every m below 35."""
+    k = 7 if m % 7 else 5
+    return sorted([(k * i + 3) % m, (k * j + 3) % m] for i, j in pairs)
+
+
+def chain_doc(m):
+    """The lattice document of an m-element chain, relabelled."""
+    return {"leq": _relabelled([(i, j) for i in range(m) for j in range(i, m)], m)}
+
+
+def grid_doc(a, b):
+    """The lattice document of the a x b grid (product of two chains),
+    relabelled."""
+    m = a * b
+    pairs = [(i * b + j, k * b + l) for i in range(a) for j in range(b)
+             for k in range(i, a) for l in range(j, b)]
+    return {"leq": _relabelled(pairs, m)}
+
+
+def lift_doc(lattice_doc):
+    """The two-sided lift of a lattice document: the lattice on the opens
+    side, the chain 0 < 1 on the other, as an ad-frame document."""
+    leq = lattice_doc["leq"]
+    m = max(max(p) for p in leq) + 1
+    up_sizes = [sum(1 for i, _ in leq if i == k) for k in range(m)]
+    bot, top = up_sizes.index(m), up_sizes.index(1)
+    elems = range(m)
+    return {
+        "omega": {"leq": leq},
+        "ell": {"leq": [[0, 0], [0, 1], [1, 1]]},
+        "tot": [[u, 1] for u in elems] + [[top, 0]],
+        "con": [[u, 0] for u in elems] + [[bot, 1]],
+        "fof": [[u, 0] for u in elems] + [[top, 1]],
+        "cou": [[u, 1] for u in elems] + [[bot, 0]],
+        "variant": "both",
+    }
+
+
+def flip_pair(doc, name, pair):
+    """A copy of a frame document with ``pair`` added to or removed from
+    relation ``name``."""
+    pairs = [list(p) for p in doc[name]]
+    pairs = ([p for p in pairs if p != list(pair)] if list(pair) in pairs
+             else sorted(pairs + [list(pair)]))
+    return dict(doc, **{name: pairs})

@@ -7,8 +7,8 @@ import pytest
 
 from adframe import (FinPreTopSpace, NotALattice, NotAPreorder,
                      NotATopology, TooLarge, bounded_lattice_homs, build_ado,
-                     class_of, closure, eta_map, finord,
-                     equivalence_classes, interior, irreducible_closed_sets,
+                     class_of, closure, distributivity_witness, eta_map,
+                     finord, equivalence_classes, interior, irreducible_closed_sets,
                      lattice_analyze, lattice_from_json, lattice_from_labels,
                      lattice_from_leq, lattice_to_json, make_space,
                      make_topology, space_from_json, space_to_json,
@@ -200,7 +200,7 @@ def test_m3_and_n5_not_distributive():
     for lat in (diamond_m3(), pentagon_n5()):
         analysis = lattice_analyze(lat)
         assert not analysis.distributive
-        a, b, c = analysis.distributivity_witness
+        a, b, c = distributivity_witness(lat)
         lhs = lat.meet(a, lat.join(b, c))
         rhs = lat.join(lat.meet(a, b), lat.meet(a, c))
         assert lhs != rhs
@@ -210,7 +210,7 @@ def test_subset_lattices_distributive():
     for sp in enumerate_spaces(2):
         analysis = lattice_analyze(subset_lattice(sp, "opens"))
         assert analysis.distributive
-        assert analysis.distributivity_witness is None
+        assert distributivity_witness(subset_lattice(sp, "opens")) is None
 
 
 @pytest.mark.parametrize("m", [64, 65])
@@ -232,7 +232,7 @@ def assert_matches_oracles(lat, leq):
     analysis = lattice_analyze(lat)
     witness = naive_distributivity_witness(leq)
     assert analysis.distributive == (witness is None)
-    assert analysis.distributivity_witness == witness
+    assert distributivity_witness(lat) == witness
     assert analysis.primes == naive_primes(leq)
     assert analysis.coprimes == naive_coprimes(leq)
     assert analysis.pitchfork == naive_pitchfork(leq)

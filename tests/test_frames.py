@@ -11,10 +11,13 @@ from adframe import (AdFrame, FinPreTopSpace, TrivialFrame, Variant,
                      validate_hom)
 from adframe.frames import _reach_check, preserves_relations, rel_pairs
 from adframe.finord import _MEMO, lattice_from_labels
-from adframe.frames import AdFrameHom, TWO_CHAIN
+from adframe import frames as frames_module
+from adframe.frames import REL_NAMES, AdFrameHom, TWO_CHAIN
 from adframe.theorems import enumerate_spaces, pretop_maps, upper_semi_closed, lower_semi_closed
 
-from helpers import CHAIN3, SCOTT_GATE, SIERPINSKI, pts, scott_oracle
+from helpers import (CHAIN3, SCOTT_GATE, SIERPINSKI, chain_doc, grid_doc, lift_doc,
+                     pts, reference_binary_check, reference_reach_check,
+                     scott_oracle)
 
 VARIANTS = (Variant.UP, Variant.DOWN, Variant.BOTH)
 
@@ -139,6 +142,50 @@ def test_validation_report_lists_every_law_once():
             assert report.ok
         cells.append(frame.omega.m * frame.ell.m)
     assert cells[0] <= SCOTT_GATE < cells[1]
+
+
+def single_flips(frame):
+    """The frame with one bit of one relation flipped, for every bit."""
+    for name in REL_NAMES:
+        for u in range(frame.omega.m):
+            for a in range(frame.ell.m):
+                yield AdFrame(frame.omega, frame.ell,
+                              *(flip(frame.rel(r), (u, a)) if r == name
+                                else frame.rel(r) for r in REL_NAMES),
+                              frame.variant)
+
+
+def assert_reports_match_reference(frames):
+    """``validate_adframe`` gives the report, verdicts and witnesses of the
+    reference scans in ``helpers`` on every frame; returns the number of
+    frames that fail some law."""
+    frames = list(frames)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(frames_module, "_reach_check", reference_reach_check)
+        mp.setattr(frames_module, "_binary_check", reference_binary_check)
+        expected = [validate_adframe(frame) for frame in frames]
+    failed = 0
+    for frame, want in zip(frames, expected):
+        assert validate_adframe(frame) == want, frame
+        failed += not want.ok
+    return failed
+
+
+def test_laws_match_reference_scans_on_n2_frames():
+    frames = [build_ado(sp, variant) for sp in enumerate_spaces(2)
+              for variant in VARIANTS]
+    flipped = [f for frame in frames for f in single_flips(frame)]
+    assert assert_reports_match_reference(frames) == 0
+    assert assert_reports_match_reference(flipped) > len(flipped) // 2
+
+
+def test_laws_match_reference_scans_on_lifts():
+    docs = [chain_doc(m) for m in range(2, 17)]
+    docs += [grid_doc(a, b) for a in range(2, 5) for b in range(a, 9) if a * b <= 16]
+    frames = [adframe_from_json(lift_doc(doc)) for doc in docs]
+    flipped = [f for frame in frames for f in single_flips(frame)]
+    assert assert_reports_match_reference(frames) == 0
+    assert assert_reports_match_reference(flipped) == len(flipped)
 
 
 def test_scott_closure_is_down_closure_on_finite_lattices():

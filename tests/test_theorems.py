@@ -9,8 +9,9 @@ from adframe import (BudgetExceeded, FinLattice, FinPreTopSpace, FinTopSpace,
                      NotContinuous, UnknownTheorem, Variant, adpt_space,
                      ads_space, bounded_lattice_homs, build_ado, finord,
                      generate_random, ind_functor, instances_for_payload,
-                     iso_check, lattice_analyze, registry_doc, registry_ids,
-                     run_check, subset_lattice, validate_adframe)
+                     irreducible_closed_sets, iso_check, lattice_analyze,
+                     point_classes, registry_doc, registry_ids, run_check,
+                     subset_lattice, validate_adframe)
 from adframe.duality import _point_masks
 from adframe.frames import REL_NAMES
 from adframe.theorems import (SweepSpec, _lookup, _moves_opens_onto,
@@ -524,6 +525,8 @@ _REMAKE = {
     "_upsets_lattice": lambda obj, copy: subset_lattice(copy, "upsets"),
     "_relation_rows": lambda obj, copy: build_ado(copy),
     "_doc": lambda obj, copy: describe(copy),
+    "_point_classes": lambda obj, copy: point_classes(copy),
+    "_irreducible_closed_sets": lambda obj, copy: irreducible_closed_sets(copy),
     "_analysis": lambda obj, copy: lattice_analyze(copy),
     "_point_masks": lambda obj, copy: _point_masks(copy),
     "_homs": lambda obj, copy: [bounded_lattice_homs(copy, dst)
