@@ -26,8 +26,9 @@ spectrum = adpt_space(frame)
 print("spectrum opens:", spectrum.space.opens, " order:", spectrum.space.leq)
 
 # eta sends a base point to (its open neighborhoods, its order class seen
-# through up-sets); on this space that is a bijection
-eta = eta_map(term, Variant.BOTH)
+# through up-sets), a point of the spectrum of the space's frame; on this
+# space that is a bijection
+eta = eta_map(spectrum)
 print("eta:", eta.mapping)
 print("ad-T0:", is_ad_t0(term), " ad-sober:", is_ad_sober(term).ad_sober)
 
@@ -50,5 +51,5 @@ print("triangle adpt(hom) . eta == f:", closes)
 
 # a space that fails to be ad-sober: indiscrete topology, indiscrete order
 blob = make_space(2, [[], [0, 1]], pairs=[[0, 1], [1, 0]])
-print("blob eta:", eta_map(blob, Variant.BOTH).mapping,
+print("blob eta:", eta_map(adpt_space(build_ado(blob, Variant.BOTH))).mapping,
       "-> ad-sober:", is_ad_sober(blob).ad_sober)

@@ -25,9 +25,8 @@ from .errors import (
 )
 from . import finord
 from .finord import (FinLattice, FinPreTopSpace, columns, kept, lattice_analyze,
-                     preimage, record_memo)
-from .frames import (AdFrame, AdFrameHom, Variant, build_ado, preimage_hom,
-                     rel_pairs)
+                     preimage)
+from .frames import AdFrame, AdFrameHom, Variant, preimage_hom, rel_pairs
 
 _BRUTE_GATE = 20
 
@@ -183,7 +182,6 @@ class Spectrum:
             return None
 
 
-@record_memo
 def adpt_space(frame: AdFrame) -> Spectrum:
     """The spectrum of a frame: its points, with the opens and up-closed
     sets that the elements of the two sides induce on them.  The test suite
@@ -241,7 +239,6 @@ class Eta:
     """Unit of the adjunction at one space: x goes to (opens around x,
     up-closed sets around x) inside the spectrum of the space's ad-frame."""
 
-    frame: AdFrame
     spectrum: Spectrum
     mapping: tuple[int, ...]
 
@@ -254,12 +251,13 @@ def _point_masks(lat: FinLattice) -> tuple[int, ...]:
                 lambda: columns(lat.labels, lat.labels[lat.top].bit_length()))
 
 
-def eta_map(space: FinPreTopSpace, variant=Variant.BOTH) -> Eta:
-    """The unit at ``space``.  ADSOBER-EQ checks that it pulls spectrum
-    opens back to opens and is monotone."""
-    variant = Variant.parse(variant)
-    frame = build_ado(space, variant)
-    spectrum = adpt_space(frame)
+def eta_map(spectrum: Spectrum) -> Eta:
+    """The unit at a space, given the spectrum of the space's ad-frame
+    (``adpt_space(build_ado(space, variant))``): each point goes to the
+    spectrum point of the opens and the up-closed sets around it.
+    ADSOBER-EQ checks that it pulls spectrum opens back to opens and is
+    monotone."""
+    frame = spectrum.frame
     mapping = []
     around = zip(_point_masks(frame.omega), _point_masks(frame.ell))
     for x, (nx, ux) in enumerate(around):
@@ -267,7 +265,7 @@ def eta_map(space: FinPreTopSpace, variant=Variant.BOTH) -> Eta:
         if idx is None:
             raise InternalCheckError(f"unit image of point {x} is not a point")
         mapping.append(idx)
-    return Eta(frame, spectrum, tuple(mapping))
+    return Eta(spectrum, tuple(mapping))
 
 
 # ---------------------------------------------------------------------------

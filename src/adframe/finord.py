@@ -17,24 +17,19 @@ Conventions used throughout the package:
     tuples of rows of element indices.  When a lattice is a lattice of
     subsets, ``labels`` holds the subsets in element order, its order is
     inclusion, and join/meet are union/intersection.
-  - What is derived lives as long as what it is derived from, in one of two
-    homes.  A record (:func:`record_scope`) keeps frames, spectra and pair
-    lists: each call of a function marked :func:`record_memo` is computed
-    once per argument tuple and dropped with the record.  An object keeps
-    what is derived from it alone (:func:`kept`): a space its lattices, its
-    frame rows, its point classes, its irreducible closed sets and its
-    document, a lattice its analysis, its point masks and its homs to live
-    lattices.
+  - What is derived lives as long as what it is derived from, in one
+    home: the object it is derived from alone keeps it (:func:`kept`).  A
+    space keeps its lattices, its frame rows, its point classes, its
+    irreducible closed sets and its document, a lattice its analysis, its
+    point masks and its homs to live lattices.  Frames, spectra and pair
+    lists are plain values: a caller that needs one twice passes it on.
 """
 from __future__ import annotations
 
-import functools
 import weakref
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .bits import (
     bits_of,
@@ -55,39 +50,7 @@ CARRIER_CAP = 64
 
 
 # ---------------------------------------------------------------------------
-# the record-scoped memo
-
-_MEMO: ContextVar[Optional[dict]] = ContextVar("adframe_record_memo", default=None)
-
-
-@contextmanager
-def record_scope() -> Iterator[dict]:
-    """A fresh memo for one check record, dropped when the record ends."""
-    token = _MEMO.set({})
-    try:
-        yield _MEMO.get()
-    finally:
-        _MEMO.reset(token)
-
-
-def record_memo(fn: Callable) -> Callable:
-    """Decorator: inside a record, a call with arguments seen before returns
-    the earlier result (never None); outside a record the memo is None and
-    every call computes.  The key is ``(fn, *args)``: spaces and variants
-    hash by value, frames by identity, and as a dict key an argument stays
-    alive, so its id cannot be reused for another object within the record.
-    A call with keyword arguments computes."""
-    @functools.wraps(fn)
-    def memo_fn(*args, **kwargs):
-        memo = _MEMO.get()
-        if memo is None or kwargs:
-            return fn(*args, **kwargs)
-        key = (fn, *args)
-        result = memo.get(key)
-        if result is None:
-            result = memo[key] = fn(*args)
-        return result
-    return memo_fn
+# what an object keeps
 
 
 def kept(obj, name: str, make: Callable):

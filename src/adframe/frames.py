@@ -51,7 +51,6 @@ from .finord import (
     lattice_from_json,
     lattice_from_leq,
     lattice_to_json,
-    record_memo,
     subset_lattice,
 )
 
@@ -112,7 +111,6 @@ class AdFrame:
                 f"variant={self.variant.value})")
 
 
-@record_memo
 def build_ado(space: FinPreTopSpace, variant=Variant.BOTH) -> AdFrame:
     """The ad-frame of a space: opens vs. up-closed sets, with
     tot = covering pairs, con = disjoint pairs, fof = containments U >= A,

@@ -22,7 +22,6 @@ from .finord import (
     downclose,
     irreducible_closed_sets,
     point_classes,
-    record_memo,
     subset_lattice,
 )
 from .frames import Variant, build_ado
@@ -49,7 +48,6 @@ def canonical_pairs(space: FinPreTopSpace) -> tuple[IrreduciblePair, ...]:
                  for x in range(space.n))
 
 
-@record_memo
 def irreducible_pairs(space: FinPreTopSpace, variant=Variant.BOTH) -> tuple[IrreduciblePair, ...]:
     """The pairs (C, [x]) such that C meets the down-cone of x and lies
     inside the closure of its up-cone (for the Up side), and meets the

@@ -24,7 +24,7 @@ from . import finord
 from .finord import (FinLattice, FinPreTopSpace, FinTopSpace, closure,
                      columns, continuity_failure, irreducible_closed_sets,
                      is_reflexive_transitive, lattice_analyze,
-                     lattice_from_labels, monotonicity_failure, record_scope,
+                     lattice_from_labels, monotonicity_failure,
                      reflexive_transitive_closure, subset_lattice, upset_family)
 from .frames import (TWO_CHAIN, AdFrame, AdFrameHom, REL_NAMES, Variant,
                      bounded_lattice_homs, build_ado, build_ado_hom,
@@ -244,9 +244,9 @@ def _flip(frame: AdFrame, name: str, pair: tuple[int, int]) -> AdFrame:
     return replace(frame, **{name: tuple(rows)})
 
 
-def _mutations(frame: AdFrame) -> list[tuple[str, Callable[[], AdFrame]]]:
-    """Single-bit corruptions, each tagged with the law it should break: a
-    table of (law, relation, pair, condition under which it is offered)."""
+def _mutation_table(frame: AdFrame) -> tuple[tuple[str, str, tuple[int, int], bool], ...]:
+    """Single-bit corruptions of ``frame``, each tagged with the law it
+    should break: rows of (law, relation, pair, whether it is offered)."""
     om, el = frame.omega, frame.ell
     tt = (om.top, el.bot)
     ff = (om.bot, el.top)
@@ -272,8 +272,13 @@ def _mutations(frame: AdFrame) -> list[tuple[str, Callable[[], AdFrame]]]:
         ("tot-cou-ell-top", "cou", tt,
          frame.variant is Variant.BOTH and el.m > 1 and not has("cou", tt)),
     )
+    return table
+
+
+def _mutations(frame: AdFrame) -> list[tuple[str, Callable[[], AdFrame]]]:
+    """The offered corruptions of ``frame``, as (law, edit) pairs."""
     return [(law, functools.partial(_flip, frame, name, pair))
-            for law, name, pair, offered in table if offered]
+            for law, name, pair, offered in _mutation_table(frame) if offered]
 
 
 # the params keys each generator reads
@@ -290,7 +295,8 @@ def generate_random(kind: str, params=None, seed: int = 0) -> Generated:
     kind "adframe" (params: family, and what the family reads): family
     "ado" (frame of a random space of n points), "ind" (two-sided lift of
     the up-set lattice of a random poset), or "mutated" (a valid "ado" or
-    "ind" frame with one edit aimed at the named ``target`` law, or at any).
+    "ind" frame with one edit aimed at the named ``target`` law, or at any;
+    a target that no edit of the mutation table breaks is a ValueError).
     A key that the chosen kind or family does not read is a ValueError, and
     so is an ``n`` that is not an int (a bool included) in 0..CARRIER_CAP.
     """
@@ -332,9 +338,11 @@ def generate_random(kind: str, params=None, seed: int = 0) -> Generated:
         base_family = rng.choice(("ado", "ind"))
         base = generate_random("adframe", {"family": base_family}, seed * 131 + attempt)
         frame = base.payload
-        options = _mutations(frame)
-        if target is not None:
-            options = [m for m in options if m[0] == target]
+        laws = [law for law, *_ in _mutation_table(frame)]
+        if target is not None and target not in laws:
+            raise ValueError(f"mutation target {target!r} is not a law that one "
+                             f"edit breaks; the edits break {', '.join(laws)}")
+        options = [m for m in _mutations(frame) if target in (None, m[0])]
         if not options:
             continue
         law, edit = rng.choice(options)
@@ -577,8 +585,7 @@ def _shrink(entry: _Entry, inst: Instance):
             keep = ((1 << cur.n) - 1) & ~(1 << x)
             sub = restrict_space(cur, keep)
             try:
-                with record_scope():
-                    ok, w = entry.run(space_instance(sub, variant))
+                ok, w = entry.run(space_instance(sub, variant))
             except Exception:
                 continue
             if ok is False:
@@ -614,6 +621,13 @@ def _coerce_sweep(sweep) -> SweepSpec:
     return spec
 
 
+def _check_budget(budget_ms) -> None:
+    number = isinstance(budget_ms, (int, float)) and not isinstance(budget_ms, bool)
+    if budget_ms is not None and not (number and budget_ms >= 0):  # NaN fails >=
+        raise ValueError(f"budget_ms={budget_ms!r} must be a number of "
+                         f"milliseconds, at least 0")
+
+
 def run_check(theorem_id: str, instance: Optional[Instance] = None, *,
               instances: Optional[Iterable[Instance]] = None,
               sweep=None, fail_fast: bool = False,
@@ -623,12 +637,13 @@ def run_check(theorem_id: str, instance: Optional[Instance] = None, *,
     ``n``, ``count``, ``seed`` and ``variant`` (one; default all) and no
     other; an ``n``, ``seed`` or ``count`` that is not an int (a bool
     included), an ``n`` outside 0..``ENUM_POINT_CAP`` or a ``count`` below
-    1 is a ValueError.  Each record, and each attempt to shrink its witness,
-    runs in its own record scope (``finord.record_scope``), so the frames,
-    spectra and pair lists it derives are built once and dropped when it
-    ends; a space or a lattice keeps what is derived from it alone
-    (``finord.kept``)."""
+    1 is a ValueError, and so is a ``budget_ms`` that is not a number of
+    milliseconds at least 0 (NaN and bools included; ``inf`` means no
+    budget).  Each record builds the frames, spectra and pair lists it
+    needs and passes them on, so they are dropped when it ends; a space or
+    a lattice keeps what is derived from it alone (``finord.kept``)."""
     entry = _lookup(theorem_id)
+    _check_budget(budget_ms)
     if instance is not None:
         stream: Iterable[Instance] = [instance]
     elif instances is not None:
@@ -647,8 +662,7 @@ def run_check(theorem_id: str, instance: Optional[Instance] = None, *,
             exc.reports = reports
             raise exc
         t0 = time.perf_counter()
-        with record_scope():
-            ok, witness = entry.run(inst)
+        ok, witness = entry.run(inst)
         ms = round((time.perf_counter() - t0) * 1000, 3)
         if ok is None:
             verdict = "skip"
@@ -917,13 +931,14 @@ def _run_triangle(inst: Instance):
     if inst.kind == "triangle":
         x_space, spectrum, mapping, v = inst.payload
         hom = transpose(x_space, spectrum, mapping)
-        err = _transpose_failure(spectrum, mapping, hom, eta_map(x_space, v))
+        eta_x = eta_map(adpt_space(build_ado(x_space, v)))
+        err = _transpose_failure(spectrum, mapping, hom, eta_x)
         return err is None, err
 
     x_space, y_space, h, v = inst.payload
     g = build_ado_hom(h, x_space, y_space, v)
     smap = adpt_hom(g)
-    eta_x = eta_map(x_space, v)
+    eta_x = eta_map(smap.dom)
     composite = tuple(smap.mapping[eta_x.mapping[x]] for x in range(x_space.n))
     back = transpose(x_space, smap.cod, composite)
     err = _transpose_failure(smap.cod, composite, back, eta_x)
@@ -946,8 +961,8 @@ def _run_adj_exists(inst: Instance):
         return False, "induced spectrum map is not continuous"
     if monotonicity_failure(smap.dom.space, smap.cod.space, smap.mapping) is not None:
         return False, "induced spectrum map is not monotone"
-    eta_src = eta_map(src, v)
-    eta_dst = eta_map(dst, v)
+    eta_src = eta_map(smap.dom)
+    eta_dst = eta_map(smap.cod)
     left = [smap.mapping[eta_src.mapping[x]] for x in range(src.n)]
     right = [eta_dst.mapping[h[x]] for x in range(src.n)]
     if left != right:
@@ -1044,10 +1059,10 @@ def _run_adsober_eq(inst: Instance):
     space, v = inst.payload
     res = is_ad_sober(space, v)
     try:
-        eta = eta_map(space, v)
+        eta = eta_map(adpt_space(build_ado(space, v)))
     except InternalCheckError as exc:
         return False, str(exc)
-    for u, lab in enumerate(eta.frame.omega.labels):
+    for u, lab in enumerate(eta.spectrum.frame.omega.labels):
         if finord.preimage(eta.mapping, eta.spectrum.open_map[u]) != lab:
             return False, "unit does not pull spectrum opens back to opens"
     if monotonicity_failure(space, eta.spectrum.space, eta.mapping) is not None:

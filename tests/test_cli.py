@@ -312,6 +312,15 @@ def test_check_budget_exit_code():
     assert "budget" in err
 
 
+@pytest.mark.parametrize("budget", ["nan", "-5"])
+def test_check_refuses_a_bad_budget(budget):
+    code, out, err = run_cli("check", "--id", "ADO-VALID", "--sweep", "n=3",
+                             "--budget-ms", budget)
+    assert (code, out) == (2, "")
+    assert err == (f"error: budget_ms={float(budget)!r} must be a number of "
+                   f"milliseconds, at least 0\n")
+
+
 def test_sweep_all_checks_smallest_size():
     code, out, _ = run_cli("sweep", "--sweep", "n=1", "--seed", "0")
     assert code == 0

@@ -118,7 +118,7 @@ def test_spectrum_opens_are_a_topology_and_upsets_come_from_the_lattice():
 
 
 def test_eta_on_sober_space_is_identity_like():
-    eta = eta_map(SIERPINSKI, Variant.BOTH)
+    eta = eta_map(adpt_space(build_ado(SIERPINSKI, Variant.BOTH)))
     assert eta.mapping == (0, 1)
     assert is_ad_sober(SIERPINSKI).ad_sober
 
@@ -127,7 +127,7 @@ def test_eta_collapses_indiscernible_points():
     # indiscrete topology and indiscrete order: both points look alike
     from adframe import FinPreTopSpace
     blob = FinPreTopSpace(2, (0, 3), (3, 3))
-    eta = eta_map(blob, Variant.BOTH)
+    eta = eta_map(adpt_space(build_ado(blob, Variant.BOTH)))
     assert eta.mapping[0] == eta.mapping[1]
     assert not is_ad_sober(blob).ad_sober
 
@@ -136,7 +136,7 @@ def test_transpose_recovers_map_exhaustive_small():
     frame = build_ado(CHAIN3)
     spec = adpt_space(frame)
     for sp in enumerate_spaces(2)[:10]:
-        eta = eta_map(sp, Variant.BOTH)
+        eta = eta_map(adpt_space(build_ado(sp, Variant.BOTH)))
         for f in pretop_maps(sp, spec.space):
             hom = transpose(sp, spec, f)
             assert validate_hom(hom).ok
@@ -191,8 +191,8 @@ def test_sober_routes_agree_exhaustive_n2():
     for sp in enumerate_spaces(2):
         for variant in VARIANTS:
             res = is_ad_sober(sp, variant)
-            eta = eta_map(sp, variant)
             spec = adpt_space(build_ado(sp, variant))
+            eta = eta_map(spec)
             bijective = (len(set(eta.mapping)) == sp.n == len(spec.points))
             assert res.ad_sober == bijective, (sp, variant)
 

@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from adframe import (FinPreTopSpace, NotALattice, NotAPreorder,
-                     NotATopology, TooLarge, bounded_lattice_homs, build_ado,
+                     NotATopology, TooLarge, adpt_space, bounded_lattice_homs, build_ado,
                      class_of, closure, distributivity_witness, eta_map,
                      finord, equivalence_classes, interior, irreducible_closed_sets,
                      lattice_analyze, lattice_from_json, lattice_from_labels,
@@ -307,7 +307,7 @@ def test_a_dropped_lattice_takes_its_facts_with_it():
     opens = tuple((1 << k) - 1 for k in range(n + 1))      # a chain of ten opens
     space = FinPreTopSpace(n, opens, (full,) * n)          # indiscrete preorder
     frame = build_ado(space)
-    eta_map(space)
+    eta_map(adpt_space(frame))
     lattice_analyze(frame.omega)
     bounded_lattice_homs(frame.omega, frame.ell)
     bounded_lattice_homs(TWO_CHAIN, frame.ell)

@@ -7,11 +7,12 @@ import pytest
 
 from adframe import (BudgetExceeded, FinLattice, FinPreTopSpace, FinTopSpace,
                      NotContinuous, UnknownTheorem, Variant, adpt_space,
-                     ads_space, bounded_lattice_homs, build_ado, finord,
-                     generate_random, ind_functor, instances_for_payload,
-                     irreducible_closed_sets, iso_check, lattice_analyze,
-                     point_classes, registry_doc, registry_ids, run_check,
-                     subset_lattice, validate_adframe)
+                     ads_space, bounded_lattice_homs, build_ado, duality,
+                     finord, generate_random, ind_functor,
+                     instances_for_payload, irreducible_closed_sets, iso_check,
+                     lattice_analyze, point_classes, registry_doc,
+                     registry_ids, run_check, sobrify, subset_lattice,
+                     theorems, validate_adframe)
 from adframe.duality import _point_masks
 from adframe.frames import REL_NAMES
 from adframe.theorems import (SweepSpec, _lookup, _moves_opens_onto,
@@ -193,6 +194,16 @@ def test_mutation_target_can_be_forced():
     assert "con-down-closed" in failed
 
 
+@pytest.mark.parametrize("target", ["nope", "tot-has-ff", 3])
+def test_mutation_target_must_be_a_law_an_edit_breaks(target):
+    """A target outside the mutation table is bad input, named with the laws
+    the table's edits break, not a failed search."""
+    with pytest.raises(ValueError) as exc:
+        generate_random("adframe", {"family": "mutated", "target": target}, seed=3)
+    assert str(exc.value) == (f"mutation target {target!r} is not a law that one "
+                              f"edit breaks; the edits break {', '.join(MUTATION_LAWS)}")
+
+
 # ---------------------------------------------------------------------------
 # isomorphism search
 
@@ -328,6 +339,22 @@ def test_run_check_refuses_bad_sweep_values(sweep, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("budget_ms", [float("nan"), -5, -0.5, True, "10"])
+def test_run_check_refuses_bad_budgets(budget_ms):
+    """A budget that is NaN, negative or not a number is refused before any
+    record runs, naming the value; with NaN every comparison against the
+    elapsed time was false, so it meant no budget."""
+    with pytest.raises(ValueError) as exc:
+        run_check("ADO-VALID", sweep={"n": 3}, budget_ms=budget_ms)
+    assert str(exc.value) == (f"budget_ms={budget_ms!r} must be a number of "
+                              f"milliseconds, at least 0")
+
+
+def test_run_check_takes_an_infinite_budget():
+    reports = run_check("IDEMPOTENT", sweep={"n": 2}, budget_ms=float("inf"))
+    assert len(reports) == len(run_check("IDEMPOTENT", sweep={"n": 2}))
+
+
 def test_run_check_sampled_sweep_deterministic():
     a = run_check("ADO-VALID", sweep={"n": 3, "count": 5, "seed": 9})
     b = run_check("ADO-VALID", sweep={"n": 3, "count": 5, "seed": 9})
@@ -438,15 +465,13 @@ def test_every_check_passes_tiny_sweep():
 
 
 # ---------------------------------------------------------------------------
-# the record-scoped memo
+# shared and kept values
 
 
 def test_library_calls_keep_nothing():
-    assert finord._MEMO.get() is None
     a, b = build_ado(CHAIN3), build_ado(CHAIN3)
     assert a is not b and a.key() == b.key()
     assert adpt_space(a) is not adpt_space(a)
-    assert finord._MEMO.get() is None
 
 
 def test_shared_objects_are_frozen():
@@ -457,53 +482,35 @@ def test_shared_objects_are_frozen():
             setattr(obj, field, ())
 
 
-def test_run_check_gives_each_record_and_shrink_attempt_a_fresh_memo(monkeypatch):
-    entry = _lookup("CEX-ADS")
-    real, memos = entry.run, []
+def test_morphism_checks_build_each_spectrum_once_per_record(monkeypatch):
+    """ADJ-EXISTS and ADJ-TRIANGLE take the unit's spectra from the
+    spectrum map they have built, so on the n = 2 sweeps a record builds
+    the spectrum of each of its frames once: two for a map between spaces
+    (``adpt_hom``), one for a map into a given spectrum (the unit's).  The
+    totals were 8,088 and 8,360 when the unit built its own."""
+    built = []
 
-    def spy(inst):
-        memos.append(finord._MEMO.get())
-        return real(inst)
+    def counting(frame, real=adpt_space):
+        built.append(frame)
+        return real(frame)
 
-    monkeypatch.setattr(entry, "run", spy)
-    qualifying = FinPreTopSpace(3, (0, 7), (1, 2, 4))
-    reports = run_check("CEX-ADS", instances=[space_instance(qualifying)] * 2)
-    assert [r.verdict for r in reports] == ["expected-fail"] * 2
-    assert "minimized" in reports[0].witness
-    assert len(memos) > 2 and None not in memos
-    assert len({id(memo) for memo in memos}) == len(memos)
-    assert memos[0]             # the first record filled its own memo
-    assert finord._MEMO.get() is None
+    for module in (duality, sobrify, theorems):
+        monkeypatch.setattr(module, "adpt_space", counting)
+    for cid, most, total in (("ADJ-EXISTS", {"morphism": 2}, 4_044),
+                             ("ADJ-TRIANGLE", {"triangle": 1, "roundtrip": 2}, 6_338)):
+        entry, per_record = _lookup(cid), []
 
+        def spy(inst, run=entry.run):
+            before = len(built)
+            result = run(inst)
+            per_record.append((inst.kind, len(built) - before))
+            return result
 
-def _value(obj):
-    if hasattr(obj, "key"):                     # a frame
-        return obj.key()
-    if hasattr(obj, "open_map"):                # a spectrum
-        return (obj.frame.key(), obj.points, obj.space, obj.open_map, obj.upset_map)
-    return obj                                  # pairs
-
-
-def test_shared_objects_leave_a_record_equal_to_a_fresh_build():
-    """Every check on every fifth instance of its n = 2 sweep, each in a
-    record scope; afterwards each memo entry equals a fresh build from its
-    key, so no runner changed an object that others in its record share."""
-    memos = []
-    for cid in registry_ids():
-        entry = _lookup(cid)
-        for inst in list(entry.sweep(SweepSpec(n=2)))[::5]:
-            with finord.record_scope() as memo:
-                entry.run(inst)
-            memos.append(memo)
-    built = set()
-    for memo in memos:
-        for (fn, *args), obj in memo.items():
-            # a space is rebuilt from its fields, without what it keeps
-            fresh = fn(*(_unkept(arg) if isinstance(arg, FinPreTopSpace) else arg
-                         for arg in args))
-            assert _value(obj) == _value(fresh), (fn.__name__, args)
-            built.add(fn.__name__)
-    assert built == {"build_ado", "adpt_space", "irreducible_pairs"}
+        monkeypatch.setattr(entry, "run", spy)
+        reports = run_check(cid, sweep={"n": 2})
+        assert {r.verdict for r in reports} == {"pass"}, cid
+        assert all(k <= most[kind] for kind, k in per_record), cid
+        assert sum(k for _, k in per_record) <= total, cid
 
 
 def _unkept(obj):
