@@ -2,12 +2,14 @@
 
 ``test_sweep_records.py`` pins what the checks report; this file pins what
 ``adframe validate`` and ``adframe adpt`` write for lattice and ad-frame
-documents of 16-32 elements: the sha256 of the bytes on stdout, the text on
-stderr and the exit code.  The payloads are chains and grids, their
+documents of 16-32 elements, and what ``ado``, ``ads`` and ``sobrify``
+write for three small spaces: the sha256 of the bytes on stdout, the text
+on stderr and the exit code.  The payloads are chains and grids, their
 two-sided lifts, one lift per frame law with one relation bit flipped so
 that the law fails, one lattice document per failure of the lattice
-reader, and a lattice that is not distributive with its lift.  Recompute
-an entry with ``cli_outcome(verb, doc, tmp_path)``.
+reader, a lattice that is not distributive with its lift, and the spaces
+under each variant the verb takes.  Recompute an entry with
+``cli_outcome(verb, doc, tmp_path, *flags)``.
 """
 
 import contextlib
@@ -19,7 +21,9 @@ import pytest
 
 from adframe.cli import main
 
-from helpers import chain_doc, flip_pair, grid_doc, lift_doc
+from adframe import space_to_json
+
+from helpers import SIERPINSKI, chain_doc, flip_pair, grid_doc, lift_doc
 
 LATTICES = {
     "chain16": chain_doc(16), "chain24": chain_doc(24), "chain32": chain_doc(32),
@@ -102,31 +106,48 @@ BROKEN = {
 M3_ON_CHAIN = _chain_under(0, 16, [], [17, 18, 19])
 M3_ON_CHAIN["leq"] = sorted(M3_ON_CHAIN["leq"] + [[x, 20] for x in range(21)])
 
+# the 5-point poset 0 <= 2 >= 1 <= 3 <= 4 under its up-set topology
+POSET5 = [[0, 2], [1, 2], [1, 3], [3, 4], [1, 4]]
+SPACES = {
+    "sierpinski": space_to_json(SIERPINSKI),
+    "discrete4": {"points": 4, "leq": [],
+                  "opens": [[p for p in range(4) if s >> p & 1] for s in range(16)]},
+    "poset5": {"points": 5, "leq": POSET5,
+               "opens": [[p for p in range(5) if s >> p & 1] for s in range(32)
+                         if all(s >> y & 1 for x, y in POSET5 if s >> x & 1)]},
+}
 
-def cli_outcome(verb, doc, tmp_path):
+
+def cli_outcome(verb, doc, tmp_path, *flags):
     """(exit code, sha256 of stdout (16 hex digits), stderr) of
-    ``adframe <verb> --in`` on ``doc``."""
+    ``adframe <verb> --in`` on ``doc`` with ``flags``."""
     path = tmp_path / "payload.json"
     path.write_text(json.dumps(doc))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([verb, "--in", str(path)])
+        code = main([verb, "--in", str(path), *flags])
     return code, hashlib.sha256(out.getvalue().encode()).hexdigest()[:16], err.getvalue()
 
 
 def cases():
-    """(case name, verb, document) for every pinned call."""
+    """(case name, verb, document, flags) for every pinned call."""
     out = []
     for name, doc in LATTICES.items():
-        out.append((name, "validate", doc))
-        out.append((f"lift-{name}", "validate", lift_doc(doc)))
-        out.append((f"lift-{name}", "adpt", lift_doc(doc)))
+        out.append((name, "validate", doc, ()))
+        out.append((f"lift-{name}", "validate", lift_doc(doc), ()))
+        out.append((f"lift-{name}", "adpt", lift_doc(doc), ()))
     for law, name, rel, pair in FLIPS:
-        out.append((f"flip-{law}", "validate", flip_pair(lift_doc(LATTICES[name]), rel, pair)))
+        out.append((f"flip-{law}", "validate",
+                    flip_pair(lift_doc(LATTICES[name]), rel, pair), ()))
     for name, doc in BROKEN.items():
-        out.append((name, "validate", doc))
-    out.append(("m3-on-chain", "validate", M3_ON_CHAIN))
-    out.append(("lift-m3-on-chain", "validate", lift_doc(M3_ON_CHAIN)))
+        out.append((name, "validate", doc, ()))
+    out.append(("m3-on-chain", "validate", M3_ON_CHAIN, ()))
+    out.append(("lift-m3-on-chain", "validate", lift_doc(M3_ON_CHAIN), ()))
+    for name, doc in SPACES.items():
+        for verb in ("ado", "ads"):
+            for variant in ("up", "down", "both"):
+                out.append((f"{name}-{variant}", verb, doc, ("--variant", variant)))
+        out.append((name, "sobrify", doc, ()))
     return out
 
 
@@ -191,14 +212,36 @@ PINNED = {
     "validate m3-on-chain": (0, "e215fc833eeed413", ""),
     "validate lift-m3-on-chain": (2, "e3b0c44298fc1c14",
                                   "error: omega lattice not distributive, witness (17, 18, 19)\n"),
+    "ado sierpinski-up": (0, "d5a92ce77c8291f2", ""),
+    "ado sierpinski-down": (0, "becf59aaa65db829", ""),
+    "ado sierpinski-both": (0, "729dd7a025fc7194", ""),
+    "ads sierpinski-up": (0, "7d2342f7ea10cdfb", ""),
+    "ads sierpinski-down": (0, "3a4e6e511a88f454", ""),
+    "ads sierpinski-both": (0, "7d2342f7ea10cdfb", ""),
+    "sobrify sierpinski": (0, "1938cbbb6aad552f", ""),
+    "ado discrete4-up": (0, "b82f6773d3b5db0e", ""),
+    "ado discrete4-down": (0, "256c2e52aff55d00", ""),
+    "ado discrete4-both": (0, "22903b238b4b7ff8", ""),
+    "ads discrete4-up": (0, "ca24bbc704192e1d", ""),
+    "ads discrete4-down": (0, "ca24bbc704192e1d", ""),
+    "ads discrete4-both": (0, "ca24bbc704192e1d", ""),
+    "sobrify discrete4": (0, "89c6bb50fe7014de", ""),
+    "ado poset5-up": (0, "7fc2b2189d193661", ""),
+    "ado poset5-down": (0, "2a6f164b2ee0b54c", ""),
+    "ado poset5-both": (0, "9749c0031f595e80", ""),
+    "ads poset5-up": (0, "65f9e4482abf7205", ""),
+    "ads poset5-down": (0, "7d43e8a6739e032e", ""),
+    "ads poset5-both": (0, "7d43e8a6739e032e", ""),
+    "sobrify poset5": (0, "652550fe7a92e015", ""),
 }
 
 
 def test_every_case_is_pinned():
-    assert [f"{verb} {name}" for name, verb, _ in cases()] == list(PINNED)
+    assert [f"{verb} {name}" for name, verb, _, _ in cases()] == list(PINNED)
 
 
-@pytest.mark.parametrize("name,verb,doc", [pytest.param(name, verb, doc, id=f"{verb}-{name}")
-                                           for name, verb, doc in cases()])
-def test_cli_output_is_pinned(name, verb, doc, tmp_path):
-    assert cli_outcome(verb, doc, tmp_path) == PINNED[f"{verb} {name}"]
+@pytest.mark.parametrize("name,verb,doc,flags",
+                         [pytest.param(name, verb, doc, flags, id=f"{verb}-{name}")
+                          for name, verb, doc, flags in cases()])
+def test_cli_output_is_pinned(name, verb, doc, flags, tmp_path):
+    assert cli_outcome(verb, doc, tmp_path, *flags) == PINNED[f"{verb} {name}"]
