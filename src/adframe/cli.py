@@ -10,7 +10,10 @@ is ``sweep`` narrowed to one id, or run over a payload instead of a sweep.
 and ``check --in`` takes no ``--sweep`` or ``--seed``.  Exit codes: 0
 success (expected failures and skips included), 1 failed checks or
 exhausted budgets, 2 bad usage or malformed input, including a refused
-flag combination and a payload field no reader knows.
+flag combination, a payload field no reader knows and a payload nested
+too deeply to parse.  The parser is built once per process, and
+documents are written by ``_json_text``, byte-identical to
+``json.dumps(doc, indent=2, sort_keys=True, default=str)``.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import json
 import os
 import sys
 import tempfile
+from json.encoder import encode_basestring_ascii
 
 from .bits import bits_of
 from .errors import AdframeError, BudgetExceeded, InternalCheckError, TooLarge
@@ -41,7 +45,10 @@ RENDER_NODE_CAP = 256
 
 def _read_payload(path: str):
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("payload nests too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("payload must be a JSON object")
     if "omega" in doc:
@@ -80,8 +87,40 @@ def _emit(text: str, out_path) -> None:
         raise
 
 
+def _json_key(key) -> str:
+    """A dict key as the stdlib writes it: a str, or the JSON of an int,
+    float, bool or None, in quotes."""
+    if not isinstance(key, (str, int, float, type(None))):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return encode_basestring_ascii(key if isinstance(key, str) else json.dumps(key))
+
+
+def _json_text(doc, pad="\n") -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True, default=str)``, byte for
+    byte.  With ``indent`` set the stdlib encodes in pure Python, one small
+    string per value; here a list of ints, or of int lists (relation and
+    order pairs), is one join.  ``pad`` is the newline and indent of the
+    value's own line."""
+    inner = pad + "  "
+    if isinstance(doc, dict):
+        parts, ends = [_json_key(k) + ": " + _json_text(v, inner)
+                       for k, v in sorted(doc.items())], "{}"
+    elif not isinstance(doc, (list, tuple)):
+        return json.dumps(doc, default=str)
+    else:
+        types, deeper, ends = set(map(type, doc)), inner + "  ", "[]"
+        if types == {int}:
+            parts = map(int.__repr__, doc)
+        elif types == {list} and {type(y) for x in doc for y in x} <= {int}:
+            parts = ["[" + deeper + ("," + deeper).join(map(int.__repr__, x)) + inner + "]"
+                     if x else "[]" for x in doc]
+        else:
+            parts = [_json_text(x, inner) for x in doc]
+    return ends[0] + inner + ("," + inner).join(parts) + pad + ends[1] if doc else ends
+
+
 def _emit_json(doc, out_path) -> None:
-    _emit(json.dumps(doc, indent=2, sort_keys=True, default=str), out_path)
+    _emit(_json_text(doc), out_path)
 
 
 def _record_lines(reports) -> str:
@@ -383,8 +422,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process; each parse_args call fills a fresh Namespace
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (BudgetExceeded, InternalCheckError) as exc:

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import pytest
 
 from adframe import (adframe_to_json, build_ado, lattice_to_json,
                      space_to_json, subset_lattice)
+from adframe import cli
 from adframe.cli import main, render_dot
 from adframe.theorems import _lookup, registry_ids
 
@@ -72,6 +74,17 @@ def test_malformed_inputs_exit_two(payloads):
         assert code == 2
         assert err.strip().startswith("error:")
 
+
+def test_deeply_nested_payload_exits_two(tmp_path):
+    """JSON nested past the parser's recursion limit is malformed input,
+    for every verb that reads ``--in``, not a traceback."""
+    for name, text in (("lists", "[" * 100_000 + "]" * 100_000),
+                       ("leq", '{"leq": ' + "[" * 5_000 + "]" * 5_000 + "}")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        for argv in (("validate", "--in", str(path)),
+                     ("check", "--id", "IDEMPOTENT", "--in", str(path))):
+            assert run_cli(*argv) == (2, "", "error: payload nests too deeply\n"), argv
 
 def test_oversized_lattice_indices_exit_two(tmp_path):
     huge = {"leq": [[0, 0], [0, 10000000]]}
@@ -359,6 +372,38 @@ def test_check_and_sweep_share_one_run_path(monkeypatch):
     assert (code, err) == (1, "")
     assert [r["verdict"] for r in records] == ["pass", "fail"]
     assert _masked(run_cli("sweep", *flags)) == (code, records, err)
+
+
+def test_one_parser_serves_a_sequence_of_calls(payloads, tmp_path, monkeypatch):
+    """The parser is built once per process.  Each call of a sequence,
+    a usage error among them, gives the code, stdout and stderr it gives
+    on a parser that has served no other call; ``ms`` is zeroed."""
+    def outcome(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+        return code, re.sub(r'"ms": [^,}]+', '"ms": 0', out.getvalue()), err.getvalue()
+
+    chain3 = tmp_path / "chain3.json"        # its up spectrum is not its both one
+    chain3.write_text(json.dumps(space_to_json(CHAIN3)))
+    calls = (("adpt", "--in", str(chain3), "--variant", "up"),
+             ("adpt", "--in", str(chain3)),
+             ("adpt", "--in", str(chain3), "--sweep", "n=1"),
+             ("check", "--id", "IDEMPOTENT", "--in", payloads["frame"]),
+             ("sweep", "--sweep", "n=1"))
+    together = [outcome(argv) for argv in calls]
+    alone = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_PARSER", cli._build_parser())
+        alone.append(outcome(argv))
+    assert together == alone
+    assert together[0][1] != together[1][1]          # the variant is read anew
+    assert together[2][0] == 2 and "unrecognized arguments" in together[2][2]
+    assert {json.loads(line)["id"] for line in together[4][1].splitlines()} \
+        == set(registry_ids()) - {"CEX-ADS", "CEX-LIFT"}
 
 
 def test_sweep_fail_fast_stops_after_the_failing_id(monkeypatch):

@@ -9,7 +9,8 @@ two-sided lifts, one lift per frame law with one relation bit flipped so
 that the law fails, one lattice document per failure of the lattice
 reader, a lattice that is not distributive with its lift, and the spaces
 under each variant the verb takes.  Recompute an entry with
-``cli_outcome(verb, doc, tmp_path, *flags)``.
+``cli_outcome(verb, doc, tmp_path, *flags)``.  The last test checks the
+CLI's JSON writer against ``json.dumps`` on random documents.
 """
 
 import contextlib
@@ -18,8 +19,9 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from adframe.cli import main
+from adframe.cli import _json_text, main
 
 from adframe import space_to_json
 
@@ -245,3 +247,39 @@ def test_every_case_is_pinned():
                           for name, verb, doc, flags in cases()])
 def test_cli_output_is_pinned(name, verb, doc, flags, tmp_path):
     assert cli_outcome(verb, doc, tmp_path, *flags) == PINNED[f"{verb} {name}"]
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+INTS = st.integers(-2**70, 2**70)
+TEXT = st.text(st.characters(exclude_categories=()), max_size=4)  # controls, surrogates, non-BMP
+LEAVES = st.one_of(st.none(), st.booleans(), INTS, INTS.map(_Int), st.floats(), TEXT,
+                   st.fractions(), st.lists(INTS, max_size=4),
+                   st.lists(st.lists(INTS, max_size=3), max_size=4))
+DOCS = st.recursive(LEAVES, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.lists(kids, max_size=3).map(tuple),
+    st.lists(kids, max_size=3).map(_List), st.dictionaries(TEXT, kids, max_size=4),
+    st.dictionaries(TEXT, kids, max_size=3).map(_Dict),
+    st.dictionaries(st.one_of(INTS, st.booleans()), kids, max_size=3),
+    st.dictionaries(st.floats(), kids, max_size=3)), max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(DOCS)
+def test_json_writer_equals_the_stdlib(doc):
+    """The CLI's writer gives the bytes of ``json.dumps(doc, indent=2,
+    sort_keys=True, default=str)``: ints past 64 bits and int subclasses,
+    nan, infinities and -0.0, control, surrogate and non-BMP characters,
+    empty containers, tuples, dict and list subclasses, int, bool and
+    float keys, and a leaf that only ``default=str`` can write."""
+    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True, default=str)

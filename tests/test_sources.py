@@ -48,6 +48,17 @@ def test_benchmark_tracer_names_resolve():
             assert callable(getattr(home, name, None)), f"{module}.{name}"
 
 
+def test_indented_json_has_one_writer():
+    """No ``json.dump`` or ``json.dumps`` call in ``src/`` passes
+    ``indent``: indented documents are written by ``cli._emit_json``."""
+    stray = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("dump", "dumps")
+             and any(kw.arg == "indent" for kw in node.keywords)]
+    assert stray == []
+
+
 def test_no_unused_imports():
     """Every name a module imports is used in it; the package's
     ``__init__.py`` files only re-export, so they are exempt."""
