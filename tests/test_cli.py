@@ -86,6 +86,7 @@ def test_deeply_nested_payload_exits_two(tmp_path):
                      ("check", "--id", "IDEMPOTENT", "--in", str(path))):
             assert run_cli(*argv) == (2, "", "error: payload nests too deeply\n"), argv
 
+
 def test_oversized_lattice_indices_exit_two(tmp_path):
     huge = {"leq": [[0, 0], [0, 10000000]]}
     small = lattice_to_json(subset_lattice(CHAIN3, "opens"))
