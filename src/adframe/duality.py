@@ -39,10 +39,10 @@ class AdPoint:
 
 def min_of_filter(ell: FinLattice, s_mask: int) -> int:
     """The least member of an up-closed s (its generating element)."""
-    for b in iter_bits(s_mask):
-        if ell.up_masks[b] == s_mask:
-            return b
-    raise ValueError("subset is not the up-cone of any element")
+    b = ell.joins()[1].get(s_mask)
+    if b is None:
+        raise ValueError("subset is not the up-cone of any element")
+    return b
 
 
 def point_sort_key(pt: AdPoint, ell: FinLattice) -> tuple[int, int]:
@@ -76,13 +76,8 @@ def is_cp_filter(lat: FinLattice, mask: int) -> bool:
 
 def is_cpc_filter(lat: FinLattice, mask: int) -> bool:
     """Completely prime complete filter: the up-cone of a coprime element."""
-    if mask == 0:
-        return False
-    members = list(iter_bits(mask))
-    b = lat.meet_all(members)
-    if not mask >> b & 1 or lat.up_masks[b] != mask:
-        return False
-    if b == lat.bot:
+    b = lat.joins()[1].get(mask)            # the element whose up-cone is mask
+    if b is None or b == lat.bot:
         return False
     outside = list(iter_bits(full_mask(lat.m) & ~mask))
     return not any(mask >> lat.join(u, v) & 1 for u in outside for v in outside)

@@ -13,10 +13,11 @@ Conventions used throughout the package:
     then numeric bit-vector value.
   - A lattice over elements ``range(m)`` carries its order once, as row
     masks over element indices: bit ``j`` of ``up_masks[i]`` (and bit ``i``
-    of ``down_masks[j]``) is set iff ``i <= j``.  Its join/meet tables are
-    tuples of rows of element indices.  When a lattice is a lattice of
-    subsets, ``labels`` holds the subsets in element order, its order is
-    inclusion, and join/meet are union/intersection.
+    of ``down_masks[j]``) is set iff ``i <= j``.  The join of i and j is the
+    element whose up-mask is ``up_masks[i] & up_masks[j]``, the meet the
+    same on down-masks.  When a lattice is a lattice of subsets, ``labels``
+    holds the subsets in element order, its order is inclusion, and
+    join/meet are union/intersection.
   - What is derived lives as long as what it is derived from, in one
     home: the object it is derived from alone keeps it (:func:`kept`).  A
     space keeps its lattices, its frame rows, its point classes, its
@@ -28,7 +29,9 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
+from operator import and_, or_
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .bits import (
@@ -205,19 +208,6 @@ def _parse_subset(raw, n: int) -> int:
     return mask
 
 
-def _complete_topology(opens: set[int], n: int) -> set[int]:
-    opens = set(opens) | {0, full_mask(n)}
-    frontier = list(opens)
-    while frontier:
-        a = frontier.pop()
-        for b in list(opens):
-            for c in (a | b, a & b):
-                if c not in opens:
-                    opens.add(c)
-                    frontier.append(c)
-    return opens
-
-
 def _check_topology(opens: Sequence[int], n: int) -> None:
     family = set(opens)
     if 0 not in family:
@@ -236,12 +226,30 @@ def _check_topology(opens: Sequence[int], n: int) -> None:
                 )
 
 
+def generated(gens: Iterable[int], op: Callable[[int, int], int], unit: int,
+              what: str) -> set[int]:
+    """The closure of ``gens`` under ``op`` with ``unit``, the identity of
+    ``op``, added.  TooLarge, naming ``what``, once it has more than
+    DEFAULT_LATTICE_CAP members."""
+    family = {unit}
+    for g in gens:
+        family |= {op(f, g) for f in family}
+        if len(family) > DEFAULT_LATTICE_CAP:
+            raise TooLarge(f"{what} exceeds cap {DEFAULT_LATTICE_CAP}")
+    return family
+
+
 def make_topology(n: int, opens: Iterable, complete: bool = False) -> FinTopSpace:
     if n < 0 or n > CARRIER_CAP:
         raise TooLarge(f"carrier size {n} outside [0, {CARRIER_CAP}]")
     masks = {_parse_subset(o, n) for o in opens}
+    if len(masks) > DEFAULT_LATTICE_CAP:
+        raise TooLarge(f"space has {len(masks)} opens, cap is {DEFAULT_LATTICE_CAP}")
     if complete:
-        masks = _complete_topology(masks, n)
+        # intersection distributes over union, so the unions of the
+        # intersections of the given sets are their closure under both
+        what = "completed open family"
+        masks = generated(generated(masks, and_, full_mask(n), what), or_, 0, what)
     family = canonical_subsets(masks)
     _check_topology(family, n)
     return FinTopSpace(n, family)
@@ -366,15 +374,14 @@ class FinLattice:
     """A finite lattice over elements ``range(m)``.
 
     The order lives in ``up_masks``/``down_masks`` (row masks over element
-    indices); ``join_table``/``meet_table`` are tuples of rows of element
-    indices.  ``labels`` is the subset bit vector of each element for
-    lattices of subsets, or None for abstract ones.
+    indices), and nowhere else: joins and meets are read from the masks
+    through the index of :meth:`joins` and :meth:`meets`.  ``labels`` is the
+    subset bit vector of each element for lattices of subsets, or None for
+    abstract ones.
     """
 
     m: int
     labels: Optional[tuple[int, ...]]
-    join_table: tuple[tuple[int, ...], ...]
-    meet_table: tuple[tuple[int, ...], ...]
     bot: int
     top: int
     up_masks: tuple[int, ...]
@@ -383,23 +390,24 @@ class FinLattice:
     def le(self, i: int, j: int) -> bool:
         return bool(self.up_masks[i] >> j & 1)
 
+    def joins(self) -> tuple[tuple[int, ...], dict[int, int]]:
+        """``(up_masks, index)``, the index mapping each up-mask to its
+        element: the join of i and j is ``index[up_masks[i] & up_masks[j]]``.
+        The lattice keeps the index (:func:`kept`); a loop hoists the pair."""
+        return self.up_masks, kept(self, "_up_index", lambda: _mask_index(self.up_masks))
+
+    def meets(self) -> tuple[tuple[int, ...], dict[int, int]]:
+        """``(down_masks, index)``, as :meth:`joins` on the down-masks."""
+        return self.down_masks, kept(self, "_down_index",
+                                     lambda: _mask_index(self.down_masks))
+
     def join(self, i: int, j: int) -> int:
-        return self.join_table[i][j]
+        masks, index = self.joins()
+        return index[masks[i] & masks[j]]
 
     def meet(self, i: int, j: int) -> int:
-        return self.meet_table[i][j]
-
-    def join_all(self, elems: Iterable[int]) -> int:
-        out = self.bot
-        for e in elems:
-            out = self.join_table[out][e]
-        return out
-
-    def meet_all(self, elems: Iterable[int]) -> int:
-        out = self.top
-        for e in elems:
-            out = self.meet_table[out][e]
-        return out
+        masks, index = self.meets()
+        return index[masks[i] & masks[j]]
 
     def key(self) -> tuple:
         """Canonical value for equality comparisons in tests and dedup."""
@@ -408,6 +416,10 @@ class FinLattice:
     def __repr__(self):
         tag = "labeled" if self.labels is not None else "abstract"
         return f"FinLattice(m={self.m}, {tag})"
+
+
+def _mask_index(masks: Sequence[int]) -> dict[int, int]:
+    return {mask: i for i, mask in enumerate(masks)}
 
 
 # a sweep's spaces share a few label families (29 at three points)
@@ -432,21 +444,19 @@ def lattice_from_labels(labels: Sequence[int]) -> FinLattice:
     lat = _LABELLED.get(family)
     if lat is not None:
         return lat
-    index = {lab: i for i, lab in enumerate(family)}
-    try:
-        join_t = tuple(tuple([index[a | b] for b in family]) for a in family)
-        meet_t = tuple(tuple([index[a & b] for b in family]) for a in family)
-    except KeyError:
-        a, b = next((a, b) for a in family for b in family
-                    if a | b not in index or a & b not in index)
-        raise NotALattice(
-            f"label family not closed under union/intersection at "
-            f"{bits_of(a)}, {bits_of(b)}"
-        ) from None
-    up = tuple(sum(1 << j for j, k in enumerate(row) if k == j) for row in join_t)
-    down = tuple(sum(1 << j for j, k in enumerate(row) if k == j) for row in meet_t)
+    # union and intersection commute: a first failing pair has b at or after a
+    closed = set(family)
+    bad = next(((a, b) for i, a in enumerate(family) for b in family[i:]
+                if a | b not in closed or a & b not in closed), None)
+    if bad is not None:
+        raise NotALattice(f"label family not closed under union/intersection at "
+                          f"{bits_of(bad[0])}, {bits_of(bad[1])}")
+    # the supersets of a are the elements holding each point of a
+    holders = columns(family, family[-1].bit_length())
+    up = tuple(reduce(and_, map(holders.__getitem__, iter_bits(a)), full_mask(m))
+               for a in family)
     # canonical order puts the least subset first and the greatest last
-    lat = FinLattice(m, family, join_t, meet_t, 0, m - 1, up, down)
+    lat = FinLattice(m, family, 0, m - 1, up, columns(up, m))
     _LABELLED[family] = lat
     return lat
 
@@ -476,19 +486,6 @@ def lattice_from_leq(
     return _lattice_from_masks(up, columns(up, m), labels)
 
 
-def _bound_table(masks: Sequence[int], index: Mapping[int, int]) -> tuple[tuple, ...]:
-    """Rows of ``index.get(masks[i] & masks[j])``, None where the
-    intersection is no mask of ``index``.  The intersection commutes, so
-    each unordered pair is looked up once: row i copies its first i
-    entries from the column i of the rows above it."""
-    get = index.get
-    rows: list[tuple] = []
-    for i, mask in enumerate(masks):
-        rows.append(tuple([row[i] for row in rows]
-                          + [get(mask & other) for other in masks[i:]]))
-    return tuple(rows)
-
-
 def _lattice_from_masks(up: Sequence[int], down: Sequence[int],
                         labels: Optional[Sequence[int]]) -> FinLattice:
     """The lattice whose order has these up-masks and down-masks (bit j of
@@ -496,47 +493,47 @@ def _lattice_from_masks(up: Sequence[int], down: Sequence[int],
 
     With the order a partial order, ``up[i] & up[j]`` is the set of upper
     bounds of i and j, and i, j have a least upper bound exactly when that
-    set is the up-mask of some element; meets are found the same way with
-    down-masks.  Transitivity needs no pass of its own when every pair has
-    a join: for a reflexive, antisymmetric order and k in ``up[i]``, the
-    mask ``up[i] & up[k]`` holds k and is ``up[x]`` for some x, which it
-    holds too; so k is in ``up[x]`` and x in ``up[k]``, x = k, and
-    ``up[k]`` lies inside ``up[i]``.
-    Only when a bound is missing is transitivity checked, and then the
-    pairs are scanned in row order, join before meet, to name the first
-    pair without one.
+    set is the up-mask of some element.  Each unordered pair is looked up
+    once, and only joins and a bottom are looked for.  Meets follow: the
+    join of the lower bounds of i and j, which hold the bottom, is their
+    meet.  Transitivity follows too: for a reflexive, antisymmetric order
+    and k in ``up[i]``, the mask ``up[i] & up[k]`` holds k and is ``up[x]``
+    for some x, which it holds too; so x = k, and ``up[k]`` lies inside
+    ``up[i]``.  Only when a join or the bottom is missing is transitivity
+    checked, and then the pairs are scanned in row order, join before meet,
+    to name the first pair without one.
     """
     m = len(up)
     if any(not up[i] >> i & 1 for i in range(m)):
         raise NotALattice("order not reflexive")
     if any(up[i] & down[i] != 1 << i for i in range(m)):
         raise NotALattice("order not antisymmetric")
-    up_index = {mask: i for i, mask in enumerate(up)}
-    down_index = {mask: i for i, mask in enumerate(down)}
-    join_t = _bound_table(up, up_index)
-    meet_t = _bound_table(down, down_index)
-    if any(None in row for row in join_t + meet_t):
-        _raise_missing_bound(up, down, up_index, down_index)
-
+    up_index = _mask_index(up)
+    full = full_mask(m)
+    known = up_index.keys()
+    if full not in known or not all(known >= set(map(mask.__and__, up[i + 1:]))
+                                    for i, mask in enumerate(up)):
+        _raise_missing_bound(up, down, up_index)
     fam: Optional[tuple[int, ...]] = None
     if labels is not None:
         fam = tuple(int(x) for x in labels)
         if len(fam) != m:
             raise NotALattice("label count differs from element count")
+    lat = FinLattice(m, fam, up_index[full], down.index(full), tuple(up), tuple(down))
+    if fam is not None:
+        (_, up_at), (_, down_at) = lat.joins(), lat.meets()
         for i in range(m):
             for j in range(m):
                 if bool(up[i] >> j & 1) != is_subset(fam[i], fam[j]):
                     raise NotALattice(f"order disagrees with label inclusion at ({i}, {j})")
-                if fam[join_t[i][j]] != fam[i] | fam[j]:
+                if fam[up_at[up[i] & up[j]]] != fam[i] | fam[j]:
                     raise NotALattice(f"join disagrees with label union at ({i}, {j})")
-                if fam[meet_t[i][j]] != fam[i] & fam[j]:
+                if fam[down_at[down[i] & down[j]]] != fam[i] & fam[j]:
                     raise NotALattice(f"meet disagrees with label intersection at ({i}, {j})")
-    full = full_mask(m)
-    return FinLattice(m, fam, join_t, meet_t, up_index[full], down_index[full],
-                      tuple(up), tuple(down))
+    return lat
 
 
-def _raise_missing_bound(up, down, up_index, down_index) -> None:
+def _raise_missing_bound(up, down, up_index) -> None:
     """Raise NotALattice for an order in which some pair lacks a bound: the
     order is not transitive, or else the first pair in row order without a
     join or a meet, the join tested first."""
@@ -546,6 +543,7 @@ def _raise_missing_bound(up, down, up_index, down_index) -> None:
             reach |= up[k]
         if reach != mask:
             raise NotALattice("order not transitive")
+    down_index = _mask_index(down)
     for i in range(len(up)):
         for j in range(len(up)):
             if up[i] & up[j] not in up_index:
@@ -555,24 +553,8 @@ def _raise_missing_bound(up, down, up_index, down_index) -> None:
 
 
 def upset_family(space: FinPreTopSpace) -> tuple[int, ...]:
-    """All upward-closed subsets: union closure of the point up-cones."""
-    family = {0}
-    frontier = [0]
-    gens = [space.leq[x] for x in range(space.n)]
-    for g in gens:
-        if g not in family:
-            family.add(g)
-            frontier.append(g)
-    while frontier:
-        a = frontier.pop()
-        for b in list(family):
-            c = a | b
-            if c not in family:
-                if len(family) >= DEFAULT_LATTICE_CAP:
-                    raise TooLarge(f"up-set family exceeds cap {DEFAULT_LATTICE_CAP}")
-                family.add(c)
-                frontier.append(c)
-    return canonical_subsets(family)
+    """All upward-closed subsets: the unions of point up-cones."""
+    return canonical_subsets(generated(set(space.leq), or_, 0, "up-set family"))
 
 
 def subset_lattice(space: FinPreTopSpace, kind: str) -> FinLattice:
@@ -624,7 +606,7 @@ def _analyze(lat: FinLattice) -> LatticeAnalysis:
     """
     m = lat.m
     full = full_mask(m)
-    up_index = {mask: b for b, mask in enumerate(lat.up_masks)}
+    ups, up_index = lat.joins()
     pitchfork = []
     for q in range(m):
         b = up_index.get(full & ~lat.down_masks[q])
@@ -633,11 +615,13 @@ def _analyze(lat: FinLattice) -> LatticeAnalysis:
     coprimes = sorted(b for _, b in pitchfork)
 
     coprime_set = set(coprimes)
-    # b is join-irreducible iff the elements strictly below it do not join to b
+    # b is join-irreducible iff the upper bounds shared by the elements
+    # strictly below it, the AND of their up-masks, are not those of b
     distributive = lat.labels is not None or all(
         b in coprime_set
         for b in range(m)
-        if lat.join_all(iter_bits(lat.down_masks[b] & ~(1 << b))) != b
+        if reduce(and_, map(ups.__getitem__, iter_bits(lat.down_masks[b] & ~(1 << b))),
+                  full) != ups[b]
     )
     return LatticeAnalysis(
         distributive=distributive,
@@ -650,12 +634,20 @@ def _analyze(lat: FinLattice) -> LatticeAnalysis:
 def distributivity_witness(lat: FinLattice) -> Optional[tuple[int, int, int]]:
     r"""The first triple (a, b, c) in lexicographic order with
     a /\ (b \/ c) != (a /\ b) \/ (a /\ c), or None when the lattice is
-    distributive.  The scan is cubic in the size of the lattice."""
+    distributive.  The scan is cubic in the size of the lattice.  The
+    bottom and the top keep the law as a, since a /\ x is then the bottom
+    or x itself, so they are not scanned."""
     if lattice_analyze(lat).distributive:
         return None
-    jt, mt, m = lat.join_table, lat.meet_table, lat.m
-    return next((a, b, c) for a in range(m) for b in range(m) for c in range(m)
-                if mt[a][jt[b][c]] != jt[mt[a][b]][mt[a][c]])
+    ups, up_at = lat.joins()
+    for a in range(lat.m):
+        if a in (lat.bot, lat.top):
+            continue
+        cut = [lat.meet(a, x) for x in range(lat.m)]        # x -> a /\ x
+        bad = next(((b, c) for b in range(lat.m) for c in range(lat.m)
+                    if cut[up_at[ups[b] & ups[c]]] != up_at[ups[cut[b]] & ups[cut[c]]]), None)
+        if bad is not None:
+            return (a, *bad)
 
 
 def lattice_to_json(lat: FinLattice) -> dict:

@@ -23,7 +23,7 @@ gives its converse and ``rel_pairs`` its pairs.
 
 The validator checks an up- or down-closure law once per distinct row of
 the relation, not once per member, and a binary law over each unordered
-pair of members once, since lattice tables commute.  The witness of a
+pair of members once, since joins and meets commute.  The witness of a
 failing law is the first one a scan of all members, or of all pairs of
 members, in order would meet.
 """
@@ -32,6 +32,8 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from operator import and_
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .bits import bits_of, full_mask, is_subset, iter_bits, low_bit
@@ -204,28 +206,46 @@ def _member_check(name, R, pair) -> AxiomCheck:
     return AxiomCheck(name, ok, None if ok else (pair,))
 
 
-def _binary_check(name, R, tab_o, tab_l) -> AxiomCheck:
-    """R is closed under (u, a), (v, b) -> (tab_o[u][v], tab_l[a][b]); the
-    witness is the first failing pair of members in pair order.
+def _binary_check(name, R, op_o, op_l) -> AxiomCheck:
+    """R is closed under (u, a), (v, b) -> (u * v, a * b), where each
+    operation is a pair ``(masks, index)`` of :meth:`FinLattice.joins` or
+    ``meets``: x * y is ``index[masks[x] & masks[y]]``.
 
-    Lattice tables commute, so a pair fails iff its swap does.  The first
-    member of the first failing pair is thus the least member of any
-    failing pair, and its partner does not lie in an earlier row; so only
-    partners from the first member's row on are tried, about half of all
-    pairs, in pair order."""
-    rows = [(u, bits_of(row)) for u, row in enumerate(R) if row]
-    for k, (u, row_u) in enumerate(rows):
-        orow = tab_o[u]
-        later = rows[k:]
-        for a in row_u:
-            lrow = tab_l[a]
-            for v, row_v in later:
-                target = R[orow[v]]
-                for b in row_v:
-                    if not target >> lrow[b] & 1:
-                        return AxiomCheck(name, False,
-                                          ((u, a), (v, b), (orow[v], lrow[b])))
+    For each unordered pair of row values A and B (the operations commute),
+    the row of every u * v, u of row A and v of row B, must hold the image
+    of the a * b, a in A and b in B; no u * v is formed when every row of R
+    holds it.  On failure the witness is the first failing pair of members
+    in pair order."""
+    (o_masks, o_at), (l_masks, l_at) = op_o, op_l
+    common = reduce(and_, R)
+    classes: dict[int, list[int]] = {}
+    for u, row in enumerate(R):
+        if row:
+            classes.setdefault(row, []).append(o_masks[u])
+    values = [([l_masks[a] for a in bits_of(row)], masks) for row, masks in classes.items()]
+    for k, (masks_a, masks_u) in enumerate(values):
+        for masks_b, masks_v in values[k:]:
+            image = 0
+            for mask_b in masks_b:
+                for mask_a in masks_a:
+                    image |= 1 << l_at[mask_a & mask_b]
+            if not image & ~common:
+                continue
+            for mask_u in masks_u:
+                for mask_v in masks_v:
+                    if image & ~R[o_at[mask_u & mask_v]]:
+                        return AxiomCheck(name, False, _first_failing_pair(R, op_o, op_l))
     return AxiomCheck(name, True)
+
+
+def _first_failing_pair(R, op_o, op_l) -> tuple:
+    """The witness of a failed :func:`_binary_check`."""
+    (o_masks, o_at), (l_masks, l_at) = op_o, op_l
+    for u, a in rel_pairs(R):
+        for v, b in rel_pairs(R):
+            w, c = o_at[o_masks[u] & o_masks[v]], l_at[l_masks[a] & l_masks[b]]
+            if not R[w] >> c & 1:
+                return ((u, a), (v, b), (w, c))
 
 
 def _aligned_check(name, A, B, o_up, l_up, logic: bool) -> AxiomCheck:
@@ -271,8 +291,8 @@ def validate_adframe(frame: AdFrame) -> ValidationReport:
     omega, ell = frame.omega, frame.ell
     o_up, o_down, l_up, l_down = (omega.up_masks, omega.down_masks,
                                   ell.up_masks, ell.down_masks)
-    jo, mo_t = omega.join_table, omega.meet_table
-    jl, ml_t = ell.join_table, ell.meet_table
+    jo, mo = omega.joins(), omega.meets()
+    jl, ml = ell.joins(), ell.meets()
     ff = (omega.bot, ell.top)
     tt = (omega.top, ell.bot)
     bots = (omega.bot, ell.bot)
@@ -284,13 +304,13 @@ def validate_adframe(frame: AdFrame) -> ValidationReport:
             _reach_check("tot-up-closed", frame.tot, o_up, l_up),
             _member_check("tot-has-ff", frame.tot, ff),
             _member_check("tot-has-tt", frame.tot, tt),
-            _binary_check("tot-logical-meet", frame.tot, mo_t, jl),
-            _binary_check("tot-logical-join", frame.tot, jo, ml_t),
+            _binary_check("tot-logical-meet", frame.tot, mo, jl),
+            _binary_check("tot-logical-join", frame.tot, jo, ml),
             _reach_check("con-down-closed", frame.con, o_down, l_down),
             _member_check("con-has-ff", frame.con, ff),
             _member_check("con-has-tt", frame.con, tt),
-            _binary_check("con-logical-meet", frame.con, mo_t, jl),
-            _binary_check("con-logical-join", frame.con, jo, ml_t),
+            _binary_check("con-logical-meet", frame.con, mo, jl),
+            _binary_check("con-logical-join", frame.con, jo, ml),
             _aligned_check("con-tot-aligned", frame.con, frame.tot, o_up, l_up, False),
         ]
     if frame.variant.sees_down:
@@ -298,12 +318,12 @@ def validate_adframe(frame: AdFrame) -> ValidationReport:
             _reach_check("fof-up-closed", frame.fof, o_up, l_down),
             _member_check("fof-has-bots", frame.fof, bots),
             _member_check("fof-has-tops", frame.fof, tops),
-            _binary_check("fof-info-meet", frame.fof, mo_t, ml_t),
+            _binary_check("fof-info-meet", frame.fof, mo, ml),
             _binary_check("fof-info-join", frame.fof, jo, jl),
             _reach_check("cou-down-closed", frame.cou, o_down, l_up),
             _member_check("cou-has-bots", frame.cou, bots),
             _member_check("cou-has-tops", frame.cou, tops),
-            _binary_check("cou-info-meet", frame.cou, mo_t, ml_t),
+            _binary_check("cou-info-meet", frame.cou, mo, ml),
             _binary_check("cou-info-join", frame.cou, jo, jl),
             _aligned_check("cou-fof-aligned", frame.cou, frame.fof, o_up, l_up, True),
         ]
@@ -397,10 +417,14 @@ def _lattice_hom_checks(prefix, fn, src: FinLattice, dst: FinLattice):
     ok_top = fn[src.top] == dst.top
     checks.append(AxiomCheck(f"{prefix}-top", ok_top,
                              None if ok_top else ((src.top, fn[src.top]),)))
-    for law, tab_s, tab_d in (("join", src.join_table, dst.join_table),
-                              ("meet", src.meet_table, dst.meet_table)):
-        bad = next(((i, j) for i in range(src.m) for j in range(src.m)
-                    if tab_d[fn[i]][fn[j]] != fn[tab_s[i][j]]), None)
+    m = src.m
+    for law, (s_masks, s_at), (d_masks, _) in (("join", src.joins(), dst.joins()),
+                                               ("meet", src.meets(), dst.meets())):
+        # fn[i] * fn[j] = fn[i * j] iff their masks are equal; both sides commute
+        # and hold for i = j, so the first failing pair in row order has i < j
+        d_of = [d_masks[x] for x in fn]
+        bad = next(((i, j) for i in range(m) for j in range(i + 1, m)
+                    if d_of[i] & d_of[j] != d_of[s_at[s_masks[i] & s_masks[j]]]), None)
         checks.append(AxiomCheck(f"{prefix}-{law}", bad is None, bad))
     return checks
 
@@ -473,7 +497,8 @@ def _find_homs(src: FinLattice, dst: FinLattice) -> list[tuple[int, ...]]:
     have a single candidate each.  The join and meet of an incomparable
     pair are compared once both elements and the result are placed; a
     comparable pair needs no test, since an order-preserving map keeps
-    its join and meet."""
+    its join and meet.  Masks are compared, not elements: v is the join of
+    x and y iff ``up[v] == up[x] & up[y]``."""
     order = sorted(range(src.m), key=lambda i: (src.down_masks[i].bit_count(), i))
     position = {e: k for k, e in enumerate(order)}
     laws: list[list[tuple]] = [[] for _ in order]
@@ -481,10 +506,9 @@ def _find_homs(src: FinLattice, dst: FinLattice) -> list[tuple[int, ...]]:
         for b in range(a + 1, src.m):
             if src.le(a, b) or src.le(b, a):
                 continue
-            for tab_s, tab_d in ((src.join_table, dst.join_table),
-                                 (src.meet_table, dst.meet_table)):
-                c = tab_s[a][b]
-                laws[max(position[a], position[b], position[c])].append((a, b, c, tab_d))
+            for c, d_masks in ((src.join(a, b), dst.up_masks),
+                               (src.meet(a, b), dst.down_masks)):
+                laws[max(position[a], position[b], position[c])].append((a, b, c, d_masks))
     allowed = [full_mask(dst.m)] * src.m
     allowed[src.bot] &= 1 << dst.bot
     allowed[src.top] &= 1 << dst.top
@@ -501,7 +525,8 @@ def _find_homs(src: FinLattice, dst: FinLattice) -> list[tuple[int, ...]]:
             free &= dst.up_masks[image[f]]
         for v in iter_bits(free):
             image[e] = v
-            if all(image[c] == tab[image[a]][image[b]] for a, b, c, tab in laws[k]):
+            if all(masks[image[c]] == masks[image[a]] & masks[image[b]]
+                   for a, b, c, masks in laws[k]):
                 extend(k + 1)
 
     extend(0)
@@ -514,34 +539,20 @@ def _find_homs(src: FinLattice, dst: FinLattice) -> list[tuple[int, ...]]:
 
 def check_usc_lsc(frame: AdFrame):
     """(usc, lsc) flags: every lattice element a join of tot-and-con values /
-    a meet of fof-and-cou values.  A side the variant cannot see is None."""
+    a meet of fof-and-cou values.  A side the variant cannot see is None.
+    A join is the AND of up-masks (a meet of down-masks), the empty one the
+    full mask, so the elements reached are the masks ``finord.generated``
+    makes under AND."""
     usc: Optional[bool] = None
     lsc: Optional[bool] = None
-    ell = frame.ell
+    ell, full = frame.ell, full_mask(frame.ell.m)
     if frame.variant.sees_up:
-        seed = {a for t, c in zip(frame.tot, frame.con) for a in iter_bits(t & c)}
-        seed.add(ell.bot)
-        closed = _closure_under(seed, ell.join_table)
-        usc = len(closed) == ell.m
+        seed = {ell.up_masks[a] for t, c in zip(frame.tot, frame.con) for a in iter_bits(t & c)}
+        usc = len(finord.generated(seed, and_, full, "joins")) == ell.m
     if frame.variant.sees_down:
-        seed = {a for f, c in zip(frame.fof, frame.cou) for a in iter_bits(f & c)}
-        seed.add(ell.top)
-        closed = _closure_under(seed, ell.meet_table)
-        lsc = len(closed) == ell.m
+        seed = {ell.down_masks[a] for f, c in zip(frame.fof, frame.cou) for a in iter_bits(f & c)}
+        lsc = len(finord.generated(seed, and_, full, "meets")) == ell.m
     return (usc, lsc)
-
-
-def _closure_under(seed: set[int], table) -> set[int]:
-    out = set(seed)
-    frontier = list(out)
-    while frontier:
-        x = frontier.pop()
-        for y in list(out):
-            z = table[x][y]
-            if z not in out:
-                out.add(z)
-                frontier.append(z)
-    return out
 
 
 # ---------------------------------------------------------------------------

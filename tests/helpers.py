@@ -240,8 +240,8 @@ def scott_oracle(name, frame: AdFrame, R, logic_second: bool) -> AxiomCheck:
     """Directly check closure of R under suprema of directed subfamilies.
 
     The member order is the information order for con and the logical order
-    for cou; suprema are computed through the lattice join/meet tables rather
-    than by picking the family maximum, so this genuinely exercises the
+    for cou; suprema are computed through join/meet tables built here from
+    ``FinLattice.join`` and ``meet``, rather than by picking the family maximum, so this genuinely exercises the
     reduction of Scott closure to downward closure.  All subfamilies are tried
     for small relations, families of size <= 3 otherwise.
     """
@@ -252,8 +252,10 @@ def scott_oracle(name, frame: AdFrame, R, logic_second: bool) -> AxiomCheck:
     o_up = frame.omega.up_masks
     # l_above[a]: the ell elements at or above a in the member order
     l_above = frame.ell.down_masks if logic_second else frame.ell.up_masks
-    second_tab = frame.ell.meet_table if logic_second else frame.ell.join_table
-    join_o = frame.omega.join_table
+    ell, omega = frame.ell, frame.omega
+    second = ell.meet if logic_second else ell.join
+    second_tab = [[second(a, b) for b in range(ell.m)] for a in range(ell.m)]
+    join_o = [[omega.join(u, v) for v in range(omega.m)] for u in range(omega.m)]
     # bit j of above[i]: member j is at or above member i
     above = [sum(1 << j for j, (v, b) in enumerate(members)
                  if o_up[u] >> v & 1 and l_above[a] >> b & 1)
@@ -327,10 +329,19 @@ def reference_reach_check(name, R, o_to, l_to) -> AxiomCheck:
     return AxiomCheck(name, True)
 
 
-def reference_binary_check(name, R, tab_o, tab_l) -> AxiomCheck:
-    """R is closed under (u, a), (v, b) -> (tab_o[u][v], tab_l[a][b]), by
-    trying every ordered pair of members; the witness is the first failing
-    pair in pair order."""
+def operation_table(op):
+    """The table of a lattice operation given as ``(masks, index)``: the
+    entry at (x, y) is the element whose mask is ``masks[x] & masks[y]``,
+    found by a search of the masks rather than through the index."""
+    masks, _ = op
+    return [[masks.index(x & y) for y in masks] for x in masks]
+
+
+def reference_binary_check(name, R, op_o, op_l) -> AxiomCheck:
+    """R is closed under (u, a), (v, b) -> (u * v, a * b), by trying every
+    ordered pair of members on tables built here; the witness is the first
+    failing pair in pair order."""
+    tab_o, tab_l = operation_table(op_o), operation_table(op_l)
     rows = [(u, bits_of(row)) for u, row in enumerate(R) if row]
     for u, row_u in rows:
         for a in row_u:

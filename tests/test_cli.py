@@ -6,6 +6,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -96,6 +97,26 @@ def test_oversized_lattice_indices_exit_two(tmp_path):
         code, _, err = run_cli("validate", "--in", str(path))
         assert code == 2
         assert err.strip() == "error: lattice has 10000001 elements, cap is 4096"
+
+
+@pytest.mark.parametrize("k", [13, 20])
+def test_completed_space_over_the_open_cap_exits_two_quickly(tmp_path, k):
+    """k singleton generators complete to 2^k + 1 opens on 64 points; past
+    the 4,096-open cap the completion stops at once, not after hours."""
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"points": 64, "opens": [[i] for i in range(k)],
+                                "complete": True}))
+    start = time.perf_counter()
+    result = run_cli("validate", "--in", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert result == (2, "", "error: completed open family exceeds cap 4096\n")
+
+
+def test_space_listing_more_opens_than_the_cap_exits_two(tmp_path):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"points": 64, "opens": list(range(4097))}))
+    assert run_cli("validate", "--in", str(path)) == (
+        2, "", "error: space has 4097 opens, cap is 4096\n")
 
 
 def test_non_integer_pair_indices_exit_two(tmp_path):

@@ -1,9 +1,12 @@
 import gc
+import itertools
 import random
 import time
+import tracemalloc
 import weakref
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from adframe import (FinPreTopSpace, NotALattice, NotAPreorder,
                      NotATopology, TooLarge, adpt_space, bounded_lattice_homs, build_ado,
@@ -251,6 +254,74 @@ def test_lattice_layer_matches_oracles_on_bounded_posets():
         keys.add(lat.key())
     assert non_lattices == 6  # the labellings of a, b < c, d
     assert diamond_m3().key() in keys and pentagon_n5().key() in keys
+
+
+def naive_is_order(leq):
+    m = len(leq)
+    return (all(leq[i][i] for i in range(m))
+            and not any(leq[i][j] and leq[j][i] for i in range(m) for j in range(m) if i != j)
+            and all(leq[i][k] or not (leq[i][j] and leq[j][k])
+                    for i, j, k in itertools.product(range(m), repeat=3)))
+
+
+@st.composite
+def small_relations(draw):
+    """Order matrices on 1 to 6 elements: a raw relation, reflexive or
+    not; the reflexive-transitive closure of one; or the order that an
+    acyclic relation generates, as it is, under a new top, or between a
+    new bottom and a new top.  A new top alone gives join-semilattices
+    without a bottom, which ``bounded_posets`` never produces."""
+    shape = draw(st.sampled_from(("raw", "preorder", "poset", "topped", "bounded")))
+    extra = {"topped": 1, "bounded": 2}.get(shape, 0)
+    k = draw(st.integers(0 if extra else 1, 6 - extra))
+    rel = draw(st.lists(st.lists(st.booleans(), min_size=k, max_size=k),
+                        min_size=k, max_size=k))
+    if shape == "raw":
+        reflexive = draw(st.booleans())
+        return [[v or (reflexive and i == j) for j, v in enumerate(row)]
+                for i, row in enumerate(rel)]
+    rows = [sum(1 << j for j, v in enumerate(row) if v and (shape == "preorder" or i < j))
+            for i, row in enumerate(rel)]
+    rows = reflexive_transitive_closure(rows, k)
+    low = 1 if shape == "bounded" else 0
+    m = k + extra
+    return [[i == j or (extra > 0 and j == m - 1) or (low > 0 and i == 0)
+             or (low <= i < low + k and low <= j < low + k
+                 and bool(rows[i - low] >> (j - low) & 1))
+             for j in range(m)] for i in range(m)]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(small_relations())
+@example([[True, False, True], [False, True, True], [False, False, True]])  # 0, 1 < 2
+def test_lattice_from_leq_accepts_exactly_the_lattices(leq):
+    """The constructor looks only for joins and a bottom; it refuses
+    exactly the relations that are not partial orders or not lattices, and
+    what it accepts agrees with the oracles."""
+    if naive_is_order(leq) and naive_is_lattice(leq):
+        assert_matches_oracles(lattice_from_leq(leq), leq)
+    else:
+        with pytest.raises(NotALattice):
+            lattice_from_leq(leq)
+
+
+def test_a_1024_element_lattice_is_read_and_analysed_in_small_memory():
+    """A lattice stores its order once, as up- and down-masks of m bits
+    each: reading the lattice of a bottom, 1,022 atoms and a top from JSON
+    and analysing it peaks below 2 MiB, where one m × m table of element
+    indices alone takes 8 MiB."""
+    m = 1024
+    doc = {"leq": [[i, i] for i in range(m)] + [[0, j] for j in range(1, m)]
+           + [[i, m - 1] for i in range(1, m - 1)]}
+    tracemalloc.start()
+    try:
+        lat = lattice_from_json(doc)
+        analysis = lattice_analyze(lat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (lat.m, lat.bot, lat.top, analysis.distributive) == (m, 0, m - 1, False)
+    assert peak < 2 * 2**20
 
 
 def test_lattice_layer_matches_oracles_on_subset_lattices():

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import pathlib
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import warnings
 
 import adframe
+from adframe.finord import FinLattice
 
 SOURCES = sorted(pathlib.Path(adframe.__file__).parent.glob("*.py"))
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -77,6 +79,17 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.relative_to(ROOT)}: {name}" for name in sorted(imported - used)]
     assert unused == []
+
+
+def test_a_lattice_stores_its_order_once():
+    """A ``FinLattice`` holds its order as up- and down-masks only, and no
+    join or meet table is kept or built anywhere in ``src/``."""
+    assert tuple(f.name for f in dataclasses.fields(FinLattice)) == (
+        "m", "labels", "bot", "top", "up_masks", "down_masks")
+    stray = [f"{path.name}: {name}" for path in SOURCES
+             for name in ("join_table", "meet_table", "_bound_table")
+             if name in path.read_text()]
+    assert stray == []
 
 
 def test_derived_values_have_one_home():

@@ -535,6 +535,8 @@ _REMAKE = {
     "_point_classes": lambda obj, copy: point_classes(copy),
     "_irreducible_closed_sets": lambda obj, copy: irreducible_closed_sets(copy),
     "_analysis": lambda obj, copy: lattice_analyze(copy),
+    "_up_index": lambda obj, copy: copy.joins(),
+    "_down_index": lambda obj, copy: copy.meets(),
     "_point_masks": lambda obj, copy: _point_masks(copy),
     "_homs": lambda obj, copy: [bounded_lattice_homs(copy, dst)
                                 for dst in list(vars(obj)["_homs"])],
