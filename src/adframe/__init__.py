@@ -12,9 +12,9 @@ from .errors import (AdframeError, BudgetExceeded, ImageNotIrreducible,
                      InternalCheckError, NonDistributiveLattice, NotALattice,
                      NotAPointMap, NotAPreorder, NotATopology, NotContinuous,
                      NotMonotone, TooLarge, TrivialFrame, UnknownTheorem)
-from .bits import bits_of, full_mask, is_subset, iter_bits, mask_of
+from .bits import bits_of, full_mask, is_subset, iter_bits
 from .finord import (FinLattice, FinPreTopSpace, FinTopSpace, LatticeAnalysis,
-                     class_of, closed_sets, closure, distributivity_witness,
+                     class_of, closure, distributivity_witness,
                      equivalence_classes, interior, irreducible_closed_sets,
                      lattice_analyze, lattice_from_json, lattice_from_labels,
                      lattice_from_leq, lattice_to_json, make_space,
@@ -24,17 +24,15 @@ from .finord import (FinLattice, FinPreTopSpace, FinTopSpace, LatticeAnalysis,
 from .frames import (AdFrame, AdFrameHom, Variant, adframe_from_json,
                      adframe_to_json, bnd_map, bounded_lattice_homs,
                      build_ado, build_ado_hom, check_usc_lsc, compose_homs,
-                     epsilon_hom, identity_hom, ind_functor, validate_adframe,
-                     validate_hom)
+                     epsilon_hom, ind_functor, validate_adframe, validate_hom)
 from .duality import (AdPoint, Eta, SoberResult, Spectrum, SpectrumMap,
                       adpt_hom, adpt_space, enumerate_points, eta_map,
                       is_ad_sober, is_ad_t0, pullback_point, transpose)
 from .sobrify import (AdsAdptIso, AdsMap, AdsSpace, IrreduciblePair,
                       ads_adpt_iso, ads_hom, ads_space, canonical_pairs,
                       irreducible_pairs, standard_sobrification)
-from .theorems import (CheckReport, Instance, SweepSpec, enumerate_distributive_lattices,
-                       enumerate_preorders, enumerate_spaces,
-                       enumerate_topologies, generate_random,
+from .theorems import (CheckReport, Instance, SweepSpec, enumerate_preorders,
+                       enumerate_spaces, enumerate_topologies, generate_random,
                        instances_for_payload, iso_check, registry_doc,
                        registry_ids, run_check)
 

@@ -4,13 +4,6 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 
-def mask_of(points: Iterable[int]) -> int:
-    m = 0
-    for p in points:
-        m |= 1 << p
-    return m
-
-
 def bits_of(mask: int) -> tuple[int, ...]:
     """Members of the subset, ascending."""
     out = []

@@ -13,7 +13,7 @@ directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .bits import canonical_subsets, full_mask, is_subset, iter_bits
 from .errors import (
@@ -246,17 +246,21 @@ def _point_masks(lat: FinLattice) -> tuple[int, ...]:
                 lambda: columns(lat.labels, lat.labels[lat.top].bit_length()))
 
 
+def unit_points(frame: AdFrame) -> Iterator[AdPoint]:
+    """The unit's point at each point x of a space, read off the space's
+    ad-frame (``build_ado(space, variant)``): the opens and the up-closed
+    sets around x, in carrier order."""
+    return map(AdPoint, _point_masks(frame.omega), _point_masks(frame.ell))
+
+
 def eta_map(spectrum: Spectrum) -> Eta:
     """The unit at a space, given the spectrum of the space's ad-frame
     (``adpt_space(build_ado(space, variant))``): each point goes to the
-    spectrum point of the opens and the up-closed sets around it.
-    ADSOBER-EQ checks that it pulls spectrum opens back to opens and is
-    monotone."""
-    frame = spectrum.frame
+    index of its :func:`unit_points` point in the spectrum.  ADSOBER-EQ
+    checks that it pulls spectrum opens back to opens and is monotone."""
     mapping = []
-    around = zip(_point_masks(frame.omega), _point_masks(frame.ell))
-    for x, (nx, ux) in enumerate(around):
-        idx = spectrum.point_index(AdPoint(nx, ux))
+    for x, pt in enumerate(unit_points(spectrum.frame)):
+        idx = spectrum.point_index(pt)
         if idx is None:
             raise InternalCheckError(f"unit image of point {x} is not a point")
         mapping.append(idx)

@@ -208,22 +208,48 @@ def _parse_subset(raw, n: int) -> int:
     return mask
 
 
-def _check_topology(opens: Sequence[int], n: int) -> None:
-    family = set(opens)
-    if 0 not in family:
-        raise NotATopology("empty set is not open")
-    if full_mask(n) not in family:
-        raise NotATopology("full carrier is not open")
-    for a in family:
+def closure_failure(family: Sequence[int], n: int) -> Optional[tuple[str, int, int]]:
+    """A pair (a, b) of members of a family of subsets of n points, in
+    canonical order, whose union (``"|"``) or intersection (``"&"``) is not
+    a member, or None when the family is closed under both.
+
+    Each partner a is paired with each member b in turn, union first, and
+    the first failing pair is returned.  The partners are, for each point
+    x, the first member holding x, lo: by canonical order a smallest one.
+    These suffice.  If ``lo & b`` is a member for every b holding x, it is
+    no larger than lo and holds x, so it is lo: lo lies in every member
+    holding x.  Then b | c is reached from b by joining, one member at a
+    time, the lo of each point of c outside it; b & c is the union of the
+    lo of its points, or, when empty, ``lo & c`` for a point x of b.
+    Finding and trying the partners takes up to 2n steps per member, so a
+    family of at most 2n members takes every member as a partner.
+    """
+    closed = set(family)
+    partners = family
+    if len(family) > 2 * n:
+        firsts = (next((a for a in family if a >> x & 1), None) for x in range(n))
+        partners = [a for a in dict.fromkeys(firsts) if a is not None]
+    for a in partners:
         for b in family:
-            if a | b not in family:
-                raise NotATopology(
-                    f"opens not closed under union: {bits_of(a)} | {bits_of(b)}"
-                )
-            if a & b not in family:
-                raise NotATopology(
-                    f"opens not closed under intersection: {bits_of(a)} & {bits_of(b)}"
-                )
+            if a | b not in closed:
+                return "|", a, b
+            if a & b not in closed:
+                return "&", a, b
+    return None
+
+
+def _check_topology(opens: Sequence[int], n: int) -> None:
+    """Raise NotATopology unless the canonical family ``opens`` holds the
+    empty set and the carrier and is closed under union and intersection."""
+    if not opens or opens[0] != 0:          # canonical order: least first
+        raise NotATopology("empty set is not open")
+    if opens[-1] != full_mask(n):           # and greatest last
+        raise NotATopology("full carrier is not open")
+    bad = closure_failure(opens, n)
+    if bad is not None:
+        op, a, b = bad
+        what = "union" if op == "|" else "intersection"
+        raise NotATopology(f"opens not closed under {what}: {bits_of(a)} {op} {bits_of(b)}")
 
 
 def generated(gens: Iterable[int], op: Callable[[int, int], int], unit: int,
@@ -251,7 +277,8 @@ def make_topology(n: int, opens: Iterable, complete: bool = False) -> FinTopSpac
         what = "completed open family"
         masks = generated(generated(masks, and_, full_mask(n), what), or_, 0, what)
     family = canonical_subsets(masks)
-    _check_topology(family, n)
+    if not complete:
+        _check_topology(family, n)
     return FinTopSpace(n, family)
 
 
@@ -337,12 +364,6 @@ def closure(space, subset: int) -> int:
         if u & subset == 0:
             avoid |= u
     return full_mask(space.n) & ~avoid
-
-
-def closed_sets(space) -> tuple[int, ...]:
-    """Complements of the opens, in canonical order."""
-    full = full_mask(space.n)
-    return canonical_subsets(full & ~u for u in space.opens)
 
 
 def interior(space, subset: int) -> int:
@@ -444,15 +465,13 @@ def lattice_from_labels(labels: Sequence[int]) -> FinLattice:
     lat = _LABELLED.get(family)
     if lat is not None:
         return lat
-    # union and intersection commute: a first failing pair has b at or after a
-    closed = set(family)
-    bad = next(((a, b) for i, a in enumerate(family) for b in family[i:]
-                if a | b not in closed or a & b not in closed), None)
+    width = max(family).bit_length()
+    bad = closure_failure(family, width)
     if bad is not None:
         raise NotALattice(f"label family not closed under union/intersection at "
-                          f"{bits_of(bad[0])}, {bits_of(bad[1])}")
+                          f"{bits_of(bad[1])}, {bits_of(bad[2])}")
     # the supersets of a are the elements holding each point of a
-    holders = columns(family, family[-1].bit_length())
+    holders = columns(family, width)
     up = tuple(reduce(and_, map(holders.__getitem__, iter_bits(a)), full_mask(m))
                for a in family)
     # canonical order puts the least subset first and the greatest last
@@ -461,10 +480,7 @@ def lattice_from_labels(labels: Sequence[int]) -> FinLattice:
     return lat
 
 
-def lattice_from_leq(
-    leq: Sequence[Sequence[bool]],
-    labels: Optional[Sequence[int]] = None,
-) -> FinLattice:
+def lattice_from_leq(leq: Sequence[Sequence[bool]]) -> FinLattice:
     """Lattice from an explicit square order matrix (nested sequences or an
     array); validates the order and that every pair has a least upper and
     greatest lower bound.  The matrix is read once into up-masks, which
@@ -483,7 +499,7 @@ def lattice_from_leq(
     if m > DEFAULT_LATTICE_CAP:
         raise TooLarge(f"lattice has {m} elements, cap is {DEFAULT_LATTICE_CAP}")
     up = [sum(1 << j for j, v in enumerate(row) if v) for row in rows]
-    return _lattice_from_masks(up, columns(up, m), labels)
+    return _lattice_from_masks(up, columns(up, m), None)
 
 
 def _lattice_from_masks(up: Sequence[int], down: Sequence[int],

@@ -394,11 +394,6 @@ def preimage_hom(source: AdFrame, omega_sets: Sequence[int],
     return AdFrameHom(source, target, phi, p)
 
 
-def identity_hom(frame: AdFrame) -> AdFrameHom:
-    return AdFrameHom(frame, frame,
-                      tuple(range(frame.omega.m)), tuple(range(frame.ell.m)))
-
-
 def compose_homs(second: AdFrameHom, first: AdFrameHom) -> AdFrameHom:
     """second after first; first.target must equal second.source by
     ``key()``, so homs compose also when each side built its own frame."""

@@ -6,15 +6,37 @@ point sets, independently of the bitmask machinery under test.
 
 import itertools
 
-from adframe import (FinPreTopSpace, FinTopSpace, NotContinuous, closed_sets,
-                     generate_random)
-from adframe.bits import bits_of, canonical_subsets, iter_bits, low_bit, mask_of
-from adframe.finord import continuity_failure
-from adframe.frames import AdFrame, AxiomCheck
+from typing import Iterable
+
+from adframe import (FinLattice, FinPreTopSpace, FinTopSpace, NotContinuous,
+                     generate_random, subset_lattice, upset_family)
+from adframe.bits import (bits_of, canonical_subsets, full_mask, is_subset,
+                          iter_bits, low_bit)
+from adframe.finord import columns, continuity_failure
+from adframe.frames import AdFrame, AdFrameHom, AxiomCheck
+from adframe.theorems import DEFAULT_ISO_BUDGET, _iso_pretop, _poset_shell
+
+
+def mask_of(points: Iterable[int]) -> int:
+    m = 0
+    for p in points:
+        m |= 1 << p
+    return m
 
 
 def pts(mask):
     return frozenset(bits_of(mask))
+
+
+def closed_sets(space) -> tuple[int, ...]:
+    """Complements of the opens, in canonical order."""
+    full = full_mask(space.n)
+    return canonical_subsets(full & ~u for u in space.opens)
+
+
+def identity_hom(frame: AdFrame) -> AdFrameHom:
+    return AdFrameHom(frame, frame,
+                      tuple(range(frame.omega.m)), tuple(range(frame.ell.m)))
 
 
 def leq_pairs(space):
@@ -226,6 +248,57 @@ def bounded_posets(max_points):
             yield [[i == 0 or j == m - 1 or i == j
                     or (0 < i < m - 1 and 0 < j < m - 1 and bool(rows[i - 1] >> (j - 1) & 1))
                     for j in range(m)] for i in range(m)]
+
+
+def lattice_order_iso(a: FinLattice, b: FinLattice, budget: int = DEFAULT_ISO_BUDGET):
+    """Order isomorphism between two finite lattices (which is then
+    automatically a lattice isomorphism), or None."""
+    if a.m != b.m:
+        return None
+    return _iso_pretop(_poset_shell(a.up_masks), _poset_shell(b.up_masks), budget)
+
+
+def enumerate_distributive_lattices(max_size: int = 8) -> list[FinLattice]:
+    """One representative per isomorphism class of distributive lattices
+    with at most ``max_size`` elements, realized as up-set lattices of
+    their posets of generators.
+
+    Posets are grown one maximal element at a time; a branch is cut as
+    soon as its up-set count passes the bound, which is sound because
+    antichains of a subposet remain antichains of the whole.
+    """
+    found: list[FinLattice] = []
+    fingerprints: dict[tuple, list[FinLattice]] = {}
+
+    def register(lat: FinLattice) -> None:
+        fp = (lat.m,
+              tuple(sorted(lat.up_masks[i].bit_count() for i in range(lat.m))),
+              tuple(sorted(lat.down_masks[i].bit_count() for i in range(lat.m))))
+        bucket = fingerprints.setdefault(fp, [])
+        for old in bucket:
+            if lattice_order_iso(old, lat) is not None:
+                return
+        bucket.append(lat)
+        found.append(lat)
+
+    def grow(rows: list[int]) -> None:
+        shell = _poset_shell(rows)
+        upsets = upset_family(shell)
+        if len(upsets) > max_size:
+            return
+        register(subset_lattice(shell, "upsets"))
+        k = len(rows)
+        downs = columns(rows, k)
+        for d in range(1 << k):
+            if any(d >> x & 1 and not is_subset(downs[x], d) for x in range(k)):
+                continue  # the strict lower set must be down-closed
+            rows2 = [rows[x] | (1 << k) if d >> x & 1 else rows[x] for x in range(k)]
+            rows2.append(1 << k)
+            grow(rows2)
+
+    grow([])
+    found.sort(key=lambda lat: lat.m)
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ from adframe import (build_ado, enumerate_points, generate_random,
 from adframe.errors import TrivialFrame
 from adframe.finord import FinPreTopSpace, upset_family
 from adframe.theorems import (VARIANTS, designated_counterexample,
-                              enumerate_distributive_lattices,
                               enumerate_preorders, enumerate_spaces,
                               enumerate_topologies, frame_instance,
                               space_instance)
+
+from helpers import enumerate_distributive_lattices
 
 
 def report(ok, label, detail=""):

@@ -112,6 +112,32 @@ def test_completed_space_over_the_open_cap_exits_two_quickly(tmp_path, k):
     assert result == (2, "", "error: completed open family exceeds cap 4096\n")
 
 
+def test_every_subset_of_twelve_points_validates_quickly(tmp_path):
+    """The 4,096 opens of the discrete space on 12 points pass the closure
+    test in well under a second: each open is tried only against the
+    least open around each point."""
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"points": 12, "opens": list(range(4096))}))
+    start = time.perf_counter()
+    code, out, _ = run_cli("validate", "--in", str(path))
+    assert time.perf_counter() - start < 0.5
+    assert code == 0 and json.loads(out)["opens"] == 4096
+
+
+def test_twelve_points_missing_one_open_names_a_failing_union(tmp_path):
+    missing = 0xFFF & ~(1 << 5)
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"points": 12,
+                                "opens": [u for u in range(4096) if u != missing]}))
+    code, out, err = run_cli("validate", "--in", str(path))
+    assert (code, out) == (2, "")
+    found = re.fullmatch(r"error: opens not closed under union: (\(.*\)) \| (\(.*\))\n", err)
+    assert found, err
+    a, b = (set(json.loads("[" + group.strip("(,)") + "]")) for group in found.groups())
+    rest = set(range(12)) - {5}
+    assert a | b == rest and rest not in (a, b)      # a genuine pair of opens
+
+
 def test_space_listing_more_opens_than_the_cap_exits_two(tmp_path):
     path = tmp_path / "space.json"
     path.write_text(json.dumps({"points": 64, "opens": list(range(4097))}))

@@ -8,11 +8,11 @@ from adframe.duality import (is_cp_filter, is_cpc_filter, min_of_filter,
                              point_conditions_ok)
 from adframe.finord import _check_topology, lattice_from_labels, upset_family
 from adframe.frames import TWO_CHAIN
-from adframe.theorems import (enumerate_distributive_lattices,
-                              enumerate_spaces, pretop_maps)
+from adframe.theorems import enumerate_spaces, pretop_maps
 
 from helpers import (CHAIN3, INDISCRETE2_DISCRETE_ORDER, SIERPINSKI,
-                     idempotence_frames, leq_pairs)
+                     enumerate_distributive_lattices, idempotence_frames,
+                     leq_pairs)
 
 VARIANTS = (Variant.UP, Variant.DOWN, Variant.BOTH)
 

@@ -17,13 +17,15 @@ from adframe import (FinPreTopSpace, NotALattice, NotAPreorder,
                      make_topology, space_from_json, space_to_json,
                      specialization_preorder, subset_lattice, upset_family,
                      validate_space)
-from adframe.finord import (columns, continuity_failure, downclose, image,
-                            monotonicity_failure, preimage,
+from adframe.bits import canonical_subsets
+from adframe.finord import (closure_failure, columns, continuity_failure,
+                            downclose, image, monotonicity_failure, preimage,
                             reflexive_transitive_closure, upclose)
 from adframe.frames import TWO_CHAIN
-from adframe.theorems import enumerate_distributive_lattices, enumerate_spaces
+from adframe.theorems import enumerate_spaces
 
-from helpers import (CHAIN3, SIERPINSKI, bounded_posets, inclusion_matrix,
+from helpers import (CHAIN3, SIERPINSKI, bounded_posets,
+                     enumerate_distributive_lattices, inclusion_matrix,
                      naive_closure, naive_coprimes,
                      naive_distributivity_witness, naive_downclose, naive_glb,
                      naive_interior, naive_irreducible_closeds,
@@ -49,6 +51,62 @@ def test_union_gap_rejected():
 def test_missing_empty_set_rejected():
     with pytest.raises(NotATopology):
         make_topology(1, [[0]])
+
+
+def _closed_under_both(family):
+    """The union/intersection closure of a family, pair by pair."""
+    closed = set(family)
+    while True:
+        more = {a | b for a in closed for b in closed} | {a & b for a in closed for b in closed}
+        if more <= closed:
+            return closed
+        closed |= more
+
+
+@st.composite
+def subset_families(draw):
+    """A family of subsets of at most 6 points in canonical order: drawn,
+    or the closure of one with perhaps a member dropped, so that closed and
+    large families occur; the empty set and the carrier are then added,
+    removed or left as they are."""
+    n = draw(st.integers(0, 6))
+    family = set(draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12)))
+    if draw(st.booleans()):
+        family = _closed_under_both(family)
+        if family and draw(st.booleans()):
+            family.discard(draw(st.sampled_from(sorted(family))))
+    for unit in (0, (1 << n) - 1):
+        action = draw(st.sampled_from(("keep", "add", "remove")))
+        if action == "add":
+            family.add(unit)
+        elif action == "remove":
+            family.discard(unit)
+    return n, canonical_subsets(family)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(subset_families())
+@example((6, canonical_subsets(range(64))))
+@example((6, canonical_subsets(set(range(64)) - {0b011111})))
+@example((6, canonical_subsets(set(range(64)) - {0b100000})))   # only point 5's least holder exposes it
+def test_closure_failure_agrees_with_the_pairwise_definition(case):
+    """The partner test finds a failing pair exactly when some pair of
+    members has a union or an intersection outside the family, and the
+    pair it names is one."""
+    n, family = case
+    closed = set(family)
+    pairwise = all(a | b in closed and a & b in closed for a in family for b in family)
+    bad = closure_failure(family, n)
+    assert (bad is None) == pairwise
+    if bad is not None:
+        op, a, b = bad
+        assert {a, b} <= closed
+        assert (a | b if op == "|" else a & b) not in closed
+
+
+def test_lattice_from_labels_refuses_a_family_not_closed_under_union():
+    with pytest.raises(NotALattice, match=r"union/intersection at \(0,\), \(1,\)$"):
+        lattice_from_labels((0b00, 0b01, 0b10))
 
 
 def test_carrier_cap():
@@ -170,9 +228,9 @@ def test_non_lattice_rejected():
 
 
 def test_labels_must_match_order():
-    leq = [[True, True], [False, True]]
-    with pytest.raises(NotALattice):
-        lattice_from_leq(leq, labels=[2, 1])
+    doc = {"leq": [[0, 0], [0, 1], [1, 1]], "labels": [[1], [0]]}
+    with pytest.raises(NotALattice, match="order disagrees with label inclusion"):
+        lattice_from_json(doc)
 
 
 def chain_lattice(m):

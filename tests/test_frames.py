@@ -6,17 +6,16 @@ import pytest
 from adframe import (AdFrame, FinPreTopSpace, TrivialFrame, Variant,
                      adframe_from_json, adframe_to_json, bnd_map,
                      bounded_lattice_homs, build_ado, build_ado_hom,
-                     check_usc_lsc, compose_homs, epsilon_hom, identity_hom,
-                     ind_functor, subset_lattice, validate_adframe,
-                     validate_hom)
+                     check_usc_lsc, compose_homs, epsilon_hom, ind_functor,
+                     subset_lattice, validate_adframe, validate_hom)
 from adframe.frames import _reach_check, preserves_relations, rel_pairs
 from adframe.finord import lattice_from_labels
 from adframe import frames as frames_module
 from adframe.frames import REL_NAMES, AdFrameHom, TWO_CHAIN
 from adframe.theorems import enumerate_spaces, pretop_maps, upper_semi_closed, lower_semi_closed
 
-from helpers import (CHAIN3, SCOTT_GATE, SIERPINSKI, chain_doc, grid_doc, lift_doc,
-                     pts, reference_binary_check, reference_reach_check,
+from helpers import (CHAIN3, SCOTT_GATE, SIERPINSKI, chain_doc, grid_doc,
+                     identity_hom, lift_doc, pts, reference_binary_check, reference_reach_check,
                      scott_oracle)
 
 VARIANTS = (Variant.UP, Variant.DOWN, Variant.BOTH)

@@ -5,15 +5,15 @@ from adframe import (FinPreTopSpace, IrreduciblePair,
                      ads_hom, ads_space, adpt_space, build_ado, closure,
                      equivalence_classes, irreducible_closed_sets,
                      irreducible_pairs, run_check, standard_sobrification)
-from adframe.bits import bits_of, is_subset, low_bit, mask_of, subset_key
+from adframe.bits import bits_of, is_subset, low_bit, subset_key
 from adframe.finord import (continuity_failure, downclose, monotonicity_failure,
                             preimage, upclose, upset_family)
 from adframe.theorems import (enumerate_spaces, pretop_maps, sober_topology,
                               space_instance)
 
 from helpers import (CHAIN3, INDISCRETE2_DISCRETE_ORDER, SIERPINSKI,
-                     idempotence_frames, naive_closure, naive_irreducible_closeds,
-                     pair_ok, pts)
+                     idempotence_frames, mask_of, naive_closure,
+                     naive_irreducible_closeds, pair_ok, pts)
 
 VARIANTS = (Variant.UP, Variant.DOWN, Variant.BOTH)
 

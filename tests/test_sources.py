@@ -123,3 +123,38 @@ def test_derived_values_have_one_home():
     for path in SOURCES:
         visit(path, ast.parse(path.read_text()), None)
     assert stray == []
+
+
+def _named(tree):
+    """The identifiers a syntax tree names: variables, attributes and
+    string constants (the benchmark's tracer lists its layers as strings)."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            | {node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)})
+
+
+def test_every_definition_is_used_outside_the_tests():
+    """Every top-level function and class of ``src/adframe`` is named in
+    ``src/adframe`` outside its own definition and ``__init__.py``, or in
+    ``demos/`` or ``perfbench/``; a definition named only by unused ones
+    is unused too.  Library that only the tests use lives in
+    ``tests/helpers.py``."""
+    outside = set().union(*(_named(ast.parse(path.read_text()))
+                            for folder in ("demos", "perfbench")
+                            for path in (ROOT / folder).rglob("*.py")))
+    tops = [node for path in SOURCES if path.name != "__init__.py"
+            for node in ast.parse(path.read_text()).body]
+    names = [_named(node) for node in tops]
+    unused: set = set()
+    changed = True
+    while changed:
+        changed = False
+        for i, node in enumerate(tops):
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and i not in unused
+                    and node.name not in outside
+                    and not any(node.name in names[j] for j in range(len(tops))
+                                if j != i and j not in unused)):
+                unused.add(i)
+                changed = True
+    assert sorted(tops[i].name for i in unused) == []
