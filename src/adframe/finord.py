@@ -208,10 +208,10 @@ def _parse_subset(raw, n: int) -> int:
     return mask
 
 
-def closure_failure(family: Sequence[int], n: int) -> Optional[tuple[str, int, int]]:
-    """A pair (a, b) of members of a family of subsets of n points, in
-    canonical order, whose union (``"|"``) or intersection (``"&"``) is not
-    a member, or None when the family is closed under both.
+def closure_failure(family: Sequence[int]) -> Optional[tuple[str, int, int]]:
+    """A pair (a, b) of members of a family of subsets in canonical order
+    whose union (``"|"``) or intersection (``"&"``) is not a member, or
+    None when the family is closed under both.
 
     Each partner a is paired with each member b in turn, union first, and
     the first failing pair is returned.  The partners are, for each point
@@ -221,14 +221,16 @@ def closure_failure(family: Sequence[int], n: int) -> Optional[tuple[str, int, i
     holding x.  Then b | c is reached from b by joining, one member at a
     time, the lo of each point of c outside it; b & c is the union of the
     lo of its points, or, when empty, ``lo & c`` for a point x of b.
-    Finding and trying the partners takes up to 2n steps per member, so a
-    family of at most 2n members takes every member as a partner.
+    One pass finds the partners, at most one per point, so the test takes
+    at most 2n lookups per member on n points.
     """
     closed = set(family)
-    partners = family
-    if len(family) > 2 * n:
-        firsts = (next((a for a in family if a >> x & 1), None) for x in range(n))
-        partners = [a for a in dict.fromkeys(firsts) if a is not None]
+    partners = []
+    held = 0
+    for a in family:
+        if a & ~held:
+            partners.append(a)
+            held |= a
     for a in partners:
         for b in family:
             if a | b not in closed:
@@ -245,7 +247,7 @@ def _check_topology(opens: Sequence[int], n: int) -> None:
         raise NotATopology("empty set is not open")
     if opens[-1] != full_mask(n):           # and greatest last
         raise NotATopology("full carrier is not open")
-    bad = closure_failure(opens, n)
+    bad = closure_failure(opens)
     if bad is not None:
         op, a, b = bad
         what = "union" if op == "|" else "intersection"
@@ -466,7 +468,7 @@ def lattice_from_labels(labels: Sequence[int]) -> FinLattice:
     if lat is not None:
         return lat
     width = max(family).bit_length()
-    bad = closure_failure(family, width)
+    bad = closure_failure(family)
     if bad is not None:
         raise NotALattice(f"label family not closed under union/intersection at "
                           f"{bits_of(bad[1])}, {bits_of(bad[2])}")

@@ -114,13 +114,13 @@ def test_completed_space_over_the_open_cap_exits_two_quickly(tmp_path, k):
 
 def test_every_subset_of_twelve_points_validates_quickly(tmp_path):
     """The 4,096 opens of the discrete space on 12 points pass the closure
-    test in well under a second: each open is tried only against the
-    least open around each point."""
+    test quickly: each open is tried only against the least open around
+    each point (0.15 s on a 2-core host; about 2 s for a pairwise scan)."""
     path = tmp_path / "space.json"
     path.write_text(json.dumps({"points": 12, "opens": list(range(4096))}))
     start = time.perf_counter()
     code, out, _ = run_cli("validate", "--in", str(path))
-    assert time.perf_counter() - start < 0.5
+    assert time.perf_counter() - start < 1.5
     assert code == 0 and json.loads(out)["opens"] == 4096
 
 

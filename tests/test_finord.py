@@ -18,8 +18,9 @@ from adframe import (FinPreTopSpace, NotALattice, NotAPreorder,
                      specialization_preorder, subset_lattice, upset_family,
                      validate_space)
 from adframe.bits import canonical_subsets
-from adframe.finord import (closure_failure, columns, continuity_failure,
-                            downclose, image, monotonicity_failure, preimage,
+from adframe.finord import (_check_topology, closure_failure, columns,
+                            continuity_failure, downclose, image,
+                            monotonicity_failure, preimage,
                             reflexive_transitive_closure, upclose)
 from adframe.frames import TWO_CHAIN
 from adframe.theorems import enumerate_spaces
@@ -96,12 +97,35 @@ def test_closure_failure_agrees_with_the_pairwise_definition(case):
     n, family = case
     closed = set(family)
     pairwise = all(a | b in closed and a & b in closed for a in family for b in family)
-    bad = closure_failure(family, n)
+    bad = closure_failure(family)
     assert (bad is None) == pairwise
     if bad is not None:
         op, a, b = bad
         assert {a, b} <= closed
         assert (a | b if op == "|" else a & b) not in closed
+
+
+class _Counted(int):
+    """A subset mask that counts the unions and intersections taken of it."""
+    calls = 0
+
+    def __or__(self, other):
+        _Counted.calls += 1
+        return int(self) | other
+
+    def __and__(self, other):
+        _Counted.calls += 1
+        return int(self) & other
+
+
+def test_topology_check_takes_at_most_2n_lookups_per_open():
+    """The 4,096 opens of the discrete space on 12 points pass with at most
+    2 * 12 + 1 unions and intersections per open (the one for finding the
+    partners), not one per pair of opens."""
+    opens = tuple(map(_Counted, canonical_subsets(range(4096))))
+    _Counted.calls = 0
+    _check_topology(opens, 12)
+    assert _Counted.calls <= (2 * 12 + 1) * 4096
 
 
 def test_lattice_from_labels_refuses_a_family_not_closed_under_union():
