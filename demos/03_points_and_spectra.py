@@ -29,7 +29,7 @@ print("spectrum opens:", spectrum.space.opens, " order:", spectrum.space.leq)
 # through up-sets), a point of the spectrum of the space's frame; on this
 # space that is a bijection
 eta = eta_map(spectrum)
-print("eta:", eta.mapping)
+print("eta:", eta)
 print("ad-T0:", is_ad_t0(term), " ad-sober:", is_ad_sober(term).ad_sober)
 
 # the universal property: any continuous monotone map into a spectrum is
@@ -45,11 +45,11 @@ print("transpose is a frame hom:", validate_hom(hom).ok)
 # and the triangle closes: pulling eta's points back along hom lands on f
 from adframe.duality import pullback_point
 closes = all(
-    spec3.point_index(pullback_point(hom, spectrum.points[eta.mapping[x]])) == f[x]
+    spec3.point_index(pullback_point(hom, spectrum.points[eta[x]])) == f[x]
     for x in range(term.n))
 print("triangle adpt(hom) . eta == f:", closes)
 
 # a space that fails to be ad-sober: indiscrete topology, indiscrete order
 blob = make_space(2, [[], [0, 1]], pairs=[[0, 1], [1, 0]])
-print("blob eta:", eta_map(adpt_space(build_ado(blob, Variant.BOTH))).mapping,
+print("blob eta:", eta_map(adpt_space(build_ado(blob, Variant.BOTH))),
       "-> ad-sober:", is_ad_sober(blob).ad_sober)

@@ -8,8 +8,8 @@ satisfying variant-dependent meeting conditions -- and that difference is
 observable.
 """
 
-from adframe import (ads_adpt_iso, ads_space, irreducible_pairs, make_space,
-                     standard_sobrification)
+from adframe import (adpt_space, ads_adpt_iso, ads_space, build_ado,
+                     irreducible_pairs, make_space, standard_sobrification)
 from adframe.bits import bits_of
 from adframe.theorems import designated_counterexample
 
@@ -31,8 +31,8 @@ print("so the pair space keeps both points while the classical one collapses the
 print("diamond:", ads.diamond_map, " bracket:", ads.bracket_map)
 
 # the pair space is exactly the spectrum of the frame, via an explicit witness
-iso = ads_adpt_iso(cex)
-print("pair -> point bijection:", iso.forward)
+spectrum = adpt_space(build_ado(cex))
+print("pair -> point bijection:", ads_adpt_iso(ads, spectrum))
 
 # on a space that is already sober and ordered discretely, everything is
 # the identity in disguise

@@ -20,17 +20,17 @@ from .finord import (FinLattice, FinPreTopSpace, FinTopSpace, LatticeAnalysis,
                      lattice_from_leq, lattice_to_json, make_space,
                      make_topology, point_classes, space_from_json,
                      space_to_json, specialization_preorder, subset_lattice,
-                     upset_family, validate_space)
+                     upset_family)
 from .frames import (AdFrame, AdFrameHom, Variant, adframe_from_json,
                      adframe_to_json, bnd_map, bounded_lattice_homs,
                      build_ado, build_ado_hom, check_usc_lsc, compose_homs,
                      epsilon_hom, ind_functor, validate_adframe, validate_hom)
-from .duality import (AdPoint, Eta, SoberResult, Spectrum, SpectrumMap,
-                      adpt_hom, adpt_space, enumerate_points, eta_map,
-                      is_ad_sober, is_ad_t0, pullback_point, transpose)
-from .sobrify import (AdsAdptIso, AdsMap, AdsSpace, IrreduciblePair,
-                      ads_adpt_iso, ads_hom, ads_space, canonical_pairs,
-                      irreducible_pairs, standard_sobrification)
+from .duality import (AdPoint, SoberResult, Spectrum, adpt_hom, adpt_space,
+                      enumerate_points, eta_map, is_ad_sober, is_ad_t0,
+                      pullback_point, transpose)
+from .sobrify import (AdsSpace, IrreduciblePair, ads_adpt_iso, ads_hom,
+                      ads_space, canonical_pairs, irreducible_pairs,
+                      standard_sobrification)
 from .theorems import (CheckReport, Instance, SweepSpec, enumerate_preorders,
                        enumerate_spaces, enumerate_topologies, generate_random,
                        instances_for_payload, iso_check, registry_doc,

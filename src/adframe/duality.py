@@ -9,13 +9,16 @@ Two enumeration routes exist and must agree: the prime route walks prime
 elements of the opens side and pitchfork pairs of the lattice side; the
 brute-force route scans every subset pair and tests the definitions
 directly.
+
+A map is a tuple of point indices: ``adpt_hom`` and ``eta_map`` return
+one and take the spectra it runs between, built once by the caller.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .bits import canonical_subsets, full_mask, is_subset, iter_bits
+from .bits import canonical_subsets, full_mask, iter_bits
 from .errors import (
     BudgetExceeded,
     InternalCheckError,
@@ -183,23 +186,14 @@ def adpt_space(frame: AdFrame) -> Spectrum:
     checks that the opens form a topology and that the up-closed sets are
     exactly those of the point preorder."""
     points = enumerate_points(frame, "prime")
-    n = len(points)
     open_map = columns([pt.x for pt in points], frame.omega.m)
     upset_map = columns([pt.s for pt in points], frame.ell.m)
     opens = canonical_subsets(open_map)
-    rows = tuple(
-        sum(1 << j for j, other in enumerate(points) if is_subset(pt.s, other.s))
-        for pt in points
-    )
-    space = FinPreTopSpace(n, opens, rows)
+    # s is the up-cone of one element b, so s <= s' iff b is in s'
+    cone_of = frame.ell.joins()[1]
+    rows = tuple(upset_map[cone_of[pt.s]] for pt in points)
+    space = FinPreTopSpace(len(points), opens, rows)
     return Spectrum(frame, points, space, open_map, upset_map)
-
-
-@dataclass(eq=False)
-class SpectrumMap:
-    dom: Spectrum
-    cod: Spectrum
-    mapping: tuple[int, ...]
 
 
 def pullback_point(hom: AdFrameHom, pt: AdPoint) -> AdPoint:
@@ -208,13 +202,11 @@ def pullback_point(hom: AdFrameHom, pt: AdPoint) -> AdPoint:
     return AdPoint(preimage(hom.phi, pt.x), preimage(hom.p, pt.s))
 
 
-def adpt_hom(hom: AdFrameHom) -> SpectrumMap:
-    """Spectrum map induced by a hom, contravariantly: a point of the
-    target's spectrum pulls back along (phi, p) to a point of the source's
-    spectrum.  Continuity and monotonicity of the result are checked by
-    ADJ-EXISTS."""
-    dom = adpt_space(hom.target)
-    cod = adpt_space(hom.source)
+def adpt_hom(hom: AdFrameHom, dom: Spectrum, cod: Spectrum) -> tuple[int, ...]:
+    """Spectrum map induced by a hom, contravariantly, as point indices: a
+    point of ``dom``, the spectrum of the hom's target, pulls back along
+    (phi, p) to a point of ``cod``, the spectrum of its source.  Continuity
+    and monotonicity of the result are checked by ADJ-EXISTS."""
     mapping = []
     for pt in dom.points:
         idx = cod.point_index(pullback_point(hom, pt))
@@ -222,20 +214,11 @@ def adpt_hom(hom: AdFrameHom) -> SpectrumMap:
             raise InternalCheckError(
                 f"pullback of point {pt} along the hom is not a point")
         mapping.append(idx)
-    return SpectrumMap(dom, cod, tuple(mapping))
+    return tuple(mapping)
 
 
 # ---------------------------------------------------------------------------
 # the unit
-
-
-@dataclass(eq=False)
-class Eta:
-    """Unit of the adjunction at one space: x goes to (opens around x,
-    up-closed sets around x) inside the spectrum of the space's ad-frame."""
-
-    spectrum: Spectrum
-    mapping: tuple[int, ...]
 
 
 def _point_masks(lat: FinLattice) -> tuple[int, ...]:
@@ -253,18 +236,19 @@ def unit_points(frame: AdFrame) -> Iterator[AdPoint]:
     return map(AdPoint, _point_masks(frame.omega), _point_masks(frame.ell))
 
 
-def eta_map(spectrum: Spectrum) -> Eta:
-    """The unit at a space, given the spectrum of the space's ad-frame
-    (``adpt_space(build_ado(space, variant))``): each point goes to the
-    index of its :func:`unit_points` point in the spectrum.  ADSOBER-EQ
-    checks that it pulls spectrum opens back to opens and is monotone."""
+def eta_map(spectrum: Spectrum) -> tuple[int, ...]:
+    """The unit of the adjunction at a space, as point indices, given the
+    spectrum of the space's ad-frame (``adpt_space(build_ado(space,
+    variant))``): each point x goes to the index of its :func:`unit_points`
+    point, the opens and up-closed sets around x.  ADSOBER-EQ checks that
+    it pulls spectrum opens back to opens and is monotone."""
     mapping = []
     for x, pt in enumerate(unit_points(spectrum.frame)):
         idx = spectrum.point_index(pt)
         if idx is None:
             raise InternalCheckError(f"unit image of point {x} is not a point")
         mapping.append(idx)
-    return Eta(spectrum, tuple(mapping))
+    return tuple(mapping)
 
 
 # ---------------------------------------------------------------------------

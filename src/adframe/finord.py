@@ -284,7 +284,7 @@ def make_topology(n: int, opens: Iterable, complete: bool = False) -> FinTopSpac
     return FinTopSpace(n, family)
 
 
-def validate_space(raw: Mapping) -> FinPreTopSpace:
+def space_from_json(raw: Mapping) -> FinPreTopSpace:
     """Build a canonical space from a raw description (the JSON shape).
 
     Keys: ``points``, ``opens``, ``leq`` (order pairs), optional ``complete``
@@ -320,8 +320,8 @@ def make_space(
     complete: bool = False,
     strict: bool = False,
 ) -> FinPreTopSpace:
-    """Convenience wrapper around :func:`validate_space`."""
-    return validate_space(
+    """Convenience wrapper around :func:`space_from_json`."""
+    return space_from_json(
         {"points": n, "opens": list(opens), "leq": [list(p) for p in pairs],
          "complete": complete, "strict": strict}
     )
@@ -334,10 +334,6 @@ def space_to_json(space: FinPreTopSpace) -> dict:
         "leq": rows_to_pairs(space.leq),
         "complete": False,
     }
-
-
-def space_from_json(doc: Mapping) -> FinPreTopSpace:
-    return validate_space(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ one whose carrier is the set of irreducible pairs: an irreducible closed
 set C together with a preorder-equivalence class [x], subject to
 variant-dependent compatibility (meeting the cone of x and landing inside
 the closure of the opposite cone).
+
+A map is a tuple of point indices: ``ads_hom`` and ``ads_adpt_iso`` return
+one and take the pair spaces and the spectrum it runs between.
 """
 from __future__ import annotations
 
@@ -24,8 +27,8 @@ from .finord import (
     point_classes,
     subset_lattice,
 )
-from .frames import Variant, build_ado
-from .duality import AdPoint, Spectrum, adpt_space
+from .frames import Variant
+from .duality import AdPoint, Spectrum
 
 
 @dataclass(frozen=True)
@@ -148,31 +151,22 @@ def ads_space(space: FinPreTopSpace, variant=Variant.BOTH) -> AdsSpace:
     return AdsSpace(space, variant, pairs, result, diamond, bracket, base_upsets)
 
 
-@dataclass(eq=False)
-class AdsMap:
-    dom: AdsSpace
-    cod: AdsSpace
-    mapping: tuple[int, ...]
-
-
-def ads_hom(mapping: Sequence[int], src: FinPreTopSpace, dst: FinPreTopSpace,
-            variant=Variant.BOTH) -> AdsMap:
-    """Image of a continuous monotone map on irreducible pairs: close the
-    direct image of C, push the class through.
+def ads_hom(mapping: Sequence[int], ads_src: AdsSpace,
+            ads_dst: AdsSpace) -> tuple[int, ...]:
+    """The pair-space map of a continuous monotone map between the bases,
+    as pair indices: close the direct image of C, push the class through.
 
     The result is continuous and monotone between the pair spaces: the
     closure of f(C) meets an open v iff C meets the open preimage of v, so
     diamonds pull back to diamonds, and the pair order is the preorder on
     class representatives, which f respects.  The test suite checks both
     on every morphism of spaces with up to two points."""
-    variant = Variant.parse(variant)
+    src, dst = ads_src.base, ads_dst.base
     bad = finord.continuity_failure(src, dst, mapping)
     if bad is not None:
         raise NotContinuous(f"preimage of open {bits_of(bad)} is not open")
     if finord.monotonicity_failure(src, dst, mapping) is not None:
         raise NotMonotone("map does not respect the preorders")
-    ads_src = ads_space(src, variant)
-    ads_dst = ads_space(dst, variant)
     classes_dst = point_classes(dst)
     index = {pr: i for i, pr in enumerate(ads_dst.pairs)}
     out = []
@@ -185,33 +179,20 @@ def ads_hom(mapping: Sequence[int], src: FinPreTopSpace, dst: FinPreTopSpace,
                 f"image pair ({bits_of(d)}, class of {mapping[pr.rep]}) "
                 f"is not an irreducible pair")
         out.append(index[target])
-    return AdsMap(ads_src, ads_dst, tuple(out))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
 # agreement with the spectrum
 
 
-@dataclass(eq=False)
-class AdsAdptIso:
-    """Explicit isomorphism between the irreducible-pair space and the
-    spectrum of the space's ad-frame."""
-
-    ads: AdsSpace
-    spectrum: Spectrum
-    forward: tuple[int, ...]   # pair index -> point index
-
-
-def ads_adpt_iso(space: FinPreTopSpace, variant=Variant.BOTH) -> AdsAdptIso:
-    """The pair (C, [x]) goes to the point whose filters are the opens
-    meeting C and the up-closed sets meeting [x].  ADS-ISO checks that
-    ``forward`` is an isomorphism of spaces carrying the transferred
-    up-sets onto the spectrum's."""
-    variant = Variant.parse(variant)
-    ads = ads_space(space, variant)
-    frame = build_ado(space, variant)
-    spectrum = adpt_space(frame)
-
+def ads_adpt_iso(ads: AdsSpace, spectrum: Spectrum) -> tuple[int, ...]:
+    """The map from a pair space to the spectrum of its base's ad-frame
+    (``adpt_space(build_ado(ads.base, ads.variant))``), as point indices:
+    (C, [x]) goes to the point whose filters are the opens meeting C and
+    the up-closed sets meeting [x].  ADS-ISO checks that it is an
+    isomorphism of spaces carrying the bracket sets onto its up-sets."""
+    frame = spectrum.frame
     forward = []
     for pr in ads.pairs:
         x = sum(1 << u for u, lab in enumerate(frame.omega.labels) if lab & pr.closed)
@@ -220,4 +201,4 @@ def ads_adpt_iso(space: FinPreTopSpace, variant=Variant.BOTH) -> AdsAdptIso:
         if idx is None:
             raise InternalCheckError(f"pair {pr} does not map to a point")
         forward.append(idx)
-    return AdsAdptIso(ads, spectrum, tuple(forward))
+    return tuple(forward)

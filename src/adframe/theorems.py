@@ -18,8 +18,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .bits import bits_of, canonical_subsets, is_subset
-from .errors import (BudgetExceeded, InternalCheckError, NotATopology,
-                     TrivialFrame, UnknownTheorem)
+from .errors import (BudgetExceeded, InternalCheckError, NotAPointMap,
+                     NotATopology, NotContinuous, NotMonotone, TrivialFrame,
+                     UnknownTheorem)
 from . import finord
 from .finord import (FinLattice, FinPreTopSpace, FinTopSpace, closure,
                      columns, continuity_failure, irreducible_closed_sets,
@@ -32,8 +33,9 @@ from .frames import (TWO_CHAIN, AdFrame, AdFrameHom, REL_NAMES, Variant,
                      preserves_relations, validate_adframe, validate_hom)
 from .duality import (adpt_hom, adpt_space, eta_map, is_ad_sober, is_ad_t0,
                       pullback_point, transpose, unit_points)
-from .sobrify import (ads_adpt_iso, ads_hom, ads_space, canonical_pairs,
-                      irreducible_pairs, standard_sobrification)
+from .sobrify import (AdsSpace, ads_adpt_iso, ads_hom, ads_space,
+                      canonical_pairs, irreducible_pairs,
+                      standard_sobrification)
 
 VARIANTS = (Variant.UP, Variant.DOWN, Variant.BOTH)
 
@@ -887,11 +889,14 @@ def _run_triangle(inst: Instance):
 
     x_space, y_space, h, v = inst.payload
     g = build_ado_hom(h, x_space, y_space, v)
-    smap = adpt_hom(g)
-    eta_x = eta_map(smap.dom)
-    composite = tuple(smap.mapping[eta_x.mapping[x]] for x in range(x_space.n))
-    back = transpose(x_space, smap.cod, composite)
-    err = _transpose_failure(smap.cod, composite, back)
+    spec_x, spec_y = adpt_space(g.target), adpt_space(g.source)
+    try:
+        smap = adpt_hom(g, spec_x, spec_y)
+        composite = tuple(smap[i] for i in eta_map(spec_x))
+        back = transpose(x_space, spec_y, composite)
+    except (InternalCheckError, NotAPointMap, NotContinuous, NotMonotone) as exc:
+        return False, str(exc)
+    err = _transpose_failure(spec_y, composite, back)
     if err is not None:
         return False, err
     if back.key() != g.key():
@@ -906,15 +911,18 @@ def _run_adj_exists(inst: Instance):
     bad = validate_hom(g).failures()
     if bad:
         return False, {"preimage_hom_failures": [c.law for c in bad]}
-    smap = adpt_hom(g)
-    if continuity_failure(smap.dom.space, smap.cod.space, smap.mapping) is not None:
+    spec_src, spec_dst = adpt_space(g.target), adpt_space(g.source)
+    try:
+        smap = adpt_hom(g, spec_src, spec_dst)
+        eta_src, eta_dst = eta_map(spec_src), eta_map(spec_dst)
+    except InternalCheckError as exc:
+        return False, str(exc)
+    if continuity_failure(spec_src.space, spec_dst.space, smap) is not None:
         return False, "induced spectrum map is not continuous"
-    if monotonicity_failure(smap.dom.space, smap.cod.space, smap.mapping) is not None:
+    if monotonicity_failure(spec_src.space, spec_dst.space, smap) is not None:
         return False, "induced spectrum map is not monotone"
-    eta_src = eta_map(smap.dom)
-    eta_dst = eta_map(smap.cod)
-    left = [smap.mapping[eta_src.mapping[x]] for x in range(src.n)]
-    right = [eta_dst.mapping[h[x]] for x in range(src.n)]
+    left = [smap[eta_src[x]] for x in range(src.n)]
+    right = [eta_dst[h[x]] for x in range(src.n)]
     if left != right:
         return False, {"through_spectra": left, "through_unit": right}
     return True, None
@@ -950,21 +958,21 @@ def _run_usc_lsc(inst: Instance):
 
 def _run_ads_iso(inst: Instance):
     space, v = inst.payload
+    ads, spectrum = ads_space(space, v), adpt_space(build_ado(space, v))
     try:
-        iso = ads_adpt_iso(space, v)
+        fwd = ads_adpt_iso(ads, spectrum)
     except InternalCheckError as exc:
         return False, str(exc)
-    fwd = iso.forward
-    if len(set(fwd)) != len(fwd) or len(fwd) != len(iso.spectrum.points):
+    if len(set(fwd)) != len(fwd) or len(fwd) != len(spectrum.points):
         return False, "pair-to-point map is not bijective"
-    pair_space, spectrum_space = iso.ads.space, iso.spectrum.space
+    pair_space, spectrum_space = ads.space, spectrum.space
     bad = _order_mismatch(pair_space.leq, spectrum_space.leq, fwd)
     if bad is not None:
         return False, "order mismatch between pairs {} and {}".format(*bad)
     if not _moves_opens_onto(fwd, pair_space.opens, spectrum_space.opens):
         return False, "open families do not correspond"
-    for a, upset in enumerate(iso.ads.bracket_map):
-        if finord.image(fwd, upset) != iso.spectrum.upset_map[a]:
+    for a, upset in enumerate(ads.bracket_map):
+        if finord.image(fwd, upset) != spectrum.upset_map[a]:
             return False, "bracket sets do not match spectrum up-sets"
     return True, None
 
@@ -1008,21 +1016,21 @@ def _run_eta_preimage(inst: Instance):
 def _run_adsober_eq(inst: Instance):
     space, v = inst.payload
     res = is_ad_sober(space, v)
+    spectrum = adpt_space(build_ado(space, v))
     try:
-        eta = eta_map(adpt_space(build_ado(space, v)))
+        eta = eta_map(spectrum)
     except InternalCheckError as exc:
         return False, str(exc)
-    for u, lab in enumerate(eta.spectrum.frame.omega.labels):
-        if finord.preimage(eta.mapping, eta.spectrum.open_map[u]) != lab:
+    for u, lab in enumerate(spectrum.frame.omega.labels):
+        if finord.preimage(eta, spectrum.open_map[u]) != lab:
             return False, "unit does not pull spectrum opens back to opens"
-    if monotonicity_failure(space, eta.spectrum.space, eta.mapping) is not None:
+    if monotonicity_failure(space, spectrum.space, eta) is not None:
         return False, "unit is not monotone"
-    bijective = (len(set(eta.mapping)) == space.n
-                 and len(eta.spectrum.points) == space.n)
+    bijective = len(set(eta)) == space.n and len(spectrum.points) == space.n
     if bijective:
-        inverse = sorted(range(space.n), key=lambda x: eta.mapping[x])
-        if continuity_failure(eta.spectrum.space, space, inverse) is not None or \
-           monotonicity_failure(eta.spectrum.space, space, inverse) is not None:
+        inverse = sorted(range(space.n), key=lambda x: eta[x])
+        if continuity_failure(spectrum.space, space, inverse) is not None or \
+           monotonicity_failure(spectrum.space, space, inverse) is not None:
             return False, "bijective unit whose inverse is not a map of spaces"
     if res.ad_sober != bijective:
         return False, {"pair_route": res.ad_sober, "unit_bijective": bijective,
@@ -1030,10 +1038,9 @@ def _run_adsober_eq(inst: Instance):
     return True, None
 
 
-def _nat_ind_alpha(top: FinTopSpace, v: Variant):
-    """Pair space of the indiscrete lift against the classical
+def _nat_ind_alpha(ads: AdsSpace, top: FinTopSpace):
+    """Pair space of the indiscrete lift of ``top`` against the classical
     sobrification; returns the matching permutation or an error string."""
-    ads = ads_space(basic_functors("ind_space", top), v)
     irr = irreducible_closed_sets(top)
     alpha = []
     for pr in ads.pairs:
@@ -1066,9 +1073,9 @@ def _sobrification_map(src_top: FinTopSpace, dst_top: FinTopSpace,
     return out
 
 
-def _nat_discr_alpha(top: FinTopSpace, v: Variant):
-    disc = basic_functors("discr", top)
-    ads = ads_space(disc, v)
+def _nat_discr_alpha(ads: AdsSpace, top: FinTopSpace):
+    """Pair space of the discrete lift of ``top`` against ``top`` itself;
+    returns the matching permutation or an error string."""
     alpha = []
     for pr in ads.pairs:
         if pr.cls.bit_count() != 1:
@@ -1080,7 +1087,7 @@ def _nat_discr_alpha(top: FinTopSpace, v: Variant):
         return None, {"pairs": len(ads.pairs), "points": top.n}
     if not _moves_opens_onto(alpha, ads.space.opens, top.opens):
         return None, "open families do not correspond"
-    if _order_mismatch(ads.space.leq, disc.leq, alpha) is not None:
+    if _order_mismatch(ads.space.leq, ads.base.leq, alpha) is not None:
         return None, "pair space is not discretely ordered"
     return alpha, None
 
@@ -1091,22 +1098,23 @@ def _run_nat_square(inst: Instance, lift: str, alpha_of, base_map):
     commutes, through the matchings, with ``base_map(src, dst, g)``."""
     if inst.kind == "topology":
         top, v = inst.payload
-        alpha, err = alpha_of(top, v)
+        alpha, err = alpha_of(ads_space(basic_functors(lift, top), v), top)
         return (alpha is not None), err
 
     src, dst, g, v = inst.payload
-    a_src, err = alpha_of(src, v)
+    ads_src, ads_dst = (ads_space(basic_functors(lift, top), v) for top in (src, dst))
+    a_src, err = alpha_of(ads_src, src)
     if a_src is None:
         return False, err
-    a_dst, err = alpha_of(dst, v)
+    a_dst, err = alpha_of(ads_dst, dst)
     if a_dst is None:
         return False, err
-    amap = ads_hom(g, basic_functors(lift, src), basic_functors(lift, dst), v)
+    amap = ads_hom(g, ads_src, ads_dst)
     gs = base_map(src, dst, g)
     if gs is None:
         return False, "image closure left the irreducible family"
-    for i in range(len(amap.mapping)):
-        if a_dst[amap.mapping[i]] != gs[a_src[i]]:
+    for i in range(len(amap)):
+        if a_dst[amap[i]] != gs[a_src[i]]:
             return False, f"square does not commute at pair {i}"
     return True, None
 

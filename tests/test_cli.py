@@ -10,9 +10,9 @@ import time
 
 import pytest
 
-from adframe import (adframe_to_json, build_ado, lattice_to_json,
-                     space_to_json, subset_lattice)
-from adframe import cli
+from adframe import (AdPoint, adframe_to_json, build_ado, lattice_to_json,
+                     run_check, space_to_json, subset_lattice)
+from adframe import cli, duality
 from adframe.cli import main, render_dot
 from adframe.theorems import _lookup, registry_ids
 
@@ -469,6 +469,27 @@ def test_sweep_can_filter_to_one_id():
     code, out, _ = run_cli("sweep", "--id", "ADO-VALID", "--sweep", "n=2")
     assert code == 0
     assert {json.loads(l)["id"] for l in out.strip().splitlines()} == {"ADO-VALID"}
+
+
+def test_a_construction_error_fails_its_record(monkeypatch):
+    """When a spectrum map leaves the spectrum, ADJ-EXISTS and the
+    roundtrips of ADJ-TRIANGLE fail the record with the error's message
+    instead of ending the run, and ``sweep`` writes every record."""
+    monkeypatch.setattr(duality, "pullback_point", lambda hom, pt: AdPoint(-1, -1))
+    message = "along the hom is not a point"
+    verdicts = {}
+    for cid in ("ADJ-EXISTS", "ADJ-TRIANGLE"):
+        for r in run_check(cid, sweep={"n": 1}):
+            verdicts.setdefault((cid, r.instance["kind"]), set()).add(r.verdict)
+            assert (r.verdict == "fail") == (message in str(r.witness)), r
+    assert verdicts == {("ADJ-EXISTS", "morphism"): {"fail"},
+                        ("ADJ-TRIANGLE", "triangle"): {"pass"},
+                        ("ADJ-TRIANGLE", "roundtrip"): {"fail"}}
+    code, records, err = _masked(run_cli("sweep", "--id", "ADJ-EXISTS", "--sweep", "n=1"))
+    assert (code, err) == (1, "")
+    assert records and all(r["verdict"] == "fail" and message in r["witness"]
+                           for r in records)
+    assert len(records) == len(run_check("ADJ-EXISTS", sweep={"n": 1}))
 
 
 # ---------------------------------------------------------------------------

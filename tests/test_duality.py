@@ -118,8 +118,7 @@ def test_spectrum_opens_are_a_topology_and_upsets_come_from_the_lattice():
 
 
 def test_eta_on_sober_space_is_identity_like():
-    eta = eta_map(adpt_space(build_ado(SIERPINSKI, Variant.BOTH)))
-    assert eta.mapping == (0, 1)
+    assert eta_map(adpt_space(build_ado(SIERPINSKI, Variant.BOTH))) == (0, 1)
     assert is_ad_sober(SIERPINSKI).ad_sober
 
 
@@ -128,7 +127,7 @@ def test_eta_collapses_indiscernible_points():
     from adframe import FinPreTopSpace
     blob = FinPreTopSpace(2, (0, 3), (3, 3))
     eta = eta_map(adpt_space(build_ado(blob, Variant.BOTH)))
-    assert eta.mapping[0] == eta.mapping[1]
+    assert eta[0] == eta[1]
     assert not is_ad_sober(blob).ad_sober
 
 
@@ -136,13 +135,14 @@ def test_transpose_recovers_map_exhaustive_small():
     frame = build_ado(CHAIN3)
     spec = adpt_space(frame)
     for sp in enumerate_spaces(2)[:10]:
-        eta = eta_map(adpt_space(build_ado(sp, Variant.BOTH)))
+        spec_sp = adpt_space(build_ado(sp, Variant.BOTH))
+        eta = eta_map(spec_sp)
         for f in pretop_maps(sp, spec.space):
             hom = transpose(sp, spec, f)
             assert validate_hom(hom).ok
             # triangle: pulling back the unit image of x lands on f(x)
             for x in range(sp.n):
-                pulled = pullback_point(hom, eta.spectrum.points[eta.mapping[x]])
+                pulled = pullback_point(hom, spec_sp.points[eta[x]])
                 assert spec.point_index(pulled) == f[x]
 
 
@@ -160,10 +160,11 @@ def test_adpt_hom_is_functorial_on_spectra():
     src, dst = SIERPINSKI, CHAIN3
     for f in pretop_maps(src, dst):
         hom = build_ado_hom(f, src, dst)
-        smap = adpt_hom(hom)
-        assert smap.dom.frame is hom.target or smap.dom.frame.key() == hom.target.key()
-        for i, pt in enumerate(smap.dom.points):
-            assert smap.cod.points[smap.mapping[i]] == pullback_point(hom, pt)
+        dom, cod = adpt_space(hom.target), adpt_space(hom.source)
+        smap = adpt_hom(hom, dom, cod)
+        assert len(smap) == len(dom.points)
+        for i, pt in enumerate(dom.points):
+            assert cod.points[smap[i]] == pullback_point(hom, pt)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +194,7 @@ def test_sober_routes_agree_exhaustive_n2():
             res = is_ad_sober(sp, variant)
             spec = adpt_space(build_ado(sp, variant))
             eta = eta_map(spec)
-            bijective = (len(set(eta.mapping)) == sp.n == len(spec.points))
+            bijective = (len(set(eta)) == sp.n == len(spec.points))
             assert res.ad_sober == bijective, (sp, variant)
 
 

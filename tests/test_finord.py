@@ -15,8 +15,7 @@ from adframe import (FinPreTopSpace, NotALattice, NotAPreorder,
                      lattice_analyze, lattice_from_json, lattice_from_labels,
                      lattice_from_leq, lattice_to_json, make_space,
                      make_topology, space_from_json, space_to_json,
-                     specialization_preorder, subset_lattice, upset_family,
-                     validate_space)
+                     specialization_preorder, subset_lattice, upset_family)
 from adframe.bits import canonical_subsets
 from adframe.finord import (_check_topology, closure_failure, columns,
                             continuity_failure, downclose, image,
@@ -177,7 +176,7 @@ def test_space_json_roundtrip_exhaustive_n2():
 
 
 def test_validate_space_completion_flag():
-    sp = validate_space({"points": 2, "opens": [[0]], "complete": True, "leq": []})
+    sp = space_from_json({"points": 2, "opens": [[0]], "complete": True, "leq": []})
     assert sp.opens == (0, 1, 3)
 
 

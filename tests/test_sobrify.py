@@ -204,43 +204,43 @@ def test_pair_index_raises_on_foreign_pair():
 
 
 def test_ads_hom_of_identity():
-    out = ads_hom((0, 1), SIERPINSKI, SIERPINSKI)
-    assert out.mapping == (0, 1)
-    assert out.dom.base is SIERPINSKI
+    ads = ads_space(SIERPINSKI)
+    assert ads_hom((0, 1), ads, ads) == (0, 1)
 
 
 def test_ads_hom_is_continuous_and_monotone():
     spaces = [sp for n in range(3) for sp in enumerate_spaces(n)]
     count = 0
     for v in VARIANTS:
-        for src in spaces:
-            for dst in spaces:
+        pair_spaces = [ads_space(sp, v) for sp in spaces]
+        for src, ads_src in zip(spaces, pair_spaces):
+            for dst, ads_dst in zip(spaces, pair_spaces):
                 for m in pretop_maps(src, dst):
-                    amap = ads_hom(m, src, dst, v)
-                    dom, cod = amap.dom.space, amap.cod.space
-                    assert continuity_failure(dom, cod, amap.mapping) is None
-                    assert monotonicity_failure(dom, cod, amap.mapping) is None
+                    amap = ads_hom(m, ads_src, ads_dst)
+                    dom, cod = ads_src.space, ads_dst.space
+                    assert continuity_failure(dom, cod, amap) is None
+                    assert monotonicity_failure(dom, cod, amap) is None
                     count += 1
     assert count == 2223
 
 
 def test_ads_hom_rejects_discontinuous_map():
+    ads = ads_space(SIERPINSKI)
     with pytest.raises(NotContinuous):
-        ads_hom((1, 0), SIERPINSKI, SIERPINSKI)
+        ads_hom((1, 0), ads, ads)
 
 
 def test_ads_hom_rejects_non_monotone_map():
     discrete_top = FinPreTopSpace(2, (0, 1, 2, 3), (3, 2))  # order 0 <= 1
     flipped = FinPreTopSpace(2, (0, 1, 2, 3), (1, 3))       # order 1 <= 0
     with pytest.raises(NotMonotone):
-        ads_hom((0, 1), discrete_top, flipped)
+        ads_hom((0, 1), ads_space(discrete_top), ads_space(flipped))
 
 
 def test_pair_space_agrees_with_spectrum():
     for sp in enumerate_spaces(2):
         for variant in VARIANTS:
-            iso = ads_adpt_iso(sp, variant)
             res = ads_space(sp, variant)
             spec = adpt_space(build_ado(sp, variant))
             assert len(res.pairs) == len(spec.points)
-            assert sorted(iso.forward) == list(range(len(spec.points)))
+            assert sorted(ads_adpt_iso(res, spec)) == list(range(len(spec.points)))

@@ -1,13 +1,18 @@
 import ast
 import dataclasses
 import importlib
+import inspect
 import pathlib
 import subprocess
 import sys
 import warnings
 
 import adframe
+from adframe import (adpt_hom, adpt_space, ads_adpt_iso, ads_hom, ads_space,
+                     build_ado, build_ado_hom, eta_map)
 from adframe.finord import FinLattice
+
+from helpers import SIERPINSKI
 
 SOURCES = sorted(pathlib.Path(adframe.__file__).parent.glob("*.py"))
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -158,3 +163,25 @@ def test_every_definition_is_used_outside_the_tests():
                 unused.add(i)
                 changed = True
     assert sorted(tops[i].name for i in unused) == []
+
+
+def test_a_map_is_a_tuple_of_indices():
+    """A map between finite spaces has one representation, the tuple of
+    its point indices.  No class in ``src/adframe`` wraps one, and the
+    package exports none of the old wrappers nor the old name of
+    ``space_from_json``.  The four constructions of maps return tuples,
+    and the two of the pair-space side take the pair spaces and the
+    spectrum they read, not a variant to rebuild them from."""
+    old = {"Eta", "SpectrumMap", "AdsMap", "AdsAdptIso"}
+    defined = {node.name for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    assert defined & old == set()
+    assert set(adframe.__all__) & (old | {"validate_space"}) == set()
+    hom = build_ado_hom((0, 1), SIERPINSKI, SIERPINSKI)
+    spectrum, ads = adpt_space(build_ado(SIERPINSKI)), ads_space(SIERPINSKI)
+    for value in (adpt_hom(hom, spectrum, spectrum), eta_map(spectrum),
+                  ads_hom((0, 1), ads, ads), ads_adpt_iso(ads, spectrum)):
+        assert type(value) is tuple and all(type(i) is int for i in value)
+    for construction in (ads_hom, ads_adpt_iso):
+        assert "variant" not in inspect.signature(construction).parameters

@@ -11,7 +11,7 @@ from adframe import (BudgetExceeded, FinLattice, FinPreTopSpace, FinTopSpace,
                      finord, generate_random, ind_functor,
                      instances_for_payload, irreducible_closed_sets, iso_check,
                      lattice_analyze, point_classes, registry_doc,
-                     registry_ids, run_check, sobrify, subset_lattice,
+                     registry_ids, run_check, subset_lattice,
                      theorems, validate_adframe)
 from adframe.duality import _point_masks
 from adframe.frames import REL_NAMES
@@ -495,7 +495,7 @@ def test_morphism_checks_build_each_spectrum_once_per_record(monkeypatch):
         built.append(frame)
         return real(frame)
 
-    for module in (duality, sobrify, theorems):
+    for module in (duality, theorems):
         monkeypatch.setattr(module, "adpt_space", counting)
     for cid, most, total in (("ADJ-EXISTS", {"morphism": 2}, 4_044),
                              ("ADJ-TRIANGLE", {"triangle": 0, "roundtrip": 2}, 4_044)):
