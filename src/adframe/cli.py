@@ -23,6 +23,7 @@ import json
 import os
 import sys
 import tempfile
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .bits import bits_of
@@ -98,9 +99,9 @@ def _json_key(key) -> str:
 def _json_text(doc, pad="\n") -> str:
     """``json.dumps(doc, indent=2, sort_keys=True, default=str)``, byte for
     byte.  With ``indent`` set the stdlib encodes in pure Python, one small
-    string per value; here a list of ints, or of int lists (relation and
-    order pairs), is one join.  ``pad`` is the newline and indent of the
-    value's own line."""
+    string per value; here a list of ints is one join, and a list of int
+    pairs (relation and order pairs) one ``%`` template per pair.  ``pad``
+    is the newline and indent of the value's own line."""
     inner = pad + "  "
     if isinstance(doc, dict):
         parts, ends = [_json_key(k) + ": " + _json_text(v, inner)
@@ -111,9 +112,10 @@ def _json_text(doc, pad="\n") -> str:
         types, deeper, ends = set(map(type, doc)), inner + "  ", "[]"
         if types == {int}:
             parts = map(int.__repr__, doc)
-        elif types == {list} and {type(y) for x in doc for y in x} <= {int}:
-            parts = ["[" + deeper + ("," + deeper).join(map(int.__repr__, x)) + inner + "]"
-                     if x else "[]" for x in doc]
+        elif (types == {list} and set(map(len, doc)) == {2}
+              and set(map(type, chain.from_iterable(doc))) == {int}):
+            pair = "[" + deeper + "%d," + deeper + "%d" + inner + "]"
+            parts = [pair % (x, y) for x, y in doc]
         else:
             parts = [_json_text(x, inner) for x in doc]
     return ends[0] + inner + ("," + inner).join(parts) + pad + ends[1] if doc else ends

@@ -148,18 +148,18 @@ def columns(rows: Sequence[int], width: int) -> tuple[int, ...]:
     return tuple(cols)
 
 
-def int_pairs(pairs: Iterable, what: str) -> list[tuple[int, int]]:
+def int_pairs(pairs: Iterable, what: str) -> Sequence[Sequence[int]]:
     """The index pairs of a JSON relation: a list of lists of exactly two
     integers.  Floats and booleans are rejected rather than truncated.
 
     Whole-list passes over the pair types, lengths and entry types accept a
-    well-formed relation; only when one fails does the loop below run, to
-    name the first bad pair."""
+    well-formed relation, which is returned as it is; only when one fails
+    does the loop below run, to name the first bad pair."""
     if not isinstance(pairs, (list, tuple)):
         raise ValueError(f"{what} pairs must be a list, not {pairs!r}")
     if (set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) <= {2}
             and set(map(type, chain.from_iterable(pairs))) <= {int}):
-        return list(map(tuple, pairs))
+        return pairs
     out = []
     for pair in pairs:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2
@@ -615,12 +615,18 @@ def _analyze(lat: FinLattice) -> LatticeAnalysis:
     intersection distributes over union.  For an abstract lattice,
     distributivity uses the join-prime criterion: a finite lattice is
     distributive iff every join-irreducible element is coprime (Davey and
-    Priestley, *Introduction to Lattices and Order*, ch. 10).  The failing
-    triple is :func:`distributivity_witness`, asked for only when needed.
+    Priestley, *Introduction to Lattices and Order*, ch. 2 and 10).  b is
+    join-irreducible iff the elements strictly below it have a greatest
+    one c, that is, iff ``down_masks[b]`` without b is a down-mask: one
+    lookup in the index of :meth:`FinLattice.meets`.  If c exists, x, y < b
+    give x \/ y <= c < b; if not, the join of the elements below b is b
+    (one strictly below b would be c), a join of two of them.  The bottom's
+    empty strict down-set is no element's down-mask.  The failing triple is
+    :func:`distributivity_witness`, asked for only when needed.
     """
     m = lat.m
     full = full_mask(m)
-    ups, up_index = lat.joins()
+    _, up_index = lat.joins()
     pitchfork = []
     for q in range(m):
         b = up_index.get(full & ~lat.down_masks[q])
@@ -628,15 +634,12 @@ def _analyze(lat: FinLattice) -> LatticeAnalysis:
             pitchfork.append((q, b))
     coprimes = sorted(b for _, b in pitchfork)
 
-    coprime_set = set(coprimes)
-    # b is join-irreducible iff the upper bounds shared by the elements
-    # strictly below it, the AND of their up-masks, are not those of b
-    distributive = lat.labels is not None or all(
-        b in coprime_set
-        for b in range(m)
-        if reduce(and_, map(ups.__getitem__, iter_bits(lat.down_masks[b] & ~(1 << b))),
-                  full) != ups[b]
-    )
+    distributive = lat.labels is not None
+    if not distributive:
+        downs, down_index = lat.meets()
+        coprime_set = set(coprimes)
+        distributive = all(b in coprime_set for b in range(m)
+                           if downs[b] & ~(1 << b) in down_index)
     return LatticeAnalysis(
         distributive=distributive,
         primes=tuple(q for q, _ in pitchfork),
@@ -681,11 +684,11 @@ def lattice_from_json(doc: Mapping) -> FinLattice:
     pairs = int_pairs(doc["leq"], "order")
     if not pairs:
         raise NotALattice("order pair list is empty; reflexive pairs are required")
-    indices = list(chain.from_iterable(pairs))
-    if min(indices) < 0:
+    firsts, seconds = zip(*pairs)
+    if min(min(firsts), min(seconds)) < 0:
         i, j = next(pair for pair in pairs if min(pair) < 0)
         raise ValueError(f"order pair ({i}, {j}) has a negative index")
-    m = max(indices) + 1
+    m = max(max(firsts), max(seconds)) + 1
     if m > DEFAULT_LATTICE_CAP:
         raise TooLarge(f"lattice has {m} elements, cap is {DEFAULT_LATTICE_CAP}")
     labels = None

@@ -161,6 +161,8 @@ def ads_hom(mapping: Sequence[int], ads_src: AdsSpace,
     diamonds pull back to diamonds, and the pair order is the preorder on
     class representatives, which f respects.  The test suite checks both
     on every morphism of spaces with up to two points."""
+    if ads_src.variant is not ads_dst.variant:
+        raise ValueError(f"pair spaces of variants {ads_src.variant.value}, {ads_dst.variant.value}")
     src, dst = ads_src.base, ads_dst.base
     bad = finord.continuity_failure(src, dst, mapping)
     if bad is not None:
@@ -193,6 +195,8 @@ def ads_adpt_iso(ads: AdsSpace, spectrum: Spectrum) -> tuple[int, ...]:
     the up-closed sets meeting [x].  ADS-ISO checks that it is an
     isomorphism of spaces carrying the bracket sets onto its up-sets."""
     frame = spectrum.frame
+    if ads.variant is not frame.variant:
+        raise ValueError(f"pair space of variant {ads.variant.value}, spectrum {frame.variant.value}")
     forward = []
     for pr in ads.pairs:
         x = sum(1 << u for u, lab in enumerate(frame.omega.labels) if lab & pr.closed)

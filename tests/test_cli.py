@@ -9,11 +9,12 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adframe import (AdPoint, adframe_to_json, build_ado, lattice_to_json,
                      run_check, space_to_json, subset_lattice)
 from adframe import cli, duality
-from adframe.cli import main, render_dot
+from adframe.cli import _json_text, main, render_dot
 from adframe.theorems import _lookup, registry_ids
 
 from helpers import CHAIN3, SIERPINSKI
@@ -159,6 +160,47 @@ def test_non_integer_pair_indices_exit_two(tmp_path):
             assert err.startswith("error: ") and "is not two integers" in err
 
 
+_BAD_PAIRS = {"three": [1, 2, 3], "float": [1.0, 2], "bool": [True, 1], "text": "ab",
+              "object": {"0": 1}, "empty": [], "negative": [-1, 0]}
+_BAD_PAIR_MESSAGES = {
+    ("three", "lattice"): "order pair [1, 2, 3] is not two integers",
+    ("three", "frame"): "tot pair [1, 2, 3] is not two integers",
+    ("three", "space"): "order pair [1, 2, 3] is not two integers",
+    ("float", "lattice"): "order pair [1.0, 2] is not two integers",
+    ("float", "frame"): "tot pair [1.0, 2] is not two integers",
+    ("float", "space"): "order pair [1.0, 2] is not two integers",
+    # a lattice's [True, 1] is pinned in test_cli_outputs.py
+    ("bool", "frame"): "tot pair [True, 1] is not two integers",
+    ("bool", "space"): "order pair [True, 1] is not two integers",
+    ("text", "lattice"): "order pair 'ab' is not two integers",
+    ("text", "frame"): "tot pair 'ab' is not two integers",
+    ("text", "space"): "order pair 'ab' is not two integers",
+    ("object", "lattice"): "order pair {'0': 1} is not two integers",
+    ("object", "frame"): "tot pair {'0': 1} is not two integers",
+    ("object", "space"): "order pair {'0': 1} is not two integers",
+    ("empty", "lattice"): "order pair [] is not two integers",
+    ("empty", "frame"): "tot pair [] is not two integers",
+    ("empty", "space"): "order pair [] is not two integers",
+    # a lattice's negative index is pinned in test_cli_outputs.py
+    ("negative", "frame"): "tot pair (-1, 0) out of range",
+    ("negative", "space"): "order pair (-1, 0) out of range for 2 points",
+}
+
+
+@pytest.mark.parametrize("bad,kind", list(_BAD_PAIR_MESSAGES))
+def test_a_malformed_pair_exits_two_with_its_message(tmp_path, bad, kind):
+    """A pair that is not two integers, or one out of range, ends the call
+    with exit 2 and the message naming it, in a lattice's ``leq``, in a
+    frame relation and in a space's ``leq``."""
+    key, doc = {"lattice": ("leq", lattice_to_json(subset_lattice(CHAIN3, "opens"))),
+                "frame": ("tot", adframe_to_json(build_ado(SIERPINSKI))),
+                "space": ("leq", space_to_json(SIERPINSKI))}[kind]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(doc, **{key: [_BAD_PAIRS[bad]] + doc[key]})))
+    assert run_cli("validate", "--in", str(path)) == (
+        2, "", f"error: {_BAD_PAIR_MESSAGES[bad, kind]}\n")
+
+
 def test_non_list_fields_exit_two(tmp_path):
     """A field that must be a list names itself when it is not one, and so
     does a field that no reader knows."""
@@ -208,6 +250,33 @@ def test_non_integer_space_fields_exit_two(tmp_path):
         for verb in ("validate", "ado"):
             code, out, err = run_cli(verb, "--in", str(path))
             assert (code, out, err.strip()) == (2, "", f"error: {message}"), (key, bad)
+
+
+class _Int(int):
+    pass
+
+
+_INTS = st.integers(-2**70, 2**70)
+_PAIRS = st.lists(st.integers(-2**70, 2**70), min_size=2, max_size=2)
+# entries the pair template must not take: bools, int subclasses, ints
+# past 64 bits among them, and int lists of other lengths, the empty one too
+_NOT_PAIRS = st.one_of(st.lists(st.one_of(_INTS, st.booleans(), _INTS.map(_Int)),
+                                min_size=2, max_size=2),
+                       st.lists(_INTS, max_size=4), st.lists(_INTS, min_size=3, max_size=4))
+# all pairs, or mostly pairs, so that one odd entry decides the path
+_PAIR_LISTS = st.one_of(st.lists(_PAIRS, max_size=8),
+                        st.lists(st.one_of(_PAIRS, _PAIRS, _NOT_PAIRS), max_size=6))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_PAIR_LISTS, _PAIR_LISTS.map(lambda doc: {"leq": doc}),
+                 _PAIR_LISTS.map(lambda doc: [[doc]])))
+def test_json_writer_equals_the_stdlib_on_pair_lists(doc):
+    """Relation and order pairs, the bulk of what ``adpt`` and ``ado``
+    write, come out of the CLI's writer as ``json.dumps(doc, indent=2,
+    sort_keys=True, default=str)`` writes them, at any depth, and so do
+    pair lists mixed with entries that are not two exact ints."""
+    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True, default=str)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import random
@@ -384,6 +385,62 @@ def test_lattice_from_leq_accepts_exactly_the_lattices(leq):
     else:
         with pytest.raises(NotALattice):
             lattice_from_leq(leq)
+
+
+@st.composite
+def closure_systems(draw):
+    """A family of subsets of at most 5 points closed under intersection
+    and holding the carrier, in ascending order, and a relabelling of it:
+    every finite lattice is one such family ordered by inclusion."""
+    n = draw(st.integers(0, 5))
+    family = {(1 << n) - 1}
+    for s in draw(st.lists(st.integers(0, (1 << n) - 1), max_size=4)):
+        family |= {s & t for t in family}
+    return sorted(family), draw(st.permutations(range(len(family))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(closure_systems())
+@example(([0b000, 0b001, 0b010, 0b100, 0b111], [4, 2, 0, 3, 1]))    # M3
+@example(([0b000, 0b001, 0b011, 0b100, 0b111], [1, 3, 4, 0, 2]))    # N5
+def test_abstract_lattice_analysis_agrees_with_the_definitions(case):
+    """On a lattice read from JSON with no labels, the distributivity that
+    ``lattice_analyze`` reports is the naive triple scan's, and the test
+    it reads join-irreducibility from (the strict down-set of b is a
+    down-mask) picks the b that the join of the elements strictly below
+    does not reach."""
+    family, perm = case
+    m = len(family)
+    leq = [[False] * m for _ in range(m)]
+    for i, j in itertools.product(range(m), repeat=2):
+        leq[perm[i]][perm[j]] = family[i] & ~family[j] == 0
+    lat = lattice_from_json({"leq": [[i, j] for i in range(m) for j in range(m) if leq[i][j]]})
+    bottom = perm[0]
+    below = [functools.reduce(functools.partial(naive_lub, leq),
+                              (k for k in range(m) if leq[k][b] and k != b), bottom)
+             for b in range(m)]
+    join_irreducibles = {b for b in range(m) if below[b] != b}
+    downs, down_index = lat.meets()
+    assert {b for b in range(m) if downs[b] & ~(1 << b) in down_index} == join_irreducibles
+    distributive = lattice_analyze(lat).distributive
+    assert distributive == (naive_distributivity_witness(leq) is None)
+    assert distributive == (join_irreducibles <= set(naive_coprimes(leq)))
+
+
+def test_abstract_lattice_analysis_walks_no_mask_bits(monkeypatch):
+    """Join-irreducibility is one lookup in the meet index: analysing the
+    72-chain and the 8 x 9 grid, read fresh from JSON, never walks the bits
+    of a mask (a walk below each element would take one per element)."""
+    chain = [[i, j] for i in range(72) for j in range(i, 72)]
+    grid = [[i * 9 + j, k * 9 + l] for i in range(8) for j in range(9)
+            for k in range(i, 8) for l in range(j, 9)]
+    lattices = [lattice_from_json({"leq": leq}) for leq in (chain, grid)]
+    walked = []
+    real = finord.iter_bits
+    monkeypatch.setattr(finord, "iter_bits", lambda mask: walked.append(mask) or real(mask))
+    analyses = [lattice_analyze(lat) for lat in lattices]
+    assert walked == []
+    assert [(a.distributive, len(a.primes)) for a in analyses] == [(True, 71), (True, 15)]
 
 
 def test_a_1024_element_lattice_is_read_and_analysed_in_small_memory():

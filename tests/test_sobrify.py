@@ -237,6 +237,19 @@ def test_ads_hom_rejects_non_monotone_map():
         ads_hom((0, 1), ads_space(discrete_top), ads_space(flipped))
 
 
+def test_ads_hom_refuses_pair_spaces_of_two_variants():
+    """A map between pair spaces read under two variants is refused, with
+    both named, not built between mismatched pair sets."""
+    with pytest.raises(ValueError, match="^pair spaces of variants up, both$"):
+        ads_hom((0, 1), ads_space(SIERPINSKI, Variant.UP), ads_space(SIERPINSKI))
+
+
+def test_ads_adpt_iso_refuses_a_spectrum_of_another_variant():
+    spectrum = adpt_space(build_ado(SIERPINSKI, Variant.DOWN))
+    with pytest.raises(ValueError, match="^pair space of variant both, spectrum down$"):
+        ads_adpt_iso(ads_space(SIERPINSKI), spectrum)
+
+
 def test_pair_space_agrees_with_spectrum():
     for sp in enumerate_spaces(2):
         for variant in VARIANTS:
