@@ -1,7 +1,7 @@
 """Subsets of a finite carrier encoded as int bit vectors (bit i <=> point i)."""
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 def bits_of(mask: int) -> tuple[int, ...]:
@@ -19,6 +19,16 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def union_of(rows: Sequence[int], mask: int) -> int:
+    """The OR of ``rows[i]`` over the members i of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def low_bit(mask: int) -> int:

@@ -16,9 +16,9 @@ one and take the spectra it runs between, built once by the caller.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .bits import canonical_subsets, full_mask, iter_bits
+from .bits import canonical_subsets, full_mask, iter_bits, union_of
 from .errors import (
     BudgetExceeded,
     InternalCheckError,
@@ -34,8 +34,11 @@ from .frames import AdFrame, AdFrameHom, Variant, preimage_hom, rel_pairs
 _BRUTE_GATE = 20
 
 
-@dataclass(frozen=True, order=True)
-class AdPoint:
+class AdPoint(NamedTuple):
+    """A point as a plain tuple: it hashes, compares and sorts as ``(x, s)``.
+    A point and an :class:`~adframe.sobrify.IrreduciblePair` with equal
+    ints are equal, and the two must never share a set or a dict."""
+
     x: int  # filter on the opens side, mask over omega element indices
     s: int  # complete filter on the lattice side, mask over ell indices
 
@@ -113,20 +116,20 @@ def _enumerate_prime(frame: AdFrame) -> tuple[AdPoint, ...]:
     omega, ell = frame.omega, frame.ell
     primes = lattice_analyze(omega).primes
     forks = lattice_analyze(ell).pitchfork
-    o_down, l_up, l_down = omega.down_masks, ell.up_masks, ell.down_masks
+    l_up, l_down = ell.up_masks, ell.down_masks
     tot, fof = frame.tot, frame.fof
-    con_cols, cou_cols = columns(frame.con, ell.m), columns(frame.cou, ell.m)
 
     # (p, b) fails the up conditions when some (p, a) in tot lacks b <= a or
-    # some (u, b) in con lacks u <= p; the down conditions are the fof/cou
-    # analogues with q.
+    # some (u, b) in con lacks u <= p, that is b is in the con row of some
+    # u in x; the down conditions are the fof/cou analogues with q.
     found = []
     for p in primes:
         x = full_mask(omega.m) & ~omega.down_masks[p]
+        con_x, cou_x = union_of(frame.con, x), union_of(frame.cou, x)
         for q, b in forks:
-            if frame.variant.sees_up and (tot[p] & ~l_up[b] or con_cols[b] & ~o_down[p]):
+            if frame.variant.sees_up and (tot[p] & ~l_up[b] or con_x >> b & 1):
                 continue
-            if frame.variant.sees_down and (fof[p] & ~l_down[q] or cou_cols[q] & ~o_down[p]):
+            if frame.variant.sees_down and (fof[p] & ~l_down[q] or cou_x >> q & 1):
                 continue
             found.append((b, x, ell.up_masks[b]))
     found.sort()
@@ -314,7 +317,8 @@ def is_ad_sober(space: FinPreTopSpace, variant=Variant.BOTH) -> SoberResult:
             return SoberResult(False, ("unit-collision", assigned[pair], x))
         assigned[pair] = x
     if set(assigned) != set(pairs):
-        missing = sorted(set(pairs) - set(assigned), key=lambda p: (p.closed, p.cls))
-        extra = sorted(set(assigned) - set(pairs), key=lambda p: (p.closed, p.cls))
-        return SoberResult(False, ("pair-mismatch", tuple(missing), tuple(extra)))
+        # a record writes a pair as its repr, not as the list JSON makes of a tuple
+        missing = tuple(map(repr, sorted(set(pairs) - set(assigned))))
+        extra = tuple(map(repr, sorted(set(assigned) - set(pairs))))
+        return SoberResult(False, ("pair-mismatch", missing, extra))
     return SoberResult(True)

@@ -21,9 +21,10 @@ Conventions used throughout the package:
   - What is derived lives as long as what it is derived from, in one
     home: the object it is derived from alone keeps it (:func:`kept`).  A
     space keeps its lattices, its frame rows, its point classes, its
-    irreducible closed sets and its document, a lattice its analysis, its
-    point masks and its homs to live lattices.  Frames, spectra and pair
-    lists are plain values: a caller that needs one twice passes it on.
+    irreducible closed sets, and its document with one copy per variant; a
+    lattice keeps its analysis, its point masks and its homs to live
+    lattices.  Frames, spectra and pair lists are plain values: a caller
+    that needs one twice passes it on.
 """
 from __future__ import annotations
 
@@ -40,6 +41,7 @@ from .bits import (
     full_mask,
     is_subset,
     iter_bits,
+    union_of,
 )
 from .errors import (
     NotALattice,
@@ -114,9 +116,7 @@ def reflexive_transitive_closure(rows: Sequence[int], n: int) -> tuple[int, ...]
     while changed:
         changed = False
         for x in range(n):
-            acc = out[x]
-            for y in iter_bits(out[x]):
-                acc |= out[y]
+            acc = union_of(out, out[x])
             if acc != out[x]:
                 out[x] = acc
                 changed = True
@@ -143,8 +143,10 @@ def columns(rows: Sequence[int], width: int) -> tuple[int, ...]:
     ``rows[u]`` is."""
     cols = [0] * width
     for u, row in enumerate(rows):
-        for a in iter_bits(row):
-            cols[a] |= 1 << u
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= 1 << u
+            row ^= low
     return tuple(cols)
 
 
@@ -341,10 +343,7 @@ def space_to_json(space: FinPreTopSpace) -> dict:
 
 
 def upclose(space: FinPreTopSpace, subset: int) -> int:
-    out = 0
-    for x in iter_bits(subset):
-        out |= space.leq[x]
-    return out
+    return union_of(space.leq, subset)
 
 
 def downclose(space: FinPreTopSpace, subset: int) -> int:
@@ -552,10 +551,7 @@ def _raise_missing_bound(up, down, up_index) -> None:
     order is not transitive, or else the first pair in row order without a
     join or a meet, the join tested first."""
     for mask in up:
-        reach = 0
-        for k in iter_bits(mask):
-            reach |= up[k]
-        if reach != mask:
+        if union_of(up, mask) != mask:
             raise NotALattice("order not transitive")
     down_index = _mask_index(down)
     for i in range(len(up)):

@@ -34,9 +34,9 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from operator import and_
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .bits import bits_of, full_mask, is_subset, iter_bits, low_bit
+from .bits import bits_of, full_mask, is_subset, iter_bits, low_bit, union_of
 from .errors import (
     NonDistributiveLattice,
     NotContinuous,
@@ -145,8 +145,7 @@ def _relation_rows(omega: FinLattice, ell: FinLattice) -> tuple[tuple[int, ...],
 # validation
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(NamedTuple):
     law: str
     ok: bool
     witness: Optional[tuple] = None
@@ -186,9 +185,7 @@ def _reach_check(name, R, o_to, l_to) -> AxiomCheck:
             above[row] = above.get(row, 0) | o_to[u]
     reach = [0] * len(R)
     for row, vs in above.items():
-        targets = 0
-        for a in iter_bits(row):
-            targets |= l_to[a]
+        targets = union_of(l_to, row)
         for v in iter_bits(vs):
             reach[v] |= targets
     for v, row in enumerate(R):

@@ -12,9 +12,9 @@ one and take the pair spaces and the spectrum it runs between.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .bits import bits_of, canonical_subsets, is_subset, low_bit, subset_key
+from .bits import bits_of, canonical_subsets, low_bit, subset_key, union_of
 from .errors import ImageNotIrreducible, InternalCheckError, NotContinuous, NotMonotone
 from . import finord
 from .finord import (
@@ -22,6 +22,7 @@ from .finord import (
     FinTopSpace,
     class_of,
     closure,
+    columns,
     downclose,
     irreducible_closed_sets,
     point_classes,
@@ -31,10 +32,13 @@ from .frames import Variant
 from .duality import AdPoint, Spectrum
 
 
-@dataclass(frozen=True)
-class IrreduciblePair:
+class IrreduciblePair(NamedTuple):
     """closed: an irreducible closed subset mask; cls: the full class mask
-    (representative = lowest bit)."""
+    (representative = lowest bit).
+
+    A pair is a plain tuple, so it hashes, compares and sorts as
+    ``(closed, cls)``; a pair and an :class:`AdPoint` with equal ints are
+    equal, and the two must never share a set or a dict."""
 
     closed: int
     cls: int
@@ -56,23 +60,21 @@ def irreducible_pairs(space: FinPreTopSpace, variant=Variant.BOTH) -> tuple[Irre
     inside the closure of its up-cone (for the Up side), and meets the
     up-cone and lies inside the closure of the down-cone (for the Down
     side).  Pairs are tested at the lowest member of the class; the test
-    suite checks that every other member gives the same answer."""
+    suite checks that every other member gives the same answer.  Both loops
+    run in canonical order, so the pairs come out sorted by C, then [x]."""
     variant = Variant.parse(variant)
     tests = []
-    for cls in point_classes(space):
+    for cls in sorted(point_classes(space), key=subset_key):
         x = low_bit(cls)
         up, down = space.leq[x], downclose(space, 1 << x)
-        cones = []
-        if variant.sees_up:
-            cones.append((down, closure(space, up)))
+        cones = [(down, closure(space, up))] if variant.sees_up else []
         if variant.sees_down:
             cones.append((up, closure(space, down)))
-        tests.append((cls, cones))
-    out = [IrreduciblePair(c, cls) for c in irreducible_closed_sets(space)
-           for cls, cones in tests
-           if all(c & meets and is_subset(c, inside) for meets, inside in cones)]
-    out.sort(key=lambda p: (subset_key(p.closed), subset_key(p.cls)))
-    return tuple(out)
+        (meets1, inside1), (meets2, inside2) = cones[0], cones[-1]
+        tests.append((cls, meets1, meets2, ~(inside1 & inside2)))
+    return tuple(IrreduciblePair(c, cls) for c in irreducible_closed_sets(space)
+                 for cls, meets1, meets2, outside in tests
+                 if c & meets1 and c & meets2 and not c & outside)
 
 
 # ---------------------------------------------------------------------------
@@ -128,26 +130,22 @@ class AdsSpace:
 def ads_space(space: FinPreTopSpace, variant=Variant.BOTH) -> AdsSpace:
     """The irreducible-pair space with its two transfer maps.  OS-ISO checks
     that the pair-space opens are a topology and that both transfer maps
-    are order isomorphisms onto the opens and the up-closed sets."""
+    are order isomorphisms onto the opens and the up-closed sets.
+
+    For each point y, ``in_closed[y]`` holds the pairs whose C holds y and
+    ``in_cls[y]`` those whose class does, so an open's diamond and an
+    up-set's bracket are the unions of these rows over their points.  An
+    up-set holds a class whole or misses it, so the pairs above (C, [x])
+    are the bracket of the up-cone of x."""
     variant = Variant.parse(variant)
     pairs = irreducible_pairs(space, variant)
-    n = len(pairs)
-    diamond = tuple(
-        sum(1 << i for i, pr in enumerate(pairs) if pr.closed & u)
-        for u in space.opens
-    )
+    in_closed = columns([pr.closed for pr in pairs], space.n)
+    in_cls = columns([pr.cls for pr in pairs], space.n)
+    diamond = tuple(union_of(in_closed, u) for u in space.opens)
     base_upsets = subset_lattice(space, "upsets").labels
-    bracket = tuple(
-        sum(1 << i for i, pr in enumerate(pairs) if pr.cls & a)
-        for a in base_upsets
-    )
-    opens = canonical_subsets(diamond)
-    rows = tuple(
-        sum(1 << j for j, other in enumerate(pairs)
-            if space.leq[pr.rep] >> other.rep & 1)
-        for pr in pairs
-    )
-    result = FinPreTopSpace(n, opens, rows)
+    bracket = tuple(union_of(in_cls, a) for a in base_upsets)
+    rows = tuple(union_of(in_cls, space.leq[pr.rep]) for pr in pairs)
+    result = FinPreTopSpace(len(pairs), canonical_subsets(diamond), rows)
     return AdsSpace(space, variant, pairs, result, diamond, bracket, base_upsets)
 
 

@@ -411,7 +411,7 @@ def designated_counterexample() -> FinPreTopSpace:
 # check registry plumbing
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Instance:
     kind: str
     payload: tuple
@@ -477,12 +477,12 @@ def _lookup(theorem_id: str) -> _Entry:
 
 def describe(obj, variant: Optional[Variant] = None) -> dict:
     """A space, or a topology (no ``leq``), as a JSON record.  The object
-    keeps its record without a variant (``finord.kept``), and every call
-    shares it or its lists; nothing changes them."""
-    doc = finord.kept(obj, "_doc", lambda: _document(obj))
+    keeps its record and one record per variant (``finord.kept``), and
+    every call shares them and their lists; nothing changes them."""
     if variant is None:
-        return doc
-    return dict(doc, variant=variant.value)
+        return finord.kept(obj, "_doc", lambda: _document(obj))
+    return finord.kept(obj, f"_doc_{variant.value}",
+                       lambda: dict(describe(obj), variant=variant.value))
 
 
 def _document(obj) -> dict:

@@ -428,6 +428,21 @@ def reference_binary_check(name, R, op_o, op_l) -> AxiomCheck:
     return AxiomCheck(name, True)
 
 
+def scanned_ads_maps(space, pairs, upsets):
+    """A pair space's diamond map, bracket map and preorder rows, each
+    entry one scan of the whole pair list: the pairs whose C meets an open,
+    whose class meets an up-set, and whose representative lies above a
+    pair's representative."""
+    diamond = tuple(sum(1 << i for i, pr in enumerate(pairs) if pr.closed & u)
+                    for u in space.opens)
+    bracket = tuple(sum(1 << i for i, pr in enumerate(pairs) if pr.cls & a)
+                    for a in upsets)
+    rows = tuple(sum(1 << j for j, other in enumerate(pairs)
+                     if space.leq[pr.rep] >> other.rep & 1)
+                 for pr in pairs)
+    return diamond, bracket, rows
+
+
 # canonical small spaces used by several files
 SIERPINSKI = FinPreTopSpace(2, (0, 2, 3), (1, 3))      # open {1}; order 1 <= 0
 DISCRETE2 = FinPreTopSpace(2, (0, 1, 2, 3), (1, 2))

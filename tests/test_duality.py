@@ -1,16 +1,19 @@
 import pytest
 
-from adframe import (AdPoint, Variant, adpt_hom, adpt_space, build_ado,
-                     build_ado_hom, enumerate_points, eta_map, ind_functor,
-                     is_ad_sober, is_ad_t0, pullback_point,
-                     specialization_preorder, transpose, validate_hom)
+from adframe import (AdPoint, IrreduciblePair, Variant, adpt_hom, adpt_space,
+                     build_ado, build_ado_hom, enumerate_points, eta_map,
+                     ind_functor, is_ad_sober, is_ad_t0, pullback_point,
+                     sobrify, specialization_preorder, transpose,
+                     validate_hom)
+from adframe.cli import _record_lines
 from adframe.duality import (is_cp_filter, is_cpc_filter, min_of_filter,
                              point_conditions_ok)
 from adframe.finord import _check_topology, lattice_from_labels, upset_family
 from adframe.frames import TWO_CHAIN
-from adframe.theorems import enumerate_spaces, pretop_maps
+from adframe.theorems import (enumerate_spaces, pretop_maps, run_check,
+                              space_instance)
 
-from helpers import (CHAIN3, INDISCRETE2_DISCRETE_ORDER, SIERPINSKI,
+from helpers import (CHAIN3, DISCRETE2, INDISCRETE2_DISCRETE_ORDER, SIERPINSKI,
                      enumerate_distributive_lattices, idempotence_frames,
                      leq_pairs)
 
@@ -205,3 +208,37 @@ def test_counterexample_space_is_ad_sober_but_not_sober():
     assert is_ad_sober(sp).ad_sober
     from adframe.theorems import sober_topology
     assert not sober_topology(sp.topology())
+
+
+# The NDJSON record of each check that reports a pair-mismatch witness, with
+# ``ms`` zeroed, when ``is_ad_sober`` is given a wrong canonical pair on the
+# discrete two-point space: a pair is written as its repr, not as the list
+# JSON makes of a tuple.
+_MISMATCH = ('["pair-mismatch", ["IrreduciblePair(closed=2, cls=2)"], '
+             '["IrreduciblePair(closed=0, cls=0)"]]')
+_MINIMIZED_MISMATCH = '["pair-mismatch", [], ["IrreduciblePair(closed=0, cls=0)"]]'
+_INSTANCE = ('{"kind": "space", "leq": [], "opens": [[], [0], [1], [0, 1]], '
+             '"points": 2, "variant": "both"}')
+_MINIMIZED = '{"kind": "space", "leq": [], "opens": [[]], "points": 0, "variant": "both"}'
+MISMATCH_RECORDS = {
+    "ADSOBER-EQ": (
+        '{"id": "ADSOBER-EQ", "instance": ' + _INSTANCE + ', "ms": 0, "verdict": "fail", '
+        '"witness": {"detail": {"pair_route": false, "unit_bijective": true, '
+        '"witness": ' + _MISMATCH + '}, "minimized": ' + _MINIMIZED + ', '
+        '"minimized_detail": {"pair_route": false, "unit_bijective": true, '
+        '"witness": ' + _MINIMIZED_MISMATCH + '}}}'),
+    "IDEMPOTENT": (
+        '{"id": "IDEMPOTENT", "instance": ' + _INSTANCE + ', "ms": 0, "verdict": "fail", '
+        '"witness": {"detail": ' + _MISMATCH + ', "minimized": ' + _MINIMIZED + ', '
+        '"minimized_detail": ' + _MINIMIZED_MISMATCH + '}}'),
+}
+
+
+@pytest.mark.parametrize("cid", sorted(MISMATCH_RECORDS))
+def test_a_pair_mismatch_witness_writes_its_pairs_as_reprs(cid, monkeypatch):
+    real = sobrify.canonical_pairs
+    monkeypatch.setattr(sobrify, "canonical_pairs",
+                        lambda space: real(space)[:-1] + (IrreduciblePair(0, 0),))
+    (record,) = run_check(cid, instance=space_instance(DISCRETE2))
+    record.ms = 0
+    assert _record_lines([record]) == MISMATCH_RECORDS[cid]

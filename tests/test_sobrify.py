@@ -5,7 +5,8 @@ from adframe import (FinPreTopSpace, IrreduciblePair,
                      ads_hom, ads_space, adpt_space, build_ado, closure,
                      equivalence_classes, irreducible_closed_sets,
                      irreducible_pairs, run_check, standard_sobrification)
-from adframe.bits import bits_of, is_subset, low_bit, subset_key
+from adframe.bits import (bits_of, canonical_subsets, is_subset, low_bit,
+                          subset_key)
 from adframe.finord import (continuity_failure, downclose, monotonicity_failure,
                             preimage, upclose, upset_family)
 from adframe.theorems import (enumerate_spaces, pretop_maps, sober_topology,
@@ -13,7 +14,8 @@ from adframe.theorems import (enumerate_spaces, pretop_maps, sober_topology,
 
 from helpers import (CHAIN3, INDISCRETE2_DISCRETE_ORDER, SIERPINSKI,
                      idempotence_frames, mask_of, naive_closure,
-                     naive_irreducible_closeds, pair_ok, pts)
+                     naive_irreducible_closeds, pair_ok, pts,
+                     scanned_ads_maps)
 
 VARIANTS = (Variant.UP, Variant.DOWN, Variant.BOTH)
 
@@ -89,6 +91,23 @@ def test_irreducible_pairs_are_the_pairs_the_definition_accepts():
             want = tuple(IrreduciblePair(c, cls) for c in irreducible[top]
                          for cls in classes if pair_ok(sp, c, low_bit(cls), v))
             assert irreducible_pairs(sp, v) == want, (sp, v)
+
+
+def test_ads_space_maps_match_per_pair_scans():
+    """Every n <= 3 space and every distinct pair space, under each variant:
+    the diamond map, the bracket map and the pair preorder, made from one
+    table of pairs per point, equal a scan of the pair list per open,
+    up-set and pair, and the pair-space opens are the canonical diamonds."""
+    spaces = {(sp.n, sp.opens, sp.leq): sp
+              for sp, _ in _base_spaces() + _pair_spaces()}
+    for sp in spaces.values():
+        for v in VARIANTS:
+            ads = ads_space(sp, v)
+            assert ads.upsets == upset_family(sp)
+            diamond, bracket, rows = scanned_ads_maps(sp, ads.pairs, ads.upsets)
+            assert (ads.diamond_map, ads.bracket_map, ads.space.leq) == \
+                (diamond, bracket, rows), (sp, v)
+            assert ads.space.opens == canonical_subsets(diamond)
 
 
 def test_sober_routes_agree_on_pair_spaces_and_spectra():

@@ -8,8 +8,10 @@ import sys
 import warnings
 
 import adframe
-from adframe import (adpt_hom, adpt_space, ads_adpt_iso, ads_hom, ads_space,
-                     build_ado, build_ado_hom, eta_map)
+from adframe import (AdPoint, IrreduciblePair, adpt_hom, adpt_space,
+                     ads_adpt_iso, ads_hom, ads_space, build_ado,
+                     build_ado_hom, eta_map)
+from adframe.frames import AxiomCheck
 from adframe.finord import FinLattice
 
 from helpers import SIERPINSKI
@@ -53,6 +55,17 @@ def test_benchmark_tracer_names_resolve():
         home = importlib.import_module(f"adframe.{module}")
         for name in names:
             assert callable(getattr(home, name, None)), f"{module}.{name}"
+
+
+def test_points_pairs_and_law_checks_are_plain_tuples():
+    """Points, pairs and law checks are built, compared and hashed by
+    ``tuple`` itself, so a point hashes as the tuple of its two ints and
+    sets, dicts and sorts see them as those tuples."""
+    for cls in (AdPoint, IrreduciblePair, AxiomCheck):
+        assert issubclass(cls, tuple)
+        for name in ("__init__", "__eq__", "__hash__"):
+            assert getattr(cls, name) is getattr(tuple, name), (cls, name)
+    assert hash(AdPoint(5, 9)) == hash((5, 9))
 
 
 def test_indented_json_has_one_writer():

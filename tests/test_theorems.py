@@ -533,6 +533,7 @@ _REMAKE = {
     "_upsets_lattice": lambda obj, copy: subset_lattice(copy, "upsets"),
     "_relation_rows": lambda obj, copy: build_ado(copy),
     "_doc": lambda obj, copy: describe(copy),
+    **{f"_doc_{v.value}": lambda obj, copy, v=v: describe(copy, v) for v in Variant},
     "_point_classes": lambda obj, copy: point_classes(copy),
     "_irreducible_closed_sets": lambda obj, copy: irreducible_closed_sets(copy),
     "_analysis": lambda obj, copy: lattice_analyze(copy),
@@ -562,6 +563,17 @@ def test_facts_kept_after_an_n2_sweep_equal_fresh_computations():
             assert _plain(vars(obj)[name]) == _plain(vars(copy)[name]), (name, obj)
         seen |= names
     assert seen == set(_REMAKE)
+
+
+def test_space_instances_share_one_document_per_variant():
+    """A space keeps one record per variant, so every instance of a space
+    under one variant carries the same ``describe`` object."""
+    for obj in (CHAIN3, SIERPINSKI.topology()):
+        docs = [space_instance(obj, v).describe for v in Variant]
+        for v, doc in zip(Variant, docs):
+            assert space_instance(obj, v).describe is doc
+            assert doc == dict(describe(obj), variant=v.value)
+        assert len(set(map(id, docs))) == len(Variant)
 
 
 def test_ado_valid_n3_builds_each_label_family_once(monkeypatch):
