@@ -8,8 +8,8 @@ conditions.  The spectrum collects all of them into a new space.
 """
 
 from adframe import (Variant, adpt_space, build_ado, enumerate_points,
-                     eta_map, is_ad_sober, is_ad_t0, make_space, transpose,
-                     validate_hom)
+                     eta_map, irreducible_pairs, is_ad_sober, is_ad_t0,
+                     make_space, transpose, validate_hom)
 from adframe.bits import bits_of
 
 term = make_space(2, [[], [1], [0, 1]], pairs=[[1, 0]])
@@ -30,7 +30,8 @@ print("spectrum opens:", spectrum.space.opens, " order:", spectrum.space.leq)
 # space that is a bijection
 eta = eta_map(spectrum)
 print("eta:", eta)
-print("ad-T0:", is_ad_t0(term), " ad-sober:", is_ad_sober(term).ad_sober)
+print("ad-T0:", is_ad_t0(term),
+      " ad-sober:", is_ad_sober(term, irreducible_pairs(term)).ad_sober)
 
 # the universal property: any continuous monotone map into a spectrum is
 # adpt(hom) . eta for a unique hom, recovered by transpose.  The chain
@@ -52,4 +53,4 @@ print("triangle adpt(hom) . eta == f:", closes)
 # a space that fails to be ad-sober: indiscrete topology, indiscrete order
 blob = make_space(2, [[], [0, 1]], pairs=[[0, 1], [1, 0]])
 print("blob eta:", eta_map(adpt_space(build_ado(blob, Variant.BOTH))),
-      "-> ad-sober:", is_ad_sober(blob).ad_sober)
+      "-> ad-sober:", is_ad_sober(blob, irreducible_pairs(blob)).ad_sober)

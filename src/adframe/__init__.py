@@ -12,7 +12,7 @@ from .errors import (AdframeError, BudgetExceeded, ImageNotIrreducible,
                      InternalCheckError, NonDistributiveLattice, NotALattice,
                      NotAPointMap, NotAPreorder, NotATopology, NotContinuous,
                      NotMonotone, TooLarge, TrivialFrame, UnknownTheorem)
-from .bits import bits_of, full_mask, is_subset, iter_bits
+from .bits import bits_of, full_mask, is_subset
 from .finord import (FinLattice, FinPreTopSpace, FinTopSpace, LatticeAnalysis,
                      class_of, closure, distributivity_witness,
                      equivalence_classes, interior, irreducible_closed_sets,

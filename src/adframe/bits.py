@@ -1,7 +1,7 @@
 """Subsets of a finite carrier encoded as int bit vectors (bit i <=> point i)."""
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 def bits_of(mask: int) -> tuple[int, ...]:
@@ -12,13 +12,6 @@ def bits_of(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
-
-
-def iter_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def union_of(rows: Sequence[int], mask: int) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .bits import canonical_subsets, full_mask, iter_bits, union_of
+from .bits import bits_of, canonical_subsets, full_mask, union_of
 from .errors import (
     BudgetExceeded,
     InternalCheckError,
@@ -29,7 +29,7 @@ from .errors import (
 from . import finord
 from .finord import (FinLattice, FinPreTopSpace, columns, kept, lattice_analyze,
                      preimage)
-from .frames import AdFrame, AdFrameHom, Variant, preimage_hom, rel_pairs
+from .frames import AdFrame, AdFrameHom, preimage_hom, rel_pairs
 
 _BRUTE_GATE = 20
 
@@ -64,7 +64,7 @@ def is_cp_filter(lat: FinLattice, mask: int) -> bool:
     bottom, complement closed under binary join."""
     if mask == 0 or mask >> lat.bot & 1:
         return False
-    members = list(iter_bits(mask))
+    members = bits_of(mask)
     for i in members:
         if lat.up_masks[i] & ~mask:
             return False
@@ -73,8 +73,8 @@ def is_cp_filter(lat: FinLattice, mask: int) -> bool:
             if not mask >> lat.meet(i, j) & 1:
                 return False
     comp = full_mask(lat.m) & ~mask
-    for i in iter_bits(comp):
-        for j in iter_bits(comp):
+    for i in bits_of(comp):
+        for j in bits_of(comp):
             if mask >> lat.join(i, j) & 1:
                 return False
     return True
@@ -85,7 +85,7 @@ def is_cpc_filter(lat: FinLattice, mask: int) -> bool:
     b = lat.joins()[1].get(mask)            # the element whose up-cone is mask
     if b is None or b == lat.bot:
         return False
-    outside = list(iter_bits(full_mask(lat.m) & ~mask))
+    outside = bits_of(full_mask(lat.m) & ~mask)
     return not any(mask >> lat.join(u, v) & 1 for u in outside for v in outside)
 
 
@@ -291,7 +291,7 @@ def is_ad_t0(space: FinPreTopSpace) -> bool:
     spec = finord.specialization_preorder(space)
     for x in range(space.n):
         both_x = spec[x] & space.leq[x]
-        for y in iter_bits(both_x):
+        for y in bits_of(both_x):
             if y != x and spec[y] >> x & 1 and space.leq[y] >> x & 1:
                 return False
     return True
@@ -303,14 +303,14 @@ class SoberResult:
     witness: Optional[tuple] = None
 
 
-def is_ad_sober(space: FinPreTopSpace, variant=Variant.BOTH) -> SoberResult:
+def is_ad_sober(space: FinPreTopSpace, pairs: Sequence) -> SoberResult:
     """Whether the canonical pairs map (closure of x with the class of x)
-    is bijective onto the irreducible pairs.  ADSOBER-EQ checks that this
-    agrees with the unit being bijective onto the spectrum."""
+    is bijective onto ``pairs``, the space's irreducible pairs
+    (``irreducible_pairs(space, variant)``), which the caller builds and
+    may reuse.  ADSOBER-EQ checks that this agrees with the unit being
+    bijective onto the spectrum."""
     from . import sobrify  # local import; sobrify builds on this module
 
-    variant = Variant.parse(variant)
-    pairs = sobrify.irreducible_pairs(space, variant)
     assigned = {}
     for x, pair in enumerate(sobrify.canonical_pairs(space)):
         if pair in assigned:

@@ -3,12 +3,17 @@
 Conventions used throughout the package:
 
   - Carriers are ``range(n)`` with ``n <= CARRIER_CAP`` (64 points).
-  - Subsets of a carrier are int bit vectors (see :mod:`adframe.bits`).
+  - Subsets of a carrier are int bit vectors (see :mod:`adframe.bits`),
+    whose members ``bits_of`` lists.
   - A preorder on the carrier is a tuple of ``n`` row masks; bit ``y`` of
     ``rows[x]`` is set iff ``x <= y``.
   - Every relation is stored the same way, as row masks, also one between
     two carriers: bit ``a`` of ``rows[u]`` is set iff ``u`` is related to
     ``a``.  :func:`columns` gives the converse relation.
+  - A family of up-sets is built one way, by :func:`upset_family` from a
+    preorder's rows: a space's opens are the up-sets of its
+    specialization rows, and its up-set lattice holds the up-sets of
+    ``leq``.
   - Families of subsets are kept in canonical order: cardinality first,
     then numeric bit-vector value.
   - A lattice over elements ``range(m)`` carries its order once, as row
@@ -40,7 +45,6 @@ from .bits import (
     canonical_subsets,
     full_mask,
     is_subset,
-    iter_bits,
     union_of,
 )
 from .errors import (
@@ -184,7 +188,7 @@ def check_fields(doc: Mapping, what: str, required: tuple, optional: tuple) -> N
 
 def rows_to_pairs(rows: Sequence[int]) -> list[list[int]]:
     """Non-reflexive pairs of the order, sorted."""
-    return [[x, y] for x in range(len(rows)) for y in iter_bits(rows[x]) if y != x]
+    return [[x, y] for x in range(len(rows)) for y in bits_of(rows[x]) if y != x]
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +473,7 @@ def lattice_from_labels(labels: Sequence[int]) -> FinLattice:
                           f"{bits_of(bad[1])}, {bits_of(bad[2])}")
     # the supersets of a are the elements holding each point of a
     holders = columns(family, width)
-    up = tuple(reduce(and_, map(holders.__getitem__, iter_bits(a)), full_mask(m))
+    up = tuple(reduce(and_, map(holders.__getitem__, bits_of(a)), full_mask(m))
                for a in family)
     # canonical order puts the least subset first and the greatest last
     lat = FinLattice(m, family, 0, m - 1, up, columns(up, m))
@@ -562,9 +566,10 @@ def _raise_missing_bound(up, down, up_index) -> None:
                 raise NotALattice(f"elements {i}, {j} have no greatest lower bound")
 
 
-def upset_family(space: FinPreTopSpace) -> tuple[int, ...]:
-    """All upward-closed subsets: the unions of point up-cones."""
-    return canonical_subsets(generated(set(space.leq), or_, 0, "up-set family"))
+def upset_family(rows: Sequence[int]) -> tuple[int, ...]:
+    """The up-sets of the preorder with row masks ``rows``: the unions of
+    its up-cones."""
+    return canonical_subsets(generated(set(rows), or_, 0, "up-set family"))
 
 
 def subset_lattice(space: FinPreTopSpace, kind: str) -> FinLattice:
@@ -574,7 +579,7 @@ def subset_lattice(space: FinPreTopSpace, kind: str) -> FinLattice:
         return kept(space, "_opens_lattice", lambda: lattice_from_labels(space.opens))
     if kind == "upsets":
         return kept(space, "_upsets_lattice",
-                    lambda: lattice_from_labels(upset_family(space)))
+                    lambda: lattice_from_labels(upset_family(space.leq)))
     raise ValueError(f"unknown subset lattice kind {kind!r}")
 
 
@@ -665,7 +670,7 @@ def distributivity_witness(lat: FinLattice) -> Optional[tuple[int, int, int]]:
 
 def lattice_to_json(lat: FinLattice) -> dict:
     doc: dict = {
-        "leq": [[i, j] for i in range(lat.m) for j in iter_bits(lat.up_masks[i])],
+        "leq": [[i, j] for i in range(lat.m) for j in bits_of(lat.up_masks[i])],
     }
     if lat.labels is not None:
         doc["labels"] = [list(bits_of(lab)) for lab in lat.labels]
@@ -760,7 +765,7 @@ def preimage(mapping: Sequence[int], subset: int) -> int:
 
 def image(mapping: Sequence[int], subset: int) -> int:
     out = 0
-    for x in iter_bits(subset):
+    for x in bits_of(subset):
         out |= 1 << mapping[x]
     return out
 
@@ -777,7 +782,7 @@ def continuity_failure(src, dst, mapping: Sequence[int]) -> Optional[int]:
 def monotonicity_failure(src: FinPreTopSpace, dst: FinPreTopSpace,
                          mapping: Sequence[int]) -> Optional[tuple[int, int]]:
     for x in range(src.n):
-        for y in iter_bits(src.leq[x]):
+        for y in bits_of(src.leq[x]):
             if not dst.leq[mapping[x]] >> mapping[y] & 1:
                 return (x, y)
     return None

@@ -36,7 +36,7 @@ from functools import reduce
 from operator import and_
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .bits import bits_of, full_mask, is_subset, iter_bits, low_bit, union_of
+from .bits import bits_of, full_mask, is_subset, low_bit, union_of
 from .errors import (
     NonDistributiveLattice,
     NotContinuous,
@@ -167,7 +167,7 @@ class ValidationReport:
 def rel_pairs(rows: Sequence[int]) -> Iterator[tuple[int, int]]:
     """The pairs (u, a) of a relation given as row masks, in sorted order."""
     for u, row in enumerate(rows):
-        for a in iter_bits(row):
+        for a in bits_of(row):
             yield (u, a)
 
 
@@ -186,14 +186,14 @@ def _reach_check(name, R, o_to, l_to) -> AxiomCheck:
     reach = [0] * len(R)
     for row, vs in above.items():
         targets = union_of(l_to, row)
-        for v in iter_bits(vs):
+        for v in bits_of(vs):
             reach[v] |= targets
     for v, row in enumerate(R):
         missing = reach[v] & ~row
         if missing:
             b = low_bit(missing)
             member = next((u, a) for u, row_u in enumerate(R) if o_to[u] >> v & 1
-                          for a in iter_bits(row_u) if l_to[a] >> b & 1)
+                          for a in bits_of(row_u) if l_to[a] >> b & 1)
             return AxiomCheck(name, False, (member, (v, b)))
     return AxiomCheck(name, True)
 
@@ -251,14 +251,14 @@ def _aligned_check(name, A, B, o_up, l_up, logic: bool) -> AxiomCheck:
     for u, (arow, brow) in enumerate(zip(A, B)):
         # need b <= a (logical order) or a <= b (information order)
         outer, inner = (brow, arow) if logic else (arow, brow)
-        for x in iter_bits(outer):
+        for x in bits_of(outer):
             bad = inner & ~l_up[x]
             if bad:
                 y = low_bit(bad)
                 return AxiomCheck(name, False,
                                   ((u, y), (u, x)) if logic else ((u, x), (u, y)))
     for a, (acol, bcol) in enumerate(zip(columns(A, len(l_up)), columns(B, len(l_up)))):
-        for u in iter_bits(acol):                   # need u <= v either way
+        for u in bits_of(acol):                     # need u <= v either way
             bad = bcol & ~o_up[u]
             if bad:
                 return AxiomCheck(name, False, ((u, a), (low_bit(bad), a)))
@@ -435,7 +435,7 @@ def preservation_failure(hom: AdFrameHom, name: str) -> Optional[tuple]:
     phi, p = hom.phi, hom.p
     for u, row in enumerate(hom.source.rel(name)):
         image_row = target[phi[u]]
-        for a in iter_bits(row):
+        for a in bits_of(row):
             if not image_row >> p[a] & 1:
                 return ((u, a), (phi[u], p[a]))
     return None
@@ -513,9 +513,9 @@ def _find_homs(src: FinLattice, dst: FinLattice) -> list[tuple[int, ...]]:
             return
         e = order[k]
         free = allowed[e]
-        for f in iter_bits(src.down_masks[e] & ~(1 << e)):
+        for f in bits_of(src.down_masks[e] & ~(1 << e)):
             free &= dst.up_masks[image[f]]
-        for v in iter_bits(free):
+        for v in bits_of(free):
             image[e] = v
             if all(masks[image[c]] == masks[image[a]] & masks[image[b]]
                    for a, b, c, masks in laws[k]):
@@ -539,10 +539,10 @@ def check_usc_lsc(frame: AdFrame):
     lsc: Optional[bool] = None
     ell, full = frame.ell, full_mask(frame.ell.m)
     if frame.variant.sees_up:
-        seed = {ell.up_masks[a] for t, c in zip(frame.tot, frame.con) for a in iter_bits(t & c)}
+        seed = {ell.up_masks[a] for t, c in zip(frame.tot, frame.con) for a in bits_of(t & c)}
         usc = len(finord.generated(seed, and_, full, "joins")) == ell.m
     if frame.variant.sees_down:
-        seed = {ell.down_masks[a] for f, c in zip(frame.fof, frame.cou) for a in iter_bits(f & c)}
+        seed = {ell.down_masks[a] for f, c in zip(frame.fof, frame.cou) for a in bits_of(f & c)}
         lsc = len(finord.generated(seed, and_, full, "meets")) == ell.m
     return (usc, lsc)
 

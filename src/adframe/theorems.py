@@ -57,7 +57,7 @@ def enumerate_topologies(n: int) -> tuple[tuple[int, ...], ...]:
     up-set families of the preorders."""
     if n < 0 or n > ENUM_POINT_CAP:
         raise BudgetExceeded(f"topology enumeration is capped at {ENUM_POINT_CAP} points")
-    found = [upset_family(_poset_shell(rows)) for rows in enumerate_preorders(n)]
+    found = [upset_family(rows) for rows in enumerate_preorders(n)]
     found.sort(key=lambda fam: (len(fam), fam))
     return tuple(found)
 
@@ -90,11 +90,6 @@ def enumerate_spaces(n: int) -> tuple[FinPreTopSpace, ...]:
     preorders = enumerate_preorders(n)
     return tuple(FinPreTopSpace(n, opens, rows)
                  for opens in enumerate_topologies(n) for rows in preorders)
-
-
-def _poset_shell(rows: Sequence[int]) -> FinPreTopSpace:
-    k = len(rows)
-    return FinPreTopSpace(k, (0,) if k == 0 else (0, (1 << k) - 1), tuple(rows))
 
 
 def continuous_maps(src, dst) -> list[tuple[int, ...]]:
@@ -184,7 +179,7 @@ def _random_poset(rng: random.Random, n: int, density: float = 0.4) -> tuple[int
 
 
 def _random_space(rng: random.Random, n: int) -> FinPreTopSpace:
-    opens = upset_family(_poset_shell(_random_preorder(rng, n, _SPACE_DENSITY)))
+    opens = upset_family(_random_preorder(rng, n, _SPACE_DENSITY))
     return FinPreTopSpace(n, opens, _random_preorder(rng, n, _SPACE_DENSITY))
 
 
@@ -277,7 +272,7 @@ def generate_random(kind: str, params=None, seed: int = 0) -> Generated:
     if family == "ind":
         rng = _rng("adframe-ind", params, seed)
         k = rng.randint(1, 4)
-        lat = subset_lattice(_poset_shell(_random_poset(rng, k)), "upsets")
+        lat = lattice_from_labels(upset_family(_random_poset(rng, k)))
         frame = ind_functor(lat, variant=variant)
         return Generated("adframe", frame,
                          {"family": "ind", "base_points": k, "seed": seed,
@@ -986,7 +981,7 @@ def _run_os_iso(inst: Instance):
         return False, f"pair-space opens are not a topology: {exc}"
     for name, family, images, onto, what in (
             ("diamond", space.opens, ads.diamond_map, ads.space.opens, "pair-space opens"),
-            ("bracket", ads.upsets, ads.bracket_map, upset_family(ads.space),
+            ("bracket", ads.upsets, ads.bracket_map, upset_family(ads.space.leq),
              "up-closed sets")):
         if set(images) != set(onto) or len(set(images)) != len(family):
             return False, f"{name} transfer is not a bijection onto the {what}"
@@ -1015,7 +1010,7 @@ def _run_eta_preimage(inst: Instance):
 
 def _run_adsober_eq(inst: Instance):
     space, v = inst.payload
-    res = is_ad_sober(space, v)
+    res = is_ad_sober(space, irreducible_pairs(space, v))
     spectrum = adpt_space(build_ado(space, v))
     try:
         eta = eta_map(spectrum)
@@ -1162,9 +1157,10 @@ def _run_homeo_ads(inst: Instance):
 
 def _run_adt0_lemma(inst: Instance):
     space, v = inst.payload
-    sober = is_ad_sober(space, v).ad_sober
+    pairs = irreducible_pairs(space, v)
+    sober = is_ad_sober(space, pairs).ad_sober
     t0 = is_ad_t0(space)
-    canonical = set(irreducible_pairs(space, v)) <= set(canonical_pairs(space))
+    canonical = set(pairs) <= set(canonical_pairs(space))
     if sober != (t0 and canonical):
         return False, {"ad_sober": sober, "ad_t0": t0,
                        "pairs_all_canonical": canonical}
@@ -1174,12 +1170,11 @@ def _run_adt0_lemma(inst: Instance):
 def _run_idempotent(inst: Instance):
     if inst.kind == "adframe":
         frame, = inst.payload
-        spectrum = adpt_space(frame)
-        res = is_ad_sober(spectrum.space, frame.variant)
+        space, v = adpt_space(frame).space, frame.variant
     else:
-        space, v = inst.payload
-        pair_space = ads_space(space, v).space
-        res = is_ad_sober(pair_space, v)
+        base, v = inst.payload
+        space = ads_space(base, v).space
+    res = is_ad_sober(space, irreducible_pairs(space, v))
     return res.ad_sober, res.witness
 
 

@@ -9,12 +9,13 @@ import itertools
 from typing import Iterable
 
 from adframe import (FinLattice, FinPreTopSpace, FinTopSpace, NotContinuous,
-                     generate_random, subset_lattice, upset_family)
-from adframe.bits import (bits_of, canonical_subsets, full_mask, is_subset,
-                          iter_bits, low_bit)
-from adframe.finord import columns, continuity_failure
-from adframe.frames import AdFrame, AdFrameHom, AxiomCheck
-from adframe.theorems import DEFAULT_ISO_BUDGET, _iso_pretop, _poset_shell
+                     generate_random, lattice_from_labels, upset_family)
+from adframe.bits import bits_of, canonical_subsets, full_mask, is_subset, low_bit
+from adframe.duality import unit_points
+from adframe.finord import columns, continuity_failure, preimage
+from adframe.frames import (AdFrame, AdFrameHom, AxiomCheck, bounded_lattice_homs,
+                            preserves_relations)
+from adframe.theorems import DEFAULT_ISO_BUDGET, _iso_pretop
 
 
 def mask_of(points: Iterable[int]) -> int:
@@ -252,10 +253,13 @@ def bounded_posets(max_points):
 
 def lattice_order_iso(a: FinLattice, b: FinLattice, budget: int = DEFAULT_ISO_BUDGET):
     """Order isomorphism between two finite lattices (which is then
-    automatically a lattice isomorphism), or None."""
+    automatically a lattice isomorphism), or None: an isomorphism of the
+    two orders, each read as a space with the indiscrete topology."""
     if a.m != b.m:
         return None
-    return _iso_pretop(_poset_shell(a.up_masks), _poset_shell(b.up_masks), budget)
+    a_space, b_space = (FinPreTopSpace(lat.m, (0, full_mask(lat.m)), lat.up_masks)
+                        for lat in (a, b))
+    return _iso_pretop(a_space, b_space, budget)
 
 
 def enumerate_distributive_lattices(max_size: int = 8) -> list[FinLattice]:
@@ -282,11 +286,10 @@ def enumerate_distributive_lattices(max_size: int = 8) -> list[FinLattice]:
         found.append(lat)
 
     def grow(rows: list[int]) -> None:
-        shell = _poset_shell(rows)
-        upsets = upset_family(shell)
+        upsets = upset_family(rows)
         if len(upsets) > max_size:
             return
-        register(subset_lattice(shell, "upsets"))
+        register(lattice_from_labels(upsets))
         k = len(rows)
         downs = columns(rows, k)
         for d in range(1 << k):
@@ -318,7 +321,7 @@ def scott_oracle(name, frame: AdFrame, R, logic_second: bool) -> AxiomCheck:
     reduction of Scott closure to downward closure.  All subfamilies are tried
     for small relations, families of size <= 3 otherwise.
     """
-    members = [(u, a) for u, row in enumerate(R) for a in iter_bits(row)]
+    members = [(u, a) for u, row in enumerate(R) for a in bits_of(row)]
     P = len(members)
     if P < 2:
         return AxiomCheck(name, True)
@@ -388,16 +391,16 @@ def reference_reach_check(name, R, o_to, l_to) -> AxiomCheck:
     for u, row in enumerate(R):
         if row:
             targets = 0
-            for a in iter_bits(row):
+            for a in bits_of(row):
                 targets |= l_to[a]
-            for v in iter_bits(o_to[u]):
+            for v in bits_of(o_to[u]):
                 reach[v] |= targets
     for v, row in enumerate(R):
         missing = reach[v] & ~row
         if missing:
             b = low_bit(missing)
             member = next((u, a) for u, row_u in enumerate(R) if o_to[u] >> v & 1
-                          for a in iter_bits(row_u) if l_to[a] >> b & 1)
+                          for a in bits_of(row_u) if l_to[a] >> b & 1)
             return AxiomCheck(name, False, (member, (v, b)))
     return AxiomCheck(name, True)
 
@@ -426,6 +429,23 @@ def reference_binary_check(name, R, op_o, op_l) -> AxiomCheck:
                         return AxiomCheck(name, False,
                                           ((u, a), (v, b), (tab_o[u][v], lrow[b])))
     return AxiomCheck(name, True)
+
+
+def triangle_scan(spectrum, idxs, target: AdFrame) -> list[AdFrameHom]:
+    """Every hom from the spectrum's frame into ``target``, the frame of a
+    space, that closes the triangle with the unit over the map ``idxs``
+    into the spectrum: a copy of ADJ-TRIANGLE's uniqueness scan without
+    its size gate.  Each side's bounded-lattice homs are filtered by its
+    half of the triangle, and the surviving pairs by relation
+    preservation."""
+    frame = spectrum.frame
+    legs = [(unit, spectrum.points[idx]) for unit, idx in zip(unit_points(target), idxs)]
+    phis = [phi for phi in bounded_lattice_homs(frame.omega, target.omega)
+            if all(preimage(phi, unit.x) == pt.x for unit, pt in legs)]
+    ps = [p for p in bounded_lattice_homs(frame.ell, target.ell)
+          if all(preimage(p, unit.s) == pt.s for unit, pt in legs)]
+    return [cand for phi in phis for p in ps
+            if preserves_relations(cand := AdFrameHom(frame, target, phi, p))]
 
 
 def scanned_ads_maps(space, pairs, upsets):

@@ -2,9 +2,9 @@ import pytest
 
 from adframe import (AdPoint, IrreduciblePair, Variant, adpt_hom, adpt_space,
                      build_ado, build_ado_hom, enumerate_points, eta_map,
-                     ind_functor, is_ad_sober, is_ad_t0, pullback_point,
-                     sobrify, specialization_preorder, transpose,
-                     validate_hom)
+                     ind_functor, irreducible_pairs, is_ad_sober, is_ad_t0,
+                     pullback_point, sobrify, specialization_preorder,
+                     transpose, validate_hom)
 from adframe.cli import _record_lines
 from adframe.duality import (is_cp_filter, is_cpc_filter, min_of_filter,
                              point_conditions_ok)
@@ -113,7 +113,7 @@ def test_spectrum_opens_are_a_topology_and_upsets_come_from_the_lattice():
     for frame in frames:
         spec = adpt_space(frame)
         _check_topology(spec.space.opens, spec.space.n)
-        assert set(upset_family(spec.space)) == set(spec.upset_map)
+        assert set(upset_family(spec.space.leq)) == set(spec.upset_map)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +122,7 @@ def test_spectrum_opens_are_a_topology_and_upsets_come_from_the_lattice():
 
 def test_eta_on_sober_space_is_identity_like():
     assert eta_map(adpt_space(build_ado(SIERPINSKI, Variant.BOTH))) == (0, 1)
-    assert is_ad_sober(SIERPINSKI).ad_sober
+    assert is_ad_sober(SIERPINSKI, irreducible_pairs(SIERPINSKI)).ad_sober
 
 
 def test_eta_collapses_indiscernible_points():
@@ -131,7 +131,7 @@ def test_eta_collapses_indiscernible_points():
     blob = FinPreTopSpace(2, (0, 3), (3, 3))
     eta = eta_map(adpt_space(build_ado(blob, Variant.BOTH)))
     assert eta[0] == eta[1]
-    assert not is_ad_sober(blob).ad_sober
+    assert not is_ad_sober(blob, irreducible_pairs(blob)).ad_sober
 
 
 def test_transpose_recovers_map_exhaustive_small():
@@ -194,7 +194,7 @@ def test_ad_t0_sampled_n3():
 def test_sober_routes_agree_exhaustive_n2():
     for sp in enumerate_spaces(2):
         for variant in VARIANTS:
-            res = is_ad_sober(sp, variant)
+            res = is_ad_sober(sp, irreducible_pairs(sp, variant))
             spec = adpt_space(build_ado(sp, variant))
             eta = eta_map(spec)
             bijective = (len(set(eta)) == sp.n == len(spec.points))
@@ -205,7 +205,7 @@ def test_counterexample_space_is_ad_sober_but_not_sober():
     # its pair space keeps both points while the classical sobrification
     # collapses them, so the two constructions genuinely differ
     sp = INDISCRETE2_DISCRETE_ORDER
-    assert is_ad_sober(sp).ad_sober
+    assert is_ad_sober(sp, irreducible_pairs(sp)).ad_sober
     from adframe.theorems import sober_topology
     assert not sober_topology(sp.topology())
 

@@ -9,7 +9,7 @@ import weakref
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from adframe import (FinPreTopSpace, NotALattice, NotAPreorder,
+from adframe import (FinPreTopSpace, FinTopSpace, NotALattice, NotAPreorder,
                      NotATopology, TooLarge, adpt_space, bounded_lattice_homs, build_ado,
                      class_of, closure, distributivity_witness, eta_map,
                      finord, equivalence_classes, interior, irreducible_closed_sets,
@@ -17,13 +17,13 @@ from adframe import (FinPreTopSpace, NotALattice, NotAPreorder,
                      lattice_from_leq, lattice_to_json, make_space,
                      make_topology, space_from_json, space_to_json,
                      specialization_preorder, subset_lattice, upset_family)
-from adframe.bits import canonical_subsets
+from adframe.bits import bits_of, canonical_subsets
 from adframe.finord import (_check_topology, closure_failure, columns,
                             continuity_failure, downclose, image,
                             monotonicity_failure, preimage,
                             reflexive_transitive_closure, upclose)
 from adframe.frames import TWO_CHAIN
-from adframe.theorems import enumerate_spaces
+from adframe.theorems import enumerate_spaces, enumerate_topologies
 
 from helpers import (CHAIN3, SIERPINSKI, bounded_posets,
                      enumerate_distributive_lattices, inclusion_matrix,
@@ -239,9 +239,37 @@ def test_opens_lattice_tables_are_union_intersection():
 
 def test_upset_family_matches_naive():
     for sp in enumerate_spaces(2):
-        assert set(upset_family(sp)) == naive_upsets(sp)
+        assert set(upset_family(sp.leq)) == naive_upsets(sp)
     for sp in enumerate_spaces(3)[::41]:
-        assert set(upset_family(sp)) == naive_upsets(sp)
+        assert set(upset_family(sp.leq)) == naive_upsets(sp)
+
+
+def test_a_topology_is_the_up_set_family_of_its_specialization_preorder():
+    """Alexandroff's correspondence: every topology on at most three points
+    is the up-set family of its specialization rows, and the up-set
+    lattice of every space on at most three points is labelled by the
+    up-sets of its preorder, both in canonical order."""
+    for n in range(4):
+        for opens in enumerate_topologies(n):
+            assert upset_family(specialization_preorder(FinTopSpace(n, opens))) == opens
+        for sp in enumerate_spaces(n):
+            assert subset_lattice(sp, "upsets").labels == upset_family(sp.leq)
+
+
+def _naive_members(mask):
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def test_bits_of_on_the_empty_mask_and_single_bits():
+    assert bits_of(0) == ()
+    for i in range(4096):
+        assert bits_of(1 << i) == (i,)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=(1 << 4096) - 1))
+def test_bits_of_lists_the_members_of_a_mask_ascending(mask):
+    assert bits_of(mask) == _naive_members(mask)
 
 
 def test_non_lattice_rejected():
@@ -436,8 +464,8 @@ def test_abstract_lattice_analysis_walks_no_mask_bits(monkeypatch):
             for k in range(i, 8) for l in range(j, 9)]
     lattices = [lattice_from_json({"leq": leq}) for leq in (chain, grid)]
     walked = []
-    real = finord.iter_bits
-    monkeypatch.setattr(finord, "iter_bits", lambda mask: walked.append(mask) or real(mask))
+    real = finord.bits_of
+    monkeypatch.setattr(finord, "bits_of", lambda mask: walked.append(mask) or real(mask))
     analyses = [lattice_analyze(lat) for lat in lattices]
     assert walked == []
     assert [(a.distributive, len(a.primes)) for a in analyses] == [(True, 71), (True, 15)]
@@ -464,7 +492,7 @@ def test_a_1024_element_lattice_is_read_and_analysed_in_small_memory():
 
 def test_lattice_layer_matches_oracles_on_subset_lattices():
     families = {fam for n in range(4) for sp in enumerate_spaces(n)
-                for fam in (sp.opens, upset_family(sp))}
+                for fam in (sp.opens, upset_family(sp.leq))}
     lattices = [lattice_from_labels(fam) for fam in sorted(families)]
     lattices += enumerate_distributive_lattices(8)
     for lat in lattices:
@@ -484,7 +512,7 @@ def test_spaces_keep_their_two_lattices():
     opens, upsets = subset_lattice(space, "opens"), subset_lattice(space, "upsets")
     assert subset_lattice(space, "opens") is opens
     assert subset_lattice(space, "upsets") is upsets
-    assert upsets.labels == upset_family(space)
+    assert upsets.labels == upset_family(space.leq)
     # the kept lattices are not fields: equality, hashing and JSON ignore them
     assert space == twin and hash(space) == hash(twin) and repr(space) == repr(twin)
     assert space_to_json(space) == space_to_json(twin)

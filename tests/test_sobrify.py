@@ -103,7 +103,7 @@ def test_ads_space_maps_match_per_pair_scans():
     for sp in spaces.values():
         for v in VARIANTS:
             ads = ads_space(sp, v)
-            assert ads.upsets == upset_family(sp)
+            assert ads.upsets == upset_family(sp.leq)
             diamond, bracket, rows = scanned_ads_maps(sp, ads.pairs, ads.upsets)
             assert (ads.diamond_map, ads.bracket_map, ads.space.leq) == \
                 (diamond, bracket, rows), (sp, v)
@@ -191,8 +191,8 @@ def test_pair_space_transfer_maps(variant):
                 assert is_subset(u, v) == is_subset(res.diamond_map[i],
                                                     res.diamond_map[j])
         # bracket: order-iso from base up-sets onto pair-space up-sets
-        assert set(res.bracket_map) == set(upset_family(res.space))
-        assert res.upsets == upset_family(sp)
+        assert set(res.bracket_map) == set(upset_family(res.space.leq))
+        assert res.upsets == upset_family(sp.leq)
 
 
 def test_pair_space_reads_the_up_sets_of_its_base():
@@ -202,7 +202,7 @@ def test_pair_space_reads_the_up_sets_of_its_base():
     spaces = [sp for n in range(4) for sp in enumerate_spaces(n)]
     assert len(spaces) == 1 + 1 + 16 + 841
     for sp in spaces:
-        assert ads_space(sp).upsets == upset_family(sp)
+        assert ads_space(sp).upsets == upset_family(sp.leq)
 
 
 def test_pair_space_of_counterexample_keeps_both_points():

@@ -198,3 +198,27 @@ def test_a_map_is_a_tuple_of_indices():
         assert type(value) is tuple and all(type(i) is int for i in value)
     for construction in (ads_hom, ads_adpt_iso):
         assert "variant" not in inspect.signature(construction).parameters
+
+
+def test_one_decoder_and_one_up_set_construction():
+    """A mask's members are listed by ``bits_of`` alone, and an up-set
+    family is built by ``upset_family`` from a preorder's rows alone: no
+    file of ``src/``, ``tests/`` or ``demos/`` defines, imports or names the
+    generator decoder ``iter_bits`` or ``_poset_shell``, the space that
+    wrapped a bare preorder.  This file names them only to look for them."""
+    gone = {"iter_bits", "_poset_shell"}
+    here = pathlib.Path(__file__).resolve()
+    stray = []
+    for path in sorted(p for folder in ("src", "tests", "demos")
+                       for p in (ROOT / folder).rglob("*.py")):
+        if path.resolve() == here:
+            continue
+        tree = ast.parse(path.read_text())
+        named = _named(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                named.add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                named |= {alias.asname or alias.name for alias in node.names}
+        stray += [f"{path.relative_to(ROOT)}: {name}" for name in sorted(named & gone)]
+    assert stray == []

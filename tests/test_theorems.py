@@ -5,14 +5,15 @@ import weakref
 
 import pytest
 
-from adframe import (BudgetExceeded, FinLattice, FinPreTopSpace, FinTopSpace,
-                     NotContinuous, UnknownTheorem, Variant, adpt_space,
-                     ads_space, bounded_lattice_homs, build_ado, duality,
-                     finord, generate_random, ind_functor,
-                     instances_for_payload, irreducible_closed_sets, iso_check,
-                     lattice_analyze, point_classes, registry_doc,
-                     registry_ids, run_check, subset_lattice,
-                     theorems, validate_adframe)
+from adframe import (AdFrameHom, BudgetExceeded, FinLattice, FinPreTopSpace,
+                     FinTopSpace, NotContinuous, UnknownTheorem, Variant,
+                     adpt_hom, adpt_space, ads_space, bounded_lattice_homs,
+                     build_ado, build_ado_hom, duality, eta_map, finord,
+                     generate_random, ind_functor, instances_for_payload,
+                     irreducible_closed_sets, iso_check, lattice_analyze,
+                     point_classes, registry_doc, registry_ids, run_check,
+                     sobrify, subset_lattice, theorems, transpose,
+                     validate_adframe)
 from adframe.duality import _point_masks
 from adframe.frames import REL_NAMES
 from adframe.theorems import (SweepSpec, _lookup, _moves_opens_onto,
@@ -27,7 +28,7 @@ from adframe.finord import (continuity_failure, is_reflexive_transitive,
 
 from helpers import (CHAIN3, SIERPINSKI, enumerate_distributive_lattices,
                      is_t0_topology, lattice_order_iso, leq_pairs,
-                     lifted_preorder, naive_topologies)
+                     lifted_preorder, naive_topologies, triangle_scan)
 
 
 # ---------------------------------------------------------------------------
@@ -53,10 +54,7 @@ def test_alexandroff_bijection():
     from adframe.finord import upset_family
     for n in (0, 1, 2, 3):
         tops = set(naive_topologies(n))
-        image = {
-            upset_family(FinPreTopSpace(n, (0, (1 << n) - 1) if n else (0,), rows))
-            for rows in enumerate_preorders(n)
-        }
+        image = {upset_family(rows) for rows in enumerate_preorders(n)}
         assert image == tops
         assert len(image) == len(enumerate_preorders(n))
 
@@ -512,6 +510,75 @@ def test_morphism_checks_build_each_spectrum_once_per_record(monkeypatch):
         assert {r.verdict for r in reports} == {"pass"}, cid
         assert all(k <= most[kind] for kind, k in per_record), cid
         assert sum(k for _, k in per_record) <= total, cid
+
+
+def test_adt0_lemma_builds_its_pairs_once_per_record(monkeypatch):
+    """ADT0-LEMMA builds a space's irreducible pairs once and hands them to
+    ``is_ad_sober`` and to its canonical-pairs test; on the n = 2 sweep
+    that is one ``irreducible_pairs`` call per record (it was two while
+    ``is_ad_sober`` built its own)."""
+    built = []
+
+    def counting(space, variant, real=sobrify.irreducible_pairs):
+        built.append(space)
+        return real(space, variant)
+
+    for module in (sobrify, theorems):
+        monkeypatch.setattr(module, "irreducible_pairs", counting)
+    entry, per_record = _lookup("ADT0-LEMMA"), []
+
+    def spy(inst, run=entry.run):
+        before = len(built)
+        result = run(inst)
+        per_record.append(len(built) - before)
+        return result
+
+    monkeypatch.setattr(entry, "run", spy)
+    reports = run_check("ADT0-LEMMA", sweep={"n": 2})
+    assert len(reports) == len(per_record) > 0
+    assert set(per_record) == {1}
+
+
+def _forced_hom(spectrum, idxs, target):
+    """The hom from the spectrum's frame into ``target``, the frame of the
+    map's domain, that the triangle's legs force: the unit's point at x
+    pulls back to ``points[idxs[x]]`` exactly when ``phi(u)`` is the open
+    ``{x : u in points[idxs[x]].x}``, and ``p(a)`` the up-set
+    ``{x : a in points[idxs[x]].s}``."""
+    pts = [spectrum.points[i] for i in idxs]
+
+    def forced(src, dst, side):
+        return tuple(dst.labels.index(sum(1 << x for x, pt in enumerate(pts)
+                                          if pt[side] >> u & 1))
+                     for u in range(src.m))
+
+    frame = spectrum.frame
+    return AdFrameHom(frame, target, forced(frame.omega, target.omega, 0),
+                      forced(frame.ell, target.ell, 1))
+
+
+def test_the_triangle_legs_force_the_transpose_on_every_n2_instance():
+    """The uniqueness argument behind ADJ-TRIANGLE's scan: on every n = 2
+    instance, triangles and roundtrips alike, the hom that the legs force
+    is the transpose, and it is the one hom the scan finds."""
+    kinds = []
+    for inst in _lookup("ADJ-TRIANGLE").sweep(SweepSpec(n=2)):
+        if inst.kind == "triangle":
+            x_space, spectrum, mapping, v = inst.payload
+        else:
+            x_space, y_space, h, v = inst.payload
+            g = build_ado_hom(h, x_space, y_space, v)
+            spec_x, spectrum = adpt_space(g.target), adpt_space(g.source)
+            smap = adpt_hom(g, spec_x, spectrum)
+            mapping = tuple(smap[i] for i in eta_map(spec_x))
+        hom = transpose(x_space, spectrum, mapping)
+        target = build_ado(x_space, v)
+        assert hom.target.key() == target.key()
+        forced = _forced_hom(spectrum, mapping, target)
+        assert forced.key() == hom.key(), inst.describe
+        assert [m.key() for m in triangle_scan(spectrum, mapping, target)] == [hom.key()]
+        kinds.append(inst.kind)
+    assert set(kinds) == {"triangle", "roundtrip"}
 
 
 def _unkept(obj):
