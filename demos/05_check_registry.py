@@ -36,10 +36,9 @@ print("  raw witness:", rep.witness["detail"])
 print("  minimized to:", rep.witness["minimized"]["points"], "points:",
       rep.witness["minimized_detail"])
 
-# random generators are seeded and tagged; mutated frames break a chosen law
-gen = generate_random("adframe", {"family": "mutated"}, seed=5)
-failed = [c.law for c in validate_adframe(gen.payload).failures()]
-print("\nmutated frame target:", gen.meta["target"], " actually broken:", failed)
+# random generators are seeded and tagged; a lifted lattice is a valid frame
+gen = generate_random("adframe", {"family": "ind"}, seed=5)
+print("\nrandom frame:", gen.meta, " valid:", validate_adframe(gen.payload).ok)
 
 # run a check against your own payload; the adapter picks matching instances
 own = FinPreTopSpace(2, (0, 2, 3), (1, 3))

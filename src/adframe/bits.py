@@ -4,8 +4,14 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 
+# the members of every mask below 256, decoded once at import
+_SMALL_BITS = tuple(tuple(i for i in range(8) if m >> i & 1) for m in range(256))
+
+
 def bits_of(mask: int) -> tuple[int, ...]:
     """Members of the subset, ascending."""
+    if mask < 256:
+        return _SMALL_BITS[mask]
     out = []
     while mask:
         low = mask & -mask

@@ -5,10 +5,10 @@ s a completely prime complete filter of the lattice side, subject to the
 four relation conditions of the frame's variant.  Both components are bit
 vectors over lattice element indices.
 
-Two enumeration routes exist and must agree: the prime route walks prime
-elements of the opens side and pitchfork pairs of the lattice side; the
-brute-force route scans every subset pair and tests the definitions
-directly.
+Points are found by one route, ``enumerate_points``: it walks the prime
+elements of the opens side and the pitchfork pairs of the lattice side.
+Its oracle, a scan of every subset pair against the definitions, lives
+in the test suite's helpers.
 
 A map is a tuple of point indices: ``adpt_hom`` and ``eta_map`` return
 one and take the spectra it runs between, built once by the caller.
@@ -20,7 +20,6 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .bits import bits_of, canonical_subsets, full_mask, union_of
 from .errors import (
-    BudgetExceeded,
     InternalCheckError,
     NotAPointMap,
     NotContinuous,
@@ -29,9 +28,7 @@ from .errors import (
 from . import finord
 from .finord import (FinLattice, FinPreTopSpace, columns, kept, lattice_analyze,
                      preimage)
-from .frames import AdFrame, AdFrameHom, preimage_hom, rel_pairs
-
-_BRUTE_GATE = 20
+from .frames import AdFrame, AdFrameHom, preimage_hom
 
 
 class AdPoint(NamedTuple):
@@ -43,76 +40,12 @@ class AdPoint(NamedTuple):
     s: int  # complete filter on the lattice side, mask over ell indices
 
 
-def min_of_filter(ell: FinLattice, s_mask: int) -> int:
-    """The least member of an up-closed s (its generating element)."""
-    b = ell.joins()[1].get(s_mask)
-    if b is None:
-        raise ValueError("subset is not the up-cone of any element")
-    return b
-
-
-def point_sort_key(pt: AdPoint, ell: FinLattice) -> tuple[int, int]:
-    return (min_of_filter(ell, pt.s), pt.x)
-
-
-# ---------------------------------------------------------------------------
-# filter predicates (used by the brute-force route and the validator tests)
-
-
-def is_cp_filter(lat: FinLattice, mask: int) -> bool:
-    """Completely prime filter: non-empty, up-closed, meet-closed, avoids
-    bottom, complement closed under binary join."""
-    if mask == 0 or mask >> lat.bot & 1:
-        return False
-    members = bits_of(mask)
-    for i in members:
-        if lat.up_masks[i] & ~mask:
-            return False
-    for i in members:
-        for j in members:
-            if not mask >> lat.meet(i, j) & 1:
-                return False
-    comp = full_mask(lat.m) & ~mask
-    for i in bits_of(comp):
-        for j in bits_of(comp):
-            if mask >> lat.join(i, j) & 1:
-                return False
-    return True
-
-
-def is_cpc_filter(lat: FinLattice, mask: int) -> bool:
-    """Completely prime complete filter: the up-cone of a coprime element."""
-    b = lat.joins()[1].get(mask)            # the element whose up-cone is mask
-    if b is None or b == lat.bot:
-        return False
-    outside = bits_of(full_mask(lat.m) & ~mask)
-    return not any(mask >> lat.join(u, v) & 1 for u in outside for v in outside)
-
-
-def point_conditions_ok(frame: AdFrame, x: int, s: int) -> bool:
-    """The defining point conditions, verbatim, for the frame's variant."""
-    if frame.variant.sees_up:
-        for u, a in rel_pairs(frame.tot):
-            if not (x >> u & 1 or s >> a & 1):
-                return False
-        for u, a in rel_pairs(frame.con):
-            if x >> u & 1 and s >> a & 1:
-                return False
-    if frame.variant.sees_down:
-        for u, a in rel_pairs(frame.fof):
-            if not (x >> u & 1 or not s >> a & 1):
-                return False
-        for u, a in rel_pairs(frame.cou):
-            if not (not x >> u & 1 or s >> a & 1):
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 
 
-def _enumerate_prime(frame: AdFrame) -> tuple[AdPoint, ...]:
+def enumerate_points(frame: AdFrame) -> tuple[AdPoint, ...]:
+    """The points of a frame, ordered by the least element of s, then x."""
     omega, ell = frame.omega, frame.ell
     primes = lattice_analyze(omega).primes
     forks = lattice_analyze(ell).pitchfork
@@ -134,27 +67,6 @@ def _enumerate_prime(frame: AdFrame) -> tuple[AdPoint, ...]:
             found.append((b, x, ell.up_masks[b]))
     found.sort()
     return tuple(AdPoint(x, s) for _, x, s in found)
-
-
-def _enumerate_bruteforce(frame: AdFrame) -> tuple[AdPoint, ...]:
-    omega, ell = frame.omega, frame.ell
-    if omega.m > _BRUTE_GATE or ell.m > _BRUTE_GATE:
-        raise BudgetExceeded(
-            f"brute-force point scan gated at {_BRUTE_GATE} lattice elements")
-    xs = [m for m in range(1 << omega.m) if is_cp_filter(omega, m)]
-    ss = [m for m in range(1 << ell.m) if is_cpc_filter(ell, m)]
-    pts = [AdPoint(x, s) for x in xs for s in ss
-           if point_conditions_ok(frame, x, s)]
-    pts.sort(key=lambda pt: point_sort_key(pt, ell))
-    return tuple(pts)
-
-
-def enumerate_points(frame: AdFrame, algorithm: str = "prime") -> tuple[AdPoint, ...]:
-    if algorithm == "prime":
-        return _enumerate_prime(frame)
-    if algorithm == "bruteforce":
-        return _enumerate_bruteforce(frame)
-    raise ValueError(f"unknown point enumeration algorithm {algorithm!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +100,7 @@ def adpt_space(frame: AdFrame) -> Spectrum:
     sets that the elements of the two sides induce on them.  The test suite
     checks that the opens form a topology and that the up-closed sets are
     exactly those of the point preorder."""
-    points = enumerate_points(frame, "prime")
+    points = enumerate_points(frame)
     open_map = columns([pt.x for pt in points], frame.omega.m)
     upset_map = columns([pt.s for pt in points], frame.ell.m)
     opens = canonical_subsets(open_map)

@@ -14,7 +14,7 @@ import itertools
 import json
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .bits import bits_of, canonical_subsets, is_subset
@@ -183,53 +183,8 @@ def _random_space(rng: random.Random, n: int) -> FinPreTopSpace:
     return FinPreTopSpace(n, opens, _random_preorder(rng, n, _SPACE_DENSITY))
 
 
-def _flip(frame: AdFrame, name: str, pair: tuple[int, int]) -> AdFrame:
-    """``frame`` with the membership of ``pair`` in relation ``name`` flipped."""
-    rows = list(frame.rel(name))
-    rows[pair[0]] ^= 1 << pair[1]
-    return replace(frame, **{name: tuple(rows)})
-
-
-def _mutation_table(frame: AdFrame) -> tuple[tuple[str, str, tuple[int, int], bool], ...]:
-    """Single-bit corruptions of ``frame``, each tagged with the law it
-    should break: rows of (law, relation, pair, whether it is offered)."""
-    om, el = frame.omega, frame.ell
-    tt = (om.top, el.bot)
-    ff = (om.bot, el.top)
-    bots = (om.bot, el.bot)
-    tops = (om.top, el.top)
-    up, down = frame.variant.sees_up, frame.variant.sees_down
-
-    def has(name, pair):
-        return bool(frame.rel(name)[pair[0]] >> pair[1] & 1)
-
-    table = (
-        ("tot-up-closed", "tot", tops, up and tops != tt and has("tot", tops)),
-        ("tot-has-tt", "tot", tt, up and has("tot", tt)),
-        ("con-down-closed", "con", bots,
-         up and bots not in (ff, tt) and has("con", bots)),
-        ("con-tot-aligned", "con", tops, up and el.m > 1 and not has("con", tops)),
-        ("fof-up-closed", "fof", tt,
-         down and tops != tt and has("fof", tops) and has("fof", tt)),
-        ("fof-has-bots", "fof", bots,
-         down and has("fof", bots) and (om.m > 1 or el.m > 1)),
-        ("cou-down-closed", "cou", ff,
-         down and ff != bots and has("cou", ff) and has("cou", bots)),
-        ("tot-cou-ell-top", "cou", tt,
-         frame.variant is Variant.BOTH and el.m > 1 and not has("cou", tt)),
-    )
-    return table
-
-
-def _mutations(frame: AdFrame) -> list[tuple[str, Callable[[], AdFrame]]]:
-    """The offered corruptions of ``frame``, as (law, edit) pairs."""
-    return [(law, functools.partial(_flip, frame, name, pair))
-            for law, name, pair, offered in _mutation_table(frame) if offered]
-
-
 # the params keys each generator reads
-_PARAM_KEYS = {"space": ("n",), "ado": ("family", "n"), "ind": ("family",),
-               "mutated": ("family", "target")}
+_PARAM_KEYS = {"space": ("n",), "ado": ("family", "n"), "ind": ("family",)}
 
 
 def generate_random(kind: str, params=None, seed: int = 0) -> Generated:
@@ -239,10 +194,8 @@ def generate_random(kind: str, params=None, seed: int = 0) -> Generated:
     kind "space" (params: n): a random topology (up-sets of one random
     preorder) with an independently random preorder on top.
     kind "adframe" (params: family, and what the family reads): family
-    "ado" (frame of a random space of n points), "ind" (two-sided lift of
-    the up-set lattice of a random poset), or "mutated" (a valid "ado" or
-    "ind" frame with one edit aimed at the named ``target`` law, or at any;
-    a target that no edit of the mutation table breaks is a ValueError).
+    "ado" (frame of a random space of n points) or "ind" (two-sided lift
+    of the up-set lattice of a random poset).
     A key that the chosen kind or family does not read is a ValueError, and
     so is an ``n`` that is not an int (a bool included) in 0..CARRIER_CAP.
     """
@@ -269,37 +222,13 @@ def generate_random(kind: str, params=None, seed: int = 0) -> Generated:
         return Generated("adframe", frame,
                          {"family": "ado", "n": n, "seed": seed,
                           "variant": variant.value})
-    if family == "ind":
-        rng = _rng("adframe-ind", params, seed)
-        k = rng.randint(1, 4)
-        lat = lattice_from_labels(upset_family(_random_poset(rng, k)))
-        frame = ind_functor(lat, variant=variant)
-        return Generated("adframe", frame,
-                         {"family": "ind", "base_points": k, "seed": seed,
-                          "variant": variant.value})
-    # "mutated": draw base frames until one edit breaks its law
-    target = params.get("target")
-    for attempt in range(64):
-        rng = _rng(f"adframe-mutated-{attempt}", params, seed)
-        base_family = rng.choice(("ado", "ind"))
-        base = generate_random("adframe", {"family": base_family}, seed * 131 + attempt)
-        frame = base.payload
-        laws = [law for law, *_ in _mutation_table(frame)]
-        if target is not None and target not in laws:
-            raise ValueError(f"mutation target {target!r} is not a law that one "
-                             f"edit breaks; the edits break {', '.join(laws)}")
-        options = [m for m in _mutations(frame) if target in (None, m[0])]
-        if not options:
-            continue
-        law, edit = rng.choice(options)
-        mutated = edit()
-        report = validate_adframe(mutated)
-        if not report.ok and law in {c.law for c in report.failures()}:
-            return Generated("adframe", mutated,
-                             {"family": "mutated", "target": law,
-                              "seed": seed, "variant": variant.value,
-                              "base": base.meta})
-    raise InternalCheckError("mutation search failed to break the target axiom")
+    rng = _rng("adframe-ind", params, seed)
+    k = rng.randint(1, 4)
+    lat = lattice_from_labels(upset_family(_random_poset(rng, k)))
+    frame = ind_functor(lat, variant=variant)
+    return Generated("adframe", frame,
+                     {"family": "ind", "base_points": k, "seed": seed,
+                      "variant": variant.value})
 
 
 # ---------------------------------------------------------------------------

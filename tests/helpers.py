@@ -4,18 +4,22 @@ Everything here recomputes results from the raw definitions on explicit
 point sets, independently of the bitmask machinery under test.
 """
 
+import functools
 import itertools
 
-from typing import Iterable
+from dataclasses import replace
+from typing import Callable, Iterable
 
-from adframe import (FinLattice, FinPreTopSpace, FinTopSpace, NotContinuous,
-                     generate_random, lattice_from_labels, upset_family)
+from adframe import (AdPoint, BudgetExceeded, FinLattice, FinPreTopSpace,
+                     FinTopSpace, InternalCheckError, NotContinuous, Variant,
+                     generate_random, lattice_from_labels, upset_family,
+                     validate_adframe)
 from adframe.bits import bits_of, canonical_subsets, full_mask, is_subset, low_bit
 from adframe.duality import unit_points
 from adframe.finord import columns, continuity_failure, preimage
 from adframe.frames import (AdFrame, AdFrameHom, AxiomCheck, bounded_lattice_homs,
-                            preserves_relations)
-from adframe.theorems import DEFAULT_ISO_BUDGET, _iso_pretop
+                            preserves_relations, rel_pairs)
+from adframe.theorems import DEFAULT_ISO_BUDGET, Generated, _iso_pretop, _rng
 
 
 def mask_of(points: Iterable[int]) -> int:
@@ -529,3 +533,164 @@ def flip_pair(doc, name, pair):
     pairs = ([p for p in pairs if p != list(pair)] if list(pair) in pairs
              else sorted(pairs + [list(pair)]))
     return dict(doc, **{name: pairs})
+
+
+# ---------------------------------------------------------------------------
+# the brute-force spectrum: every subset pair tested against the definitions
+
+_BRUTE_GATE = 20
+
+
+def min_of_filter(ell: FinLattice, s_mask: int) -> int:
+    """The least member of an up-closed s (its generating element)."""
+    b = ell.joins()[1].get(s_mask)
+    if b is None:
+        raise ValueError("subset is not the up-cone of any element")
+    return b
+
+
+def point_sort_key(pt: AdPoint, ell: FinLattice) -> tuple[int, int]:
+    return (min_of_filter(ell, pt.s), pt.x)
+
+
+def is_cp_filter(lat: FinLattice, mask: int) -> bool:
+    """Completely prime filter: non-empty, up-closed, meet-closed, avoids
+    bottom, complement closed under binary join."""
+    if mask == 0 or mask >> lat.bot & 1:
+        return False
+    members = bits_of(mask)
+    for i in members:
+        if lat.up_masks[i] & ~mask:
+            return False
+    for i in members:
+        for j in members:
+            if not mask >> lat.meet(i, j) & 1:
+                return False
+    comp = full_mask(lat.m) & ~mask
+    for i in bits_of(comp):
+        for j in bits_of(comp):
+            if mask >> lat.join(i, j) & 1:
+                return False
+    return True
+
+
+def is_cpc_filter(lat: FinLattice, mask: int) -> bool:
+    """Completely prime complete filter: the up-cone of a coprime element."""
+    b = lat.joins()[1].get(mask)            # the element whose up-cone is mask
+    if b is None or b == lat.bot:
+        return False
+    outside = bits_of(full_mask(lat.m) & ~mask)
+    return not any(mask >> lat.join(u, v) & 1 for u in outside for v in outside)
+
+
+def point_conditions_ok(frame: AdFrame, x: int, s: int) -> bool:
+    """The defining point conditions, verbatim, for the frame's variant."""
+    if frame.variant.sees_up:
+        for u, a in rel_pairs(frame.tot):
+            if not (x >> u & 1 or s >> a & 1):
+                return False
+        for u, a in rel_pairs(frame.con):
+            if x >> u & 1 and s >> a & 1:
+                return False
+    if frame.variant.sees_down:
+        for u, a in rel_pairs(frame.fof):
+            if not (x >> u & 1 or not s >> a & 1):
+                return False
+        for u, a in rel_pairs(frame.cou):
+            if not (not x >> u & 1 or s >> a & 1):
+                return False
+    return True
+
+
+def _enumerate_bruteforce(frame: AdFrame) -> tuple[AdPoint, ...]:
+    """The oracle of ``duality.enumerate_points``: the same points in the
+    same order, found by scanning every subset pair."""
+    omega, ell = frame.omega, frame.ell
+    if omega.m > _BRUTE_GATE or ell.m > _BRUTE_GATE:
+        raise BudgetExceeded(
+            f"brute-force point scan gated at {_BRUTE_GATE} lattice elements")
+    xs = [m for m in range(1 << omega.m) if is_cp_filter(omega, m)]
+    ss = [m for m in range(1 << ell.m) if is_cpc_filter(ell, m)]
+    pts = [AdPoint(x, s) for x in xs for s in ss
+           if point_conditions_ok(frame, x, s)]
+    pts.sort(key=lambda pt: point_sort_key(pt, ell))
+    return tuple(pts)
+
+
+# ---------------------------------------------------------------------------
+# mutated frames: valid frames with one edit that breaks a chosen law
+
+
+def _flip(frame: AdFrame, name: str, pair: tuple[int, int]) -> AdFrame:
+    """``frame`` with the membership of ``pair`` in relation ``name`` flipped."""
+    rows = list(frame.rel(name))
+    rows[pair[0]] ^= 1 << pair[1]
+    return replace(frame, **{name: tuple(rows)})
+
+
+def _mutation_table(frame: AdFrame) -> tuple[tuple[str, str, tuple[int, int], bool], ...]:
+    """Single-bit corruptions of ``frame``, each tagged with the law it
+    should break: rows of (law, relation, pair, whether it is offered)."""
+    om, el = frame.omega, frame.ell
+    tt = (om.top, el.bot)
+    ff = (om.bot, el.top)
+    bots = (om.bot, el.bot)
+    tops = (om.top, el.top)
+    up, down = frame.variant.sees_up, frame.variant.sees_down
+
+    def has(name, pair):
+        return bool(frame.rel(name)[pair[0]] >> pair[1] & 1)
+
+    table = (
+        ("tot-up-closed", "tot", tops, up and tops != tt and has("tot", tops)),
+        ("tot-has-tt", "tot", tt, up and has("tot", tt)),
+        ("con-down-closed", "con", bots,
+         up and bots not in (ff, tt) and has("con", bots)),
+        ("con-tot-aligned", "con", tops, up and el.m > 1 and not has("con", tops)),
+        ("fof-up-closed", "fof", tt,
+         down and tops != tt and has("fof", tops) and has("fof", tt)),
+        ("fof-has-bots", "fof", bots,
+         down and has("fof", bots) and (om.m > 1 or el.m > 1)),
+        ("cou-down-closed", "cou", ff,
+         down and ff != bots and has("cou", ff) and has("cou", bots)),
+        ("tot-cou-ell-top", "cou", tt,
+         frame.variant is Variant.BOTH and el.m > 1 and not has("cou", tt)),
+    )
+    return table
+
+
+def _mutations(frame: AdFrame) -> list[tuple[str, Callable[[], AdFrame]]]:
+    """The offered corruptions of ``frame``, as (law, edit) pairs."""
+    return [(law, functools.partial(_flip, frame, name, pair))
+            for law, name, pair, offered in _mutation_table(frame) if offered]
+
+
+def mutated_frame(seed: int, target=None) -> Generated:
+    """A valid seeded "ado" or "ind" frame with one edit aimed at the named
+    ``target`` law, or at any; a target that no edit of the mutation table
+    breaks is a ValueError.  Its meta names the family "mutated" and the
+    law the edit breaks."""
+    params = {"family": "mutated"}
+    if target is not None:
+        params["target"] = target
+    for attempt in range(64):
+        rng = _rng(f"adframe-mutated-{attempt}", params, seed)
+        base_family = rng.choice(("ado", "ind"))
+        base = generate_random("adframe", {"family": base_family}, seed * 131 + attempt)
+        frame = base.payload
+        laws = [law for law, *_ in _mutation_table(frame)]
+        if target is not None and target not in laws:
+            raise ValueError(f"mutation target {target!r} is not a law that one "
+                             f"edit breaks; the edits break {', '.join(laws)}")
+        options = [m for m in _mutations(frame) if target in (None, m[0])]
+        if not options:
+            continue
+        law, edit = rng.choice(options)
+        mutated = edit()
+        report = validate_adframe(mutated)
+        if not report.ok and law in {c.law for c in report.failures()}:
+            return Generated("adframe", mutated,
+                             {"family": "mutated", "target": law,
+                              "seed": seed, "variant": Variant.BOTH.value,
+                              "base": base.meta})
+    raise InternalCheckError("mutation search failed to break the target axiom")

@@ -15,7 +15,7 @@ from adframe.theorems import (VARIANTS, designated_counterexample,
                               enumerate_topologies, frame_instance,
                               space_instance)
 
-from helpers import enumerate_distributive_lattices
+from helpers import _enumerate_bruteforce, enumerate_distributive_lattices
 
 
 def report(ok, label, detail=""):
@@ -46,8 +46,7 @@ def test_point_enumeration_oracle_agreement():
             for v in VARIANTS:
                 frame = build_ado(sp, v)
                 frames += 1
-                if (enumerate_points(frame, "prime")
-                        != enumerate_points(frame, "bruteforce")):
+                if enumerate_points(frame) != _enumerate_bruteforce(frame):
                     mismatches += 1
     coupled = 0
     trivial = 0
@@ -58,8 +57,7 @@ def test_point_enumeration_oracle_agreement():
             trivial += 1
             continue
         coupled += 1
-        if (enumerate_points(frame, "prime")
-                != enumerate_points(frame, "bruteforce")):
+        if enumerate_points(frame) != _enumerate_bruteforce(frame):
             mismatches += 1
     ok = mismatches == 0 and frames == 2577 and coupled == 35 and trivial == 1
     report(ok, "point enumeration oracle",

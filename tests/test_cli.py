@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -622,9 +623,25 @@ def test_module_entry_point_subprocess(payloads):
 DEMOS = sorted(pathlib.Path(__file__).resolve().parent.parent.glob("demos/*.py"))
 
 
+# the sha256 of each demo's stdout; it does not depend on PYTHONHASHSEED
+DEMO_OUTPUTS = {
+    "01_spaces_and_lattices.py":
+        "41a3fd099afd72f1f7e3d8d459ddd3cfa59418e3b5d80ae9549ebafe9523484f",
+    "02_frames_and_validation.py":
+        "0e1789169b6f011ddab2f551e18ba1e07ee946e0284a4a1dbccafd02990f7c51",
+    "03_points_and_spectra.py":
+        "591be9dcfb8b120cc3736078dc33c1d021b99b745efdcb95bc64f04f77df0534",
+    "04_sobrification.py":
+        "0b5915b7f8abbf155725d52db3e1b6091a10257271301d7c2de2bef101016edb",
+    "05_check_registry.py":
+        "5eb016786dfbaa8c9fb938ac91b0305c397a1bcb143855e3f6401cd01cafa89e",
+}
+
+
 def test_demos_run():
-    assert len(DEMOS) == 5
+    assert [demo.name for demo in DEMOS] == sorted(DEMO_OUTPUTS)
     for demo in DEMOS:
-        proc = subprocess.run([sys.executable, str(demo)],
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, (demo.name, proc.stderr)
+        proc = subprocess.run([sys.executable, str(demo)], capture_output=True)
+        assert proc.returncode == 0, (demo.name, proc.stderr.decode())
+        digest = hashlib.sha256(proc.stdout).hexdigest()
+        assert digest == DEMO_OUTPUTS[demo.name], (demo.name, proc.stdout.decode())

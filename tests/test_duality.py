@@ -6,16 +6,15 @@ from adframe import (AdPoint, IrreduciblePair, Variant, adpt_hom, adpt_space,
                      pullback_point, sobrify, specialization_preorder,
                      transpose, validate_hom)
 from adframe.cli import _record_lines
-from adframe.duality import (is_cp_filter, is_cpc_filter, min_of_filter,
-                             point_conditions_ok)
 from adframe.finord import _check_topology, lattice_from_labels, upset_family
 from adframe.frames import TWO_CHAIN
 from adframe.theorems import (enumerate_spaces, pretop_maps, run_check,
                               space_instance)
 
 from helpers import (CHAIN3, DISCRETE2, INDISCRETE2_DISCRETE_ORDER, SIERPINSKI,
-                     enumerate_distributive_lattices, idempotence_frames,
-                     leq_pairs)
+                     _enumerate_bruteforce, enumerate_distributive_lattices,
+                     idempotence_frames, is_cp_filter, is_cpc_filter, leq_pairs,
+                     min_of_filter, point_conditions_ok)
 
 VARIANTS = (Variant.UP, Variant.DOWN, Variant.BOTH)
 
@@ -40,16 +39,14 @@ def test_point_enumeration_oracle_exhaustive_n2():
     for sp in enumerate_spaces(2):
         for variant in VARIANTS:
             frame = build_ado(sp, variant)
-            assert (enumerate_points(frame, "prime")
-                    == enumerate_points(frame, "bruteforce"))
+            assert enumerate_points(frame) == _enumerate_bruteforce(frame)
 
 
 def test_point_enumeration_oracle_sampled_n3():
     for sp in enumerate_spaces(3)[::97]:
         for variant in VARIANTS:
             frame = build_ado(sp, variant)
-            assert (enumerate_points(frame, "prime")
-                    == enumerate_points(frame, "bruteforce"))
+            assert enumerate_points(frame) == _enumerate_bruteforce(frame)
 
 
 def test_point_enumeration_oracle_on_couplings():
@@ -57,8 +54,7 @@ def test_point_enumeration_oracle_on_couplings():
         if lat.m < 2:
             continue
         frame = ind_functor(lat)
-        assert (enumerate_points(frame, "prime")
-                == enumerate_points(frame, "bruteforce"))
+        assert enumerate_points(frame) == _enumerate_bruteforce(frame)
 
 
 def test_points_satisfy_their_conditions():

@@ -260,6 +260,11 @@ def _naive_members(mask):
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+def test_bits_of_on_every_mask_below_256():
+    for mask in range(256):
+        assert bits_of(mask) == _naive_members(mask)
+
+
 def test_bits_of_on_the_empty_mask_and_single_bits():
     assert bits_of(0) == ()
     for i in range(4096):

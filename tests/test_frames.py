@@ -14,7 +14,7 @@ from adframe import frames as frames_module
 from adframe.frames import REL_NAMES, AdFrameHom, TWO_CHAIN
 from adframe.theorems import enumerate_spaces, pretop_maps, upper_semi_closed, lower_semi_closed
 
-from helpers import (CHAIN3, SCOTT_GATE, SIERPINSKI, chain_doc, grid_doc,
+from helpers import (CHAIN3, SCOTT_GATE, SIERPINSKI, _flip, chain_doc, grid_doc,
                      identity_hom, lift_doc, pts, reference_binary_check, reference_reach_check,
                      scott_oracle)
 
@@ -69,31 +69,23 @@ def test_validator_passes_on_canonical_frames(variant):
         assert report.ok, report.failures()
 
 
-def flip(rows, pair):
-    """The relation ``rows`` with the membership of ``pair`` flipped."""
-    u, a = pair
-    return rows[:u] + (rows[u] ^ 1 << a,) + rows[u + 1:]
-
-
-def drop(rows, pair):
-    assert rows[pair[0]] >> pair[1] & 1
-    return flip(rows, pair)
+def drop(frame, name, pair):
+    """``frame`` with ``pair``, a member of relation ``name``, removed."""
+    assert frame.rel(name)[pair[0]] >> pair[1] & 1
+    return _flip(frame, name, pair)
 
 
 def test_validator_flags_missing_top_pair():
     frame = build_ado(SIERPINSKI)
     tt = (frame.omega.top, frame.ell.bot)
-    broken = AdFrame(frame.omega, frame.ell, drop(frame.tot, tt), frame.con,
-                     frame.fof, frame.cou, frame.variant)
+    broken = drop(frame, "tot", tt)
     failed = {c.law for c in validate_adframe(broken).failures()}
     assert "tot-has-tt" in failed
 
 
 def test_validator_flags_upward_closure_gap():
     frame = build_ado(SIERPINSKI)
-    broken = AdFrame(frame.omega, frame.ell,
-                     drop(frame.tot, (frame.omega.top, frame.ell.top)),
-                     frame.con, frame.fof, frame.cou, frame.variant)
+    broken = drop(frame, "tot", (frame.omega.top, frame.ell.top))
     failed = {c.law for c in validate_adframe(broken).failures()}
     assert "tot-up-closed" in failed
 
@@ -101,9 +93,7 @@ def test_validator_flags_upward_closure_gap():
 def test_validator_flags_alignment_break():
     frame = build_ado(SIERPINSKI)
     # declare the top pair consistent as well: con and tot now share it
-    broken = AdFrame(frame.omega, frame.ell, frame.tot,
-                     flip(frame.con, (frame.omega.top, frame.ell.top)),
-                     frame.fof, frame.cou, frame.variant)
+    broken = _flip(frame, "con", (frame.omega.top, frame.ell.top))
     failed = {c.law for c in validate_adframe(broken).failures()}
     assert failed & {"con-tot-aligned", "con-down-closed", "con-cou-bottom",
                      "tot-cou-ell-top"}
@@ -148,10 +138,7 @@ def single_flips(frame):
     for name in REL_NAMES:
         for u in range(frame.omega.m):
             for a in range(frame.ell.m):
-                yield AdFrame(frame.omega, frame.ell,
-                              *(flip(frame.rel(r), (u, a)) if r == name
-                                else frame.rel(r) for r in REL_NAMES),
-                              frame.variant)
+                yield _flip(frame, name, (u, a))
 
 
 def assert_reports_match_reference(frames):

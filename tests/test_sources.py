@@ -7,10 +7,13 @@ import subprocess
 import sys
 import warnings
 
+import pytest
+
 import adframe
 from adframe import (AdPoint, IrreduciblePair, adpt_hom, adpt_space,
                      ads_adpt_iso, ads_hom, ads_space, build_ado,
-                     build_ado_hom, eta_map)
+                     build_ado_hom, enumerate_points, eta_map,
+                     generate_random)
 from adframe.frames import AxiomCheck
 from adframe.finord import FinLattice
 
@@ -200,17 +203,12 @@ def test_a_map_is_a_tuple_of_indices():
         assert "variant" not in inspect.signature(construction).parameters
 
 
-def test_one_decoder_and_one_up_set_construction():
-    """A mask's members are listed by ``bits_of`` alone, and an up-set
-    family is built by ``upset_family`` from a preorder's rows alone: no
-    file of ``src/``, ``tests/`` or ``demos/`` defines, imports or names the
-    generator decoder ``iter_bits`` or ``_poset_shell``, the space that
-    wrapped a bare preorder.  This file names them only to look for them."""
-    gone = {"iter_bits", "_poset_shell"}
+def _stray(gone, folders=("src", "tests", "demos")):
+    """Where the files of ``folders``, this one aside, define, import or
+    name one of ``gone``, as "path: name" lines."""
     here = pathlib.Path(__file__).resolve()
     stray = []
-    for path in sorted(p for folder in ("src", "tests", "demos")
-                       for p in (ROOT / folder).rglob("*.py")):
+    for path in sorted(p for folder in folders for p in (ROOT / folder).rglob("*.py")):
         if path.resolve() == here:
             continue
         tree = ast.parse(path.read_text())
@@ -221,4 +219,30 @@ def test_one_decoder_and_one_up_set_construction():
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 named |= {alias.asname or alias.name for alias in node.names}
         stray += [f"{path.relative_to(ROOT)}: {name}" for name in sorted(named & gone)]
-    assert stray == []
+    return stray
+
+
+def test_one_decoder_and_one_up_set_construction():
+    """A mask's members are listed by ``bits_of`` alone, and an up-set
+    family is built by ``upset_family`` from a preorder's rows alone: no
+    file of ``src/``, ``tests/`` or ``demos/`` defines, imports or names the
+    generator decoder ``iter_bits`` or ``_poset_shell``, the space that
+    wrapped a bare preorder.  This file names them only to look for them."""
+    assert _stray({"iter_bits", "_poset_shell"}) == []
+
+
+def test_one_point_route_and_no_mutated_family():
+    """The library finds points by one route, ``enumerate_points(frame)``,
+    and generates no mutated frames: the brute-force spectrum, the
+    mutation table and the "mutated" family live in ``tests/helpers.py``,
+    and no file of ``src/`` or ``demos/`` defines or names them, nor the
+    old algorithm names or the prime route's private name."""
+    moved = {"_enumerate_bruteforce", "is_cp_filter", "is_cpc_filter",
+             "point_conditions_ok", "min_of_filter", "point_sort_key",
+             "_BRUTE_GATE", "_enumerate_prime", "_flip", "_mutation_table",
+             "_mutations", "mutated", "bruteforce", "prime"}
+    assert _stray(moved, folders=("src", "demos")) == []
+    assert list(inspect.signature(enumerate_points).parameters) == ["frame"]
+    with pytest.raises(ValueError) as exc:
+        generate_random("adframe", {"family": "mutated"})
+    assert str(exc.value) == "unknown adframe family 'mutated'"

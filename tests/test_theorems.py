@@ -17,7 +17,7 @@ from adframe import (AdFrameHom, BudgetExceeded, FinLattice, FinPreTopSpace,
 from adframe.duality import _point_masks
 from adframe.frames import REL_NAMES
 from adframe.theorems import (SweepSpec, _lookup, _moves_opens_onto,
-                              _mutations, _order_mismatch, basic_functors,
+                              _order_mismatch, basic_functors,
                               describe, designated_counterexample,
                               enumerate_preorders, enumerate_spaces,
                               enumerate_topologies, frame_instance,
@@ -26,9 +26,10 @@ from adframe.theorems import (SweepSpec, _lookup, _moves_opens_onto,
 from adframe.finord import (continuity_failure, is_reflexive_transitive,
                             monotonicity_failure)
 
-from helpers import (CHAIN3, SIERPINSKI, enumerate_distributive_lattices,
-                     is_t0_topology, lattice_order_iso, leq_pairs,
-                     lifted_preorder, naive_topologies, triangle_scan)
+from helpers import (CHAIN3, SIERPINSKI, _mutations,
+                     enumerate_distributive_lattices, is_t0_topology,
+                     lattice_order_iso, leq_pairs, lifted_preorder,
+                     mutated_frame, naive_topologies, triangle_scan)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +153,7 @@ def test_generated_frames_validate():
 
 def test_mutated_frames_break_their_target_law():
     for seed in range(8):
-        gen = generate_random("adframe", {"family": "mutated"}, seed=seed)
+        gen = mutated_frame(seed)
         report = validate_adframe(gen.payload)
         assert not report.ok
         assert gen.meta["target"] in {c.law for c in report.failures()}
@@ -184,9 +185,7 @@ def test_every_mutation_flips_one_bit_and_breaks_its_law():
 
 
 def test_mutation_target_can_be_forced():
-    gen = generate_random("adframe",
-                          {"family": "mutated", "target": "con-down-closed"},
-                          seed=3)
+    gen = mutated_frame(3, "con-down-closed")
     failed = {c.law for c in validate_adframe(gen.payload).failures()}
     assert "con-down-closed" in failed
 
@@ -196,7 +195,7 @@ def test_mutation_target_must_be_a_law_an_edit_breaks(target):
     """A target outside the mutation table is bad input, named with the laws
     the table's edits break, not a failed search."""
     with pytest.raises(ValueError) as exc:
-        generate_random("adframe", {"family": "mutated", "target": target}, seed=3)
+        mutated_frame(3, target)
     assert str(exc.value) == (f"mutation target {target!r} is not a law that one "
                               f"edit breaks; the edits break {', '.join(MUTATION_LAWS)}")
 
@@ -379,7 +378,7 @@ def test_skip_on_unmet_hypotheses():
 def test_honest_fail_verdict_on_broken_frame():
     # a frame built to violate its laws; the counit then fails validation,
     # which the harness must report as a plain fail with a witness
-    gen = generate_random("adframe", {"family": "mutated"}, seed=0)
+    gen = mutated_frame(0)
     assert not validate_adframe(gen.payload).ok
     reports = run_check("EPS-VALID", instance=frame_instance(gen.payload))
     assert reports[0].verdict == "fail"
@@ -387,7 +386,7 @@ def test_honest_fail_verdict_on_broken_frame():
 
 
 def test_fail_fast_stops_at_first_failure():
-    gen = generate_random("adframe", {"family": "mutated"}, seed=0)
+    gen = mutated_frame(0)
     bad = frame_instance(gen.payload)
     good = frame_instance(build_ado(SIERPINSKI))
     reports = run_check("EPS-VALID", instances=[bad, good], fail_fast=True)
