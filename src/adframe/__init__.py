@@ -18,9 +18,9 @@ from .finord import (FinLattice, FinPreTopSpace, FinTopSpace, LatticeAnalysis,
                      equivalence_classes, interior, irreducible_closed_sets,
                      lattice_analyze, lattice_from_json, lattice_from_labels,
                      lattice_from_leq, lattice_to_json, make_space,
-                     make_topology, point_classes, space_from_json,
-                     space_to_json, specialization_preorder, subset_lattice,
-                     upset_family)
+                     make_topology, point_classes, point_closures,
+                     space_from_json, space_to_json, specialization_preorder,
+                     subset_lattice, upset_family)
 from .frames import (AdFrame, AdFrameHom, Variant, adframe_from_json,
                      adframe_to_json, bnd_map, bounded_lattice_homs,
                      build_ado, build_ado_hom, check_usc_lsc, compose_homs,

@@ -13,7 +13,10 @@ Conventions used throughout the package:
   - A family of up-sets is built one way, by :func:`upset_family` from a
     preorder's rows: a space's opens are the up-sets of its
     specialization rows, and its up-set lattice holds the up-sets of
-    ``leq``.
+    ``leq``.  The topology is read back through one structure, the point
+    closures (:func:`point_closures`), which are the columns of the
+    specialization rows; closure, interior and the specialization
+    preorder are derived from them.
   - Families of subsets are kept in canonical order: cardinality first,
     then numeric bit-vector value.
   - A lattice over elements ``range(m)`` carries its order once, as row
@@ -25,11 +28,11 @@ Conventions used throughout the package:
     join/meet are union/intersection.
   - What is derived lives as long as what it is derived from, in one
     home: the object it is derived from alone keeps it (:func:`kept`).  A
-    space keeps its lattices, its frame rows, its point classes, its
-    irreducible closed sets, and its document with one copy per variant; a
-    lattice keeps its analysis, its point masks and its homs to live
-    lattices.  Frames, spectra and pair lists are plain values: a caller
-    that needs one twice passes it on.
+    space keeps its lattices, its frame rows, its point classes, its point
+    closures, its irreducible closed sets, and its document with one copy
+    per variant; a lattice keeps its analysis, its point masks and its homs
+    to live lattices.  Frames, spectra and pair lists are plain values: a
+    caller that needs one twice passes it on.
 """
 from __future__ import annotations
 
@@ -351,40 +354,44 @@ def upclose(space: FinPreTopSpace, subset: int) -> int:
 
 
 def downclose(space: FinPreTopSpace, subset: int) -> int:
-    out = 0
-    for y in range(space.n):
-        if space.leq[y] & subset:
-            out |= 1 << y
-    return out
+    return union_of(columns(space.leq, space.n), subset)
+
+
+def point_closures(space) -> tuple[int, ...]:
+    """The closure cl(x) of each point x, the complement of the union of the
+    opens that miss x, which the space keeps (:func:`kept`): the one helper
+    here that reads ``opens``.  cl(x) holds the points below x in the
+    specialization preorder, so these are the columns of its rows."""
+    def make():
+        full = full_mask(space.n)
+        avoid = [0] * space.n
+        for u in space.opens:
+            for x in bits_of(full & ~u):
+                avoid[x] |= u
+        return tuple(full & ~a for a in avoid)
+    return kept(space, "_point_closures", make)
 
 
 def closure(space, subset: int) -> int:
-    """Smallest closed superset: complement of the union of opens missing it."""
-    avoid = 0
-    for u in space.opens:
-        if u & subset == 0:
-            avoid |= u
-    return full_mask(space.n) & ~avoid
+    """Smallest closed superset.  A finite topology is the up-sets of its
+    specialization preorder (Alexandroff), so the closed sets are the
+    down-sets, and a set's closure is the union of its point closures."""
+    return union_of(point_closures(space), subset)
 
 
 def interior(space, subset: int) -> int:
-    out = 0
-    for u in space.opens:
-        if is_subset(u, subset):
-            out |= u
-    return out
+    """Largest open subset, the dual of :func:`closure`: the points whose
+    least open lies inside the set, which are the points outside the
+    closure of its complement."""
+    full = full_mask(space.n)
+    return full & ~closure(space, full & ~subset)
 
 
 def specialization_preorder(space) -> tuple[int, ...]:
-    """x <= y iff every open containing x contains y (rows of minimal opens)."""
-    rows = []
-    for x in range(space.n):
-        core = full_mask(space.n)
-        for u in space.opens:
-            if u >> x & 1:
-                core &= u
-        rows.append(core)
-    return tuple(rows)
+    """x <= y iff every open containing x contains y, iff x lies in cl(y):
+    the rows are the columns of the point closures, and row x is the least
+    open holding x (Alexandroff)."""
+    return columns(point_closures(space), space.n)
 
 
 # ---------------------------------------------------------------------------
@@ -718,8 +725,8 @@ def irreducible_closed_sets(space) -> tuple[int, ...]:
     the cl(x) for x in C, so irreducibility puts C inside one cl(x), which
     lies in C.  The space keeps them (:func:`kept`).
     """
-    return kept(space, "_irreducible_closed_sets", lambda: canonical_subsets(
-        closure(space, 1 << x) for x in range(space.n)))
+    return kept(space, "_irreducible_closed_sets",
+                lambda: canonical_subsets(point_closures(space)))
 
 
 def point_classes(space: FinPreTopSpace) -> tuple[int, ...]:

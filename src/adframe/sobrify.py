@@ -23,9 +23,9 @@ from .finord import (
     class_of,
     closure,
     columns,
-    downclose,
     irreducible_closed_sets,
     point_classes,
+    point_closures,
     subset_lattice,
 )
 from .frames import Variant
@@ -51,8 +51,8 @@ class IrreduciblePair(NamedTuple):
 def canonical_pairs(space: FinPreTopSpace) -> tuple[IrreduciblePair, ...]:
     """The canonical pair (cl x, [x]) of each point x, in point order."""
     classes = point_classes(space)
-    return tuple(IrreduciblePair(closure(space, 1 << x), class_of(classes, x))
-                 for x in range(space.n))
+    return tuple(IrreduciblePair(c, class_of(classes, x))
+                 for x, c in enumerate(point_closures(space)))
 
 
 def irreducible_pairs(space: FinPreTopSpace, variant=Variant.BOTH) -> tuple[IrreduciblePair, ...]:
@@ -63,13 +63,14 @@ def irreducible_pairs(space: FinPreTopSpace, variant=Variant.BOTH) -> tuple[Irre
     suite checks that every other member gives the same answer.  Both loops
     run in canonical order, so the pairs come out sorted by C, then [x]."""
     variant = Variant.parse(variant)
+    cl, downs = point_closures(space), columns(space.leq, space.n)
     tests = []
     for cls in sorted(point_classes(space), key=subset_key):
         x = low_bit(cls)
-        up, down = space.leq[x], downclose(space, 1 << x)
-        cones = [(down, closure(space, up))] if variant.sees_up else []
+        up, down = space.leq[x], downs[x]
+        cones = [(down, union_of(cl, up))] if variant.sees_up else []
         if variant.sees_down:
-            cones.append((up, closure(space, down)))
+            cones.append((up, union_of(cl, down)))
         (meets1, inside1), (meets2, inside2) = cones[0], cones[-1]
         tests.append((cls, meets1, meets2, ~(inside1 & inside2)))
     return tuple(IrreduciblePair(c, cls) for c in irreducible_closed_sets(space)
@@ -102,7 +103,7 @@ def standard_sobrification(space) -> tuple[FinTopSpace, tuple[int, ...]]:
     """
     irr = irreducible_closed_sets(space)
     opens = [sum(1 << i for i, c in enumerate(irr) if c & u) for u in space.opens]
-    unit = tuple(irr.index(closure(space, 1 << x)) for x in range(space.n))
+    unit = tuple(map(irr.index, point_closures(space)))
     return FinTopSpace(len(irr), canonical_subsets(opens)), unit
 
 

@@ -25,8 +25,9 @@ from . import finord
 from .finord import (FinLattice, FinPreTopSpace, FinTopSpace, closure,
                      columns, continuity_failure, irreducible_closed_sets,
                      is_reflexive_transitive, lattice_analyze,
-                     lattice_from_labels, monotonicity_failure,
-                     reflexive_transitive_closure, subset_lattice, upset_family)
+                     lattice_from_labels, monotonicity_failure, point_closures,
+                     reflexive_transitive_closure, specialization_preorder,
+                     subset_lattice, upset_family)
 from .frames import (TWO_CHAIN, AdFrame, AdFrameHom, REL_NAMES, Variant,
                      bounded_lattice_homs, build_ado, build_ado_hom,
                      check_usc_lsc, compose_homs, epsilon_hom, ind_functor,
@@ -109,29 +110,24 @@ def pretop_maps(src: FinPreTopSpace, dst: FinPreTopSpace) -> list[tuple[int, ...
 
 def upper_semi_closed(space: FinPreTopSpace) -> bool:
     """Every up-cone is closed."""
-    for x in range(space.n):
-        up = space.leq[x]
-        if closure(space, up) != up:
-            return False
-    return True
+    return all(closure(space, up) == up for up in space.leq)
 
 
 def lower_semi_closed(space: FinPreTopSpace) -> bool:
-    for down in columns(space.leq, space.n):
-        if closure(space, down) != down:
-            return False
-    return True
+    """Every down-cone is closed."""
+    return all(closure(space, down) == down for down in columns(space.leq, space.n))
 
 
-def is_t1_topology(top: FinTopSpace) -> bool:
-    return all(closure(top, 1 << x) == 1 << x for x in range(top.n))
+def is_t1_topology(top) -> bool:
+    """Every point is closed."""
+    return all(c == 1 << x for x, c in enumerate(point_closures(top)))
 
 
-def sober_topology(top: FinTopSpace) -> bool:
+def sober_topology(top) -> bool:
     """Every irreducible closed set is the closure of exactly one point.
     The irreducible closed sets are the point closures, so this says that
     no two points have the same closure."""
-    return len({closure(top, 1 << x) for x in range(top.n)}) == top.n
+    return len(set(point_closures(top))) == top.n
 
 
 def frame_point_space(lat: FinLattice) -> FinTopSpace:
@@ -235,77 +231,64 @@ def generate_random(kind: str, params=None, seed: int = 0) -> Generated:
 # isomorphism search
 
 
-def _pretop_profile(space: FinPreTopSpace):
-    out = []
-    for x, down in enumerate(columns(space.leq, space.n)):
-        sizes = tuple(sorted(u.bit_count() for u in space.opens if u >> x & 1))
-        outdeg = space.leq[x].bit_count()
-        indeg = down.bit_count()
-        out.append((sizes, outdeg, indeg))
-    return out
+def preorder_iso(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], budget: int):
+    """Backtracking search for a bijection f between the carriers of two
+    tuples of preorders (row masks), under which x <= y in the k-th
+    preorder of ``a`` iff f(x) <= f(y) in the k-th of ``b``; returns f or
+    None.  A point goes only to a point whose rows and columns have the
+    same sizes in every preorder.  Every candidate tried counts one node
+    against ``budget``."""
+    def degrees(rels):
+        return list(zip(*(map(int.bit_count, masks) for rows in rels
+                          for masks in (rows, columns(rows, len(rows))))))
 
-
-def _iso_pretop(a: FinPreTopSpace, b: FinPreTopSpace, budget: int):
-    """Backtracking search for a bijection x -> y that matches profiles,
-    preserves and reflects the preorder and moves the opens of ``a`` onto
-    those of ``b``.  Every candidate tried counts one node against
-    ``budget``."""
-    if a.n != b.n or len(a.opens) != len(b.opens):
+    deg_a, deg_b = degrees(a), degrees(b)
+    if sorted(deg_a) != sorted(deg_b):
         return None
-    if sorted(u.bit_count() for u in a.opens) != sorted(u.bit_count() for u in b.opens):
-        return None
-    rows_a, rows_b = a.leq, b.leq
-    prof_a, prof_b = _pretop_profile(a), _pretop_profile(b)
-    if sorted(prof_a) != sorted(prof_b):
-        return None
-    n = a.n
-    cands = [tuple(y for y in range(n) if prof_b[y] == prof_a[x]) for x in range(n)]
+    n = len(deg_a)
+    cands = [[y for y in range(n) if deg_b[y] == deg_a[x]] for x in range(n)]
     order = sorted(range(n), key=lambda x: len(cands[x]))
-    perm = [-1] * n
-    used = [False] * n
+    rels = tuple(zip(a, b))
+    perm: dict[int, int] = {}
     nodes = 0
 
-    def rec(k: int) -> bool:
+    def rec() -> bool:
         nonlocal nodes
-        if k == n:
-            return _moves_opens_onto(perm, a.opens, b.opens)
-        x = order[k]
+        if len(perm) == n:
+            return True
+        x = order[len(perm)]
         for y in cands[x]:
-            if used[y]:
+            if y in perm.values():
                 continue
             nodes += 1
             if nodes > budget:
                 raise BudgetExceeded("isomorphism search budget exhausted")
-            ok = True
-            for j in range(k):
-                z, w = order[j], perm[order[j]]
-                if (rows_a[x] >> z & 1) != (rows_b[y] >> w & 1) or \
-                   (rows_a[z] >> x & 1) != (rows_b[w] >> y & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            perm[x] = y
-            used[y] = True
-            if rec(k + 1):
-                return True
-            perm[x] = -1
-            used[y] = False
+            if all((ra[x] >> z & 1) == (rb[y] >> w & 1) and (ra[z] >> x & 1) == (rb[w] >> y & 1)
+                   for z, w in perm.items() for ra, rb in rels):
+                perm[x] = y
+                if rec():
+                    return True
+                del perm[x]
         return False
 
-    return tuple(perm) if rec(0) else None
+    return tuple(perm[x] for x in range(n)) if rec() else None
 
 
 def iso_check(kind: str, left, right, budget: int = DEFAULT_ISO_BUDGET):
     """Search for an isomorphism of preordered spaces (kind "pretop") or of
     topologies ("top"); returns the witness permutation or None.  Raises
-    BudgetExceeded if the backtracking budget runs out."""
-    if kind == "pretop":
-        return _iso_pretop(left, right, budget)
-    if kind == "top":
-        return _iso_pretop(basic_functors("discr", left),
-                           basic_functors("discr", right), budget)
-    raise ValueError(f"unknown isomorphism kind {kind!r}")
+    BudgetExceeded if the backtracking budget runs out.  A finite topology
+    is the up-sets of its specialization preorder (Alexandroff), so a
+    homeomorphism is an isomorphism of the specialization preorders, and
+    an isomorphism of preordered spaces one of those and of ``leq``."""
+    if kind not in ("pretop", "top"):
+        raise ValueError(f"unknown isomorphism kind {kind!r}")
+
+    def preorders(space):
+        spec = specialization_preorder(space)
+        return (spec, space.leq) if kind == "pretop" else (spec,)
+
+    return preorder_iso(preorders(left), preorders(right), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +298,11 @@ def iso_check(kind: str, left, right, budget: int = DEFAULT_ISO_BUDGET):
 def basic_functors(which: str, space):
     """discr: equality preorder on a topology.  ind_space: indiscrete
     preorder on a topology.  A space is taken by its topology."""
-    top = space if isinstance(space, FinTopSpace) else space.topology()
-    if which == "discr":
-        return FinPreTopSpace(top.n, top.opens,
-                              tuple(1 << x for x in range(top.n)))
-    if which == "ind_space":
-        full = (1 << top.n) - 1
-        return FinPreTopSpace(top.n, top.opens, tuple(full for _ in range(top.n)))
-    raise ValueError(f"unknown functor {which!r}")
+    if which not in ("discr", "ind_space"):
+        raise ValueError(f"unknown functor {which!r}")
+    full = (1 << space.n) - 1
+    rows = tuple(1 << x if which == "discr" else full for x in range(space.n))
+    return FinPreTopSpace(space.n, space.opens, rows)
 
 
 def designated_counterexample() -> FinPreTopSpace:
@@ -693,7 +673,7 @@ def _hom_family_instance(lat: FinLattice, frame_space, variant) -> Instance:
 
 def _cex_qualifies(space: FinPreTopSpace) -> bool:
     discrete = all(space.leq[x] == 1 << x for x in range(space.n))
-    return discrete and not sober_topology(space.topology())
+    return discrete and not sober_topology(space)
 
 
 def _opens_lattices(n: int) -> list[FinLattice]:
@@ -1004,7 +984,7 @@ def _nat_discr_alpha(ads: AdsSpace, top: FinTopSpace):
     for pr in ads.pairs:
         if pr.cls.bit_count() != 1:
             return None, "pair class is not a singleton"
-        if pr.closed != closure(top, 1 << pr.rep):
+        if pr.closed != point_closures(top)[pr.rep]:
             return None, "pair closed set is not the closure of its point"
         alpha.append(pr.rep)
     if sorted(alpha) != list(range(top.n)):
@@ -1048,8 +1028,8 @@ def _run_cex_ads(inst: Instance):
     if not _cex_qualifies(space):
         return None, "needs a discrete preorder over a non-sober topology"
     ads = ads_space(space, v)
-    sob, _unit = standard_sobrification(space.topology())
-    perm = iso_check("top", ads.space.topology(), sob)
+    sob, _unit = standard_sobrification(space)
+    perm = iso_check("top", ads.space, sob)
     counts = {"pair_space_points": ads.space.n,
               "sobrification_points": sob.n}
     return perm is not None, counts
@@ -1057,8 +1037,7 @@ def _run_cex_ads(inst: Instance):
 
 def _run_homeo_ads(inst: Instance):
     space, v = inst.payload
-    top = space.topology()
-    irr = irreducible_closed_sets(top)
+    irr = irreducible_closed_sets(space)
     downs = columns(space.leq, space.n)
     literal = True
     if v.sees_up:
@@ -1067,11 +1046,11 @@ def _run_homeo_ads(inst: Instance):
     if v.sees_down:
         literal = literal and lower_semi_closed(space) and all(
             any(is_subset(c, downs[x]) for x in bits_of(c)) for c in irr)
-    t1_sober = is_t1_topology(top) and sober_topology(top)
+    t1_sober = is_t1_topology(space) and sober_topology(space)
     if not (literal or t1_sober):
         return None, "hypotheses not satisfied"
     ads = ads_space(space, v)
-    sob, _unit = standard_sobrification(top)
+    sob, _unit = standard_sobrification(space)
     pi = []
     for pr in ads.pairs:
         if pr.closed not in irr:
@@ -1176,7 +1155,7 @@ def _run_cex_lift(inst: Instance):
     frame = build_ado(space, v)
     spectrum = adpt_space(frame)
     classical = frame_point_space(frame.omega)
-    perm = iso_check("top", spectrum.space.topology(), classical)
+    perm = iso_check("top", spectrum.space, classical)
     counts = {"spectrum_points": len(spectrum.points),
               "frame_points": classical.n}
     return perm is not None, counts

@@ -19,7 +19,7 @@ from adframe.duality import unit_points
 from adframe.finord import columns, continuity_failure, preimage
 from adframe.frames import (AdFrame, AdFrameHom, AxiomCheck, bounded_lattice_homs,
                             preserves_relations, rel_pairs)
-from adframe.theorems import DEFAULT_ISO_BUDGET, Generated, _iso_pretop, _rng
+from adframe.theorems import DEFAULT_ISO_BUDGET, Generated, _rng, preorder_iso
 
 
 def mask_of(points: Iterable[int]) -> int:
@@ -255,15 +255,29 @@ def bounded_posets(max_points):
                     for j in range(m)] for i in range(m)]
 
 
+def brute_iso(kind: str, a, b):
+    """Whether some permutation of the points is an isomorphism of kind
+    "top" (the images of the opens of ``a`` are the opens of ``b``) or
+    "pretop" (that, and ``leq`` is preserved and reflected), by trying
+    every permutation on explicit point sets."""
+    if a.n != b.n:
+        return False
+    targets = {pts(v) for v in b.opens}
+    for perm in itertools.permutations(range(a.n)):
+        if {frozenset(perm[x] for x in pts(u)) for u in a.opens} != targets:
+            continue
+        if kind == "pretop" and leq_pairs(b) != {(perm[x], perm[y])
+                                                for x, y in leq_pairs(a)}:
+            continue
+        return True
+    return False
+
+
 def lattice_order_iso(a: FinLattice, b: FinLattice, budget: int = DEFAULT_ISO_BUDGET):
     """Order isomorphism between two finite lattices (which is then
-    automatically a lattice isomorphism), or None: an isomorphism of the
-    two orders, each read as a space with the indiscrete topology."""
-    if a.m != b.m:
-        return None
-    a_space, b_space = (FinPreTopSpace(lat.m, (0, full_mask(lat.m)), lat.up_masks)
-                        for lat in (a, b))
-    return _iso_pretop(a_space, b_space, budget)
+    automatically a lattice isomorphism), or None: the relation search of
+    ``iso_check`` on the two lattices' up-masks."""
+    return preorder_iso((a.up_masks,), (b.up_masks,), budget)
 
 
 def enumerate_distributive_lattices(max_size: int = 8) -> list[FinLattice]:

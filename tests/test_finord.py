@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from adframe import (FinPreTopSpace, FinTopSpace, NotALattice, NotAPreorder,
-                     NotATopology, TooLarge, adpt_space, bounded_lattice_homs, build_ado,
+                     NotATopology, TooLarge, Variant, adpt_space, ads_space,
+                     bounded_lattice_homs, build_ado,
                      class_of, closure, distributivity_witness, eta_map,
                      finord, equivalence_classes, interior, irreducible_closed_sets,
                      lattice_analyze, lattice_from_json, lattice_from_labels,
@@ -220,6 +221,23 @@ def test_specialization_matches_open_containment():
         assert specialization_preorder(sp) == naive_specialization(sp)
     for sp in enumerate_spaces(3)[::53]:
         assert specialization_preorder(sp) == naive_specialization(sp)
+
+
+def test_operators_match_naive_on_pair_spaces_and_spectra():
+    """``closure``, ``interior`` and ``specialization_preorder`` agree with
+    the definitions on the spaces the checks build rather than enumerate:
+    the pair space and the spectrum of every space of up to two points,
+    under each variant."""
+    checked = 0
+    for sp in (sp for n in (0, 1, 2) for sp in enumerate_spaces(n)):
+        for v in Variant:
+            for built in (ads_space(sp, v).space, adpt_space(build_ado(sp, v)).space):
+                assert specialization_preorder(built) == naive_specialization(built)
+                for s in all_subsets(built.n):
+                    assert closure(built, s) == naive_closure(built, s)
+                    assert interior(built, s) == naive_interior(built, s)
+                    checked += 1
+    assert checked == 486
 
 
 # ---------------------------------------------------------------------------

@@ -246,3 +246,31 @@ def test_one_point_route_and_no_mutated_family():
     with pytest.raises(ValueError) as exc:
         generate_random("adframe", {"family": "mutated"})
     assert str(exc.value) == "unknown adframe family 'mutated'"
+
+
+def test_a_topology_is_read_through_its_point_closures():
+    """A space's topology is read through one structure, its point closures
+    (``finord.point_closures``, the one helper that scans ``opens``): the
+    topological helpers and the isomorphism search name no ``.opens``.  No
+    code calls ``topology()`` for a throwaway view of a space; only the
+    TOPOLOGIES and TOP_MORPHISMS adapters name ``FinPreTopSpace.topology``.
+    The search over opens and its profile stay gone."""
+    readers = {"closure", "interior", "specialization_preorder",
+               "irreducible_closed_sets", "is_t1_topology", "sober_topology",
+               "upper_semi_closed", "lower_semi_closed", "preorder_iso", "iso_check"}
+    opens, views = {}, set()
+    for path in SOURCES:
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.FunctionDef) and top.name in readers:
+                opens[top.name] = [node.lineno for node in ast.walk(top)
+                                   if isinstance(node, ast.Attribute) and node.attr == "opens"]
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                        and node.func.attr == "topology":
+                    views.add(f"{path.name}:{node.lineno}: call")
+                elif isinstance(node, ast.Attribute) and node.attr == "topology":
+                    names = [t.id for t in getattr(top, "targets", ()) if isinstance(t, ast.Name)]
+                    views.add(f"{path.name}: {', '.join(names) or node.lineno}")
+    assert opens == dict.fromkeys(readers, [])
+    assert views == {"theorems.py: TOPOLOGIES", "theorems.py: TOP_MORPHISMS"}
+    assert _stray({"_iso_pretop", "_pretop_profile"}) == []

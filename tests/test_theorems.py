@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import itertools
+import random
 import weakref
 
 import pytest
@@ -11,9 +12,10 @@ from adframe import (AdFrameHom, BudgetExceeded, FinLattice, FinPreTopSpace,
                      build_ado, build_ado_hom, duality, eta_map, finord,
                      generate_random, ind_functor, instances_for_payload,
                      irreducible_closed_sets, iso_check, lattice_analyze,
-                     point_classes, registry_doc, registry_ids, run_check,
-                     sobrify, subset_lattice, theorems, transpose,
-                     validate_adframe)
+                     point_classes, point_closures, registry_doc,
+                     registry_ids, run_check, sobrify, standard_sobrification,
+                     subset_lattice, theorems, transpose, validate_adframe)
+from adframe.bits import canonical_subsets
 from adframe.duality import _point_masks
 from adframe.frames import REL_NAMES
 from adframe.theorems import (SweepSpec, _lookup, _moves_opens_onto,
@@ -26,7 +28,7 @@ from adframe.theorems import (SweepSpec, _lookup, _moves_opens_onto,
 from adframe.finord import (continuity_failure, is_reflexive_transitive,
                             monotonicity_failure)
 
-from helpers import (CHAIN3, SIERPINSKI, _mutations,
+from helpers import (CHAIN3, SIERPINSKI, _mutations, brute_iso,
                      enumerate_distributive_lattices, is_t0_topology,
                      lattice_order_iso, leq_pairs, lifted_preorder,
                      mutated_frame, naive_topologies, triangle_scan)
@@ -217,6 +219,63 @@ def test_iso_check_distinguishes_order():
     chained = FinPreTopSpace(2, (0, 3), (3, 2))
     assert iso_check("pretop", plain, chained) is None
     assert iso_check("top", plain, chained) is not None
+
+
+def _iso_agrees(kind, a, b):
+    """``iso_check`` finds a witness exactly when the brute-force search
+    finds an isomorphism, and its witness is one."""
+    perm = iso_check(kind, a, b)
+    assert (perm is not None) == brute_iso(kind, a, b), (kind, a, b)
+    if perm is not None:
+        assert sorted(perm) == list(range(a.n))
+        assert _moves_opens_onto(perm, a.opens, b.opens)
+        if kind == "pretop":
+            assert _order_mismatch(a.leq, b.leq, perm) is None
+
+
+def _relabelled(space, perm):
+    """``space`` with point x renamed perm[x]."""
+    inverse = sorted(range(space.n), key=perm.__getitem__)
+    opens = canonical_subsets(finord.image(perm, u) for u in space.opens)
+    rows = tuple(finord.image(perm, space.leq[inverse[y]]) for y in range(space.n))
+    return FinPreTopSpace(space.n, opens, rows)
+
+
+def test_iso_check_agrees_with_brute_force_on_small_spaces():
+    spaces = [sp for n in (0, 1, 2) for sp in enumerate_spaces(n)]
+    for a, b in itertools.product(spaces, repeat=2):
+        for kind in ("pretop", "top"):
+            _iso_agrees(kind, a, b)
+    tops = [FinTopSpace(3, fam) for fam in enumerate_topologies(3)]
+    for a, b in itertools.product(tops, repeat=2):
+        _iso_agrees("top", a, b)
+
+
+def test_iso_check_agrees_with_brute_force_on_sampled_n3_spaces():
+    """Seeded pairs of three-point spaces, and each first space against a
+    relabelled copy of itself, so that both answers are exercised."""
+    rng = random.Random(3)
+    spaces = enumerate_spaces(3)
+    for _ in range(300):
+        a, b = rng.choice(spaces), rng.choice(spaces)
+        copy = _relabelled(a, rng.sample(range(3), 3))
+        for kind in ("pretop", "top"):
+            _iso_agrees(kind, a, b)
+            _iso_agrees(kind, a, copy)
+
+
+def test_iso_check_agrees_with_brute_force_on_the_counterexample_pairs():
+    """The pairs that CEX-ADS and CEX-LIFT compare at n = 3: each pair
+    space against the classical sobrification, and each spectrum against
+    the classical frame spectrum."""
+    seen = 0
+    for inst in _lookup("CEX-ADS").sweep(SweepSpec(n=3)):
+        space, v = inst.payload
+        frame = build_ado(space, v)
+        _iso_agrees("top", ads_space(space, v).space, standard_sobrification(space)[0])
+        _iso_agrees("top", adpt_space(frame).space, frame_point_space(frame.omega))
+        seen += 1
+    assert seen == 30
 
 
 def test_iso_check_budget():
@@ -601,6 +660,7 @@ _REMAKE = {
     "_doc": lambda obj, copy: describe(copy),
     **{f"_doc_{v.value}": lambda obj, copy, v=v: describe(copy, v) for v in Variant},
     "_point_classes": lambda obj, copy: point_classes(copy),
+    "_point_closures": lambda obj, copy: point_closures(copy),
     "_irreducible_closed_sets": lambda obj, copy: irreducible_closed_sets(copy),
     "_analysis": lambda obj, copy: lattice_analyze(copy),
     "_up_index": lambda obj, copy: copy.joins(),
