@@ -16,7 +16,8 @@ from adframe import (AdPoint, BudgetExceeded, FinLattice, FinPreTopSpace,
                      validate_adframe)
 from adframe.bits import bits_of, canonical_subsets, full_mask, is_subset, low_bit
 from adframe.duality import unit_points
-from adframe.finord import columns, continuity_failure, preimage
+from adframe.finord import (columns, continuity_failure, monotonicity_failure,
+                            preimage)
 from adframe.frames import (AdFrame, AdFrameHom, AxiomCheck, bounded_lattice_homs,
                             preserves_relations, rel_pairs)
 from adframe.theorems import DEFAULT_ISO_BUDGET, Generated, _rng, preorder_iso
@@ -447,6 +448,21 @@ def reference_binary_check(name, R, op_o, op_l) -> AxiomCheck:
                         return AxiomCheck(name, False,
                                           ((u, a), (v, b), (tab_o[u][v], lrow[b])))
     return AxiomCheck(name, True)
+
+
+def naive_continuous_maps(src, dst) -> list[tuple[int, ...]]:
+    """Every map into ``dst`` whose open preimages are open, by filtering
+    all ``dst.n ** src.n`` maps through ``continuity_failure``: the oracle
+    of ``theorems.continuous_maps``."""
+    return [m for m in itertools.product(range(dst.n), repeat=src.n)
+            if continuity_failure(src, dst, m) is None]
+
+
+def naive_pretop_maps(src, dst) -> list[tuple[int, ...]]:
+    """The continuous maps that are also monotone, filtered through
+    ``monotonicity_failure``: the oracle of ``theorems.pretop_maps``."""
+    return [m for m in naive_continuous_maps(src, dst)
+            if monotonicity_failure(src, dst, m) is None]
 
 
 def triangle_scan(spectrum, idxs, target: AdFrame) -> list[AdFrameHom]:

@@ -5,6 +5,7 @@ import random
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adframe import (AdFrameHom, BudgetExceeded, FinLattice, FinPreTopSpace,
                      FinTopSpace, NotContinuous, UnknownTheorem, Variant,
@@ -20,10 +21,11 @@ from adframe.duality import _point_masks
 from adframe.frames import REL_NAMES
 from adframe.theorems import (SweepSpec, _lookup, _moves_opens_onto,
                               _order_mismatch, basic_functors,
-                              describe, designated_counterexample,
+                              continuous_maps, describe, designated_counterexample,
                               enumerate_preorders, enumerate_spaces,
                               enumerate_topologies, frame_instance,
-                              frame_point_space, restrict_space,
+                              frame_point_space, pretop_maps,
+                              preserving_maps, restrict_space,
                               sober_topology, space_instance)
 from adframe.finord import (continuity_failure, is_reflexive_transitive,
                             monotonicity_failure)
@@ -31,7 +33,8 @@ from adframe.finord import (continuity_failure, is_reflexive_transitive,
 from helpers import (CHAIN3, SIERPINSKI, _mutations, brute_iso,
                      enumerate_distributive_lattices, is_t0_topology,
                      lattice_order_iso, leq_pairs, lifted_preorder,
-                     mutated_frame, naive_topologies, triangle_scan)
+                     mutated_frame, naive_continuous_maps, naive_pretop_maps,
+                     naive_topologies, triangle_scan)
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +87,46 @@ def test_finite_sober_means_t0():
         for fam in enumerate_topologies(n):
             top = FinTopSpace(n, fam)
             assert sober_topology(top) == is_t0_topology(top)
+
+
+def test_map_enumerator_matches_the_product_filters():
+    """The enumerator's lists, order included, equal the filters over all
+    ``dst.n ** src.n`` maps: on every pair of spaces with n <= 2, every
+    pair of topologies with n <= 3, every space with n <= 2 into every
+    spectrum of such a space under each variant (the triangle targets),
+    and seeded pairs of three-point spaces."""
+    spaces = [sp for n in (0, 1, 2) for sp in enumerate_spaces(n)]
+    pairs = [(a, b) for a in spaces for b in spaces]
+    spectra = [adpt_space(build_ado(sp, v)).space for sp in spaces for v in Variant]
+    pairs += [(a, spec) for a in spaces for spec in spectra]
+    rng = random.Random(11)
+    pairs += [(rng.choice(enumerate_spaces(3)), rng.choice(enumerate_spaces(3)))
+              for _ in range(1500)]
+    for a, b in pairs:
+        assert pretop_maps(a, b) == naive_pretop_maps(a, b)
+    tops = [FinTopSpace(n, fam) for n in range(4) for fam in enumerate_topologies(n)]
+    for a, b in itertools.product(tops, repeat=2):
+        assert continuous_maps(a, b) == naive_continuous_maps(a, b)
+    assert len(pairs) + len(tops) ** 2 == 4021
+
+
+@st.composite
+def _relation_lists(draw):
+    """Sizes n, m <= 5 and one to three pairs of arbitrary row relations,
+    the first on ``range(n)`` and the second on ``range(m)``."""
+    n, m = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    rows = lambda k: st.lists(st.integers(0, (1 << k) - 1), min_size=k, max_size=k)
+    return n, m, draw(st.lists(st.tuples(rows(n), rows(m)), min_size=1, max_size=3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_relation_lists())
+def test_map_enumerator_against_bruteforce_on_random_relations(case):
+    n, m, relations = case
+    brute = [f for f in itertools.product(range(m), repeat=n)
+             if all(dst[f[x]] >> f[y] & 1 for src, dst in relations
+                    for x in range(n) for y in range(n) if src[x] >> y & 1)]
+    assert preserving_maps(n, m, relations) == brute
 
 
 def test_distributive_lattice_counts():
@@ -615,28 +658,77 @@ def _forced_hom(spectrum, idxs, target):
                       forced(frame.ell, target.ell, 1))
 
 
+def _forced_matches(inst) -> int:
+    """Check on one ADJ-TRIANGLE instance, a triangle or the transpose of a
+    roundtrip's composite, that the hom the legs force is the transpose
+    and the one hom the scan finds; the size product of the two opens
+    lattices, for the caller to compare with the scan's old gate."""
+    if inst.kind == "triangle":
+        x_space, spectrum, mapping, v = inst.payload
+    else:
+        x_space, y_space, h, v = inst.payload
+        g = build_ado_hom(h, x_space, y_space, v)
+        spec_x, spectrum = adpt_space(g.target), adpt_space(g.source)
+        smap = adpt_hom(g, spec_x, spectrum)
+        mapping = tuple(smap[i] for i in eta_map(spec_x))
+    hom = transpose(x_space, spectrum, mapping)
+    target = build_ado(x_space, v)
+    assert hom.target.key() == target.key()
+    forced = _forced_hom(spectrum, mapping, target)
+    assert forced.key() == hom.key(), inst.describe
+    assert [m.key() for m in triangle_scan(spectrum, mapping, target)] == [hom.key()]
+    return hom.source.omega.m * target.omega.m
+
+
 def test_the_triangle_legs_force_the_transpose_on_every_n2_instance():
-    """The uniqueness argument behind ADJ-TRIANGLE's scan: on every n = 2
-    instance, triangles and roundtrips alike, the hom that the legs force
-    is the transpose, and it is the one hom the scan finds."""
+    """The uniqueness argument behind ADJ-TRIANGLE (see
+    ``theorems._transpose_failure``): on every n = 2 instance, triangles
+    and roundtrips alike, the hom that the legs force is the transpose, and
+    it is the one hom the scan finds."""
     kinds = []
     for inst in _lookup("ADJ-TRIANGLE").sweep(SweepSpec(n=2)):
-        if inst.kind == "triangle":
-            x_space, spectrum, mapping, v = inst.payload
-        else:
-            x_space, y_space, h, v = inst.payload
-            g = build_ado_hom(h, x_space, y_space, v)
-            spec_x, spectrum = adpt_space(g.target), adpt_space(g.source)
-            smap = adpt_hom(g, spec_x, spectrum)
-            mapping = tuple(smap[i] for i in eta_map(spec_x))
-        hom = transpose(x_space, spectrum, mapping)
-        target = build_ado(x_space, v)
-        assert hom.target.key() == target.key()
-        forced = _forced_hom(spectrum, mapping, target)
-        assert forced.key() == hom.key(), inst.describe
-        assert [m.key() for m in triangle_scan(spectrum, mapping, target)] == [hom.key()]
+        _forced_matches(inst)
         kinds.append(inst.kind)
     assert set(kinds) == {"triangle", "roundtrip"}
+
+
+def test_transpose_failure_names_the_first_gap_and_a_broken_hom():
+    """Without the scan, the gap check alone tells transposes apart: on
+    every n = 2 triangle the transpose passes against its own map, and
+    against the next map into the same spectrum it fails at the first
+    point where the two maps differ.  A hom whose phi sends everything to
+    the bottom fails the hom check first."""
+    gaps = broken = 0
+    for inst in _lookup("ADJ-TRIANGLE").sweep(SweepSpec(n=2)):
+        if inst.kind != "triangle":
+            continue
+        x_space, spectrum, mapping, v = inst.payload
+        hom = transpose(x_space, spectrum, mapping)
+        assert theorems._transpose_failure(spectrum, mapping, hom) is None
+        maps = pretop_maps(x_space, spectrum.space)
+        other = maps[(maps.index(mapping) + 1) % len(maps)]
+        if other != mapping:
+            first = next(x for x, (a, b) in enumerate(zip(mapping, other)) if a != b)
+            assert theorems._transpose_failure(spectrum, other, hom) == \
+                f"transpose triangle fails at point {first}"
+            gaps += 1
+        flat = AdFrameHom(hom.source, hom.target, (0,) * len(hom.phi), hom.p)
+        if flat.phi != hom.phi:
+            err = theorems._transpose_failure(spectrum, mapping, flat)
+            assert err.startswith("transpose is not a hom: "), err
+            broken += 1
+    assert gaps and broken
+
+
+@pytest.mark.parametrize("spec, past_gate", [(SweepSpec(n=3, count=300, seed=1), 0),
+                                             (SweepSpec(n=4, count=200, seed=7), 23)])
+def test_the_triangle_legs_force_the_transpose_on_seeded_samples(spec, past_gate):
+    """The same argument on seeded ADJ-TRIANGLE samples.  The n = 4 sample
+    has instances whose lattice product passes 64, where the uniqueness
+    scan no longer ran; the scan's copy has no such gate."""
+    sizes = [_forced_matches(inst) for inst in _lookup("ADJ-TRIANGLE").sweep(spec)]
+    assert len(sizes) == spec.count
+    assert sum(size > 64 for size in sizes) == past_gate
 
 
 def _unkept(obj):
