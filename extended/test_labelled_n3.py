@@ -10,9 +10,9 @@ Tier-1 (``pytest``) collects only ``tests/`` and so never runs these.
 import pytest
 
 from adframe import FinTopSpace, run_check
-from adframe.theorems import (TOP_MORPHISMS, SweepSpec, continuous_maps,
-                              enumerate_spaces, enumerate_topologies,
-                              pretop_maps)
+from adframe.theorems import (HOM_FAMILIES, TOP_MORPHISMS, SweepSpec,
+                              continuous_maps, enumerate_spaces,
+                              enumerate_topologies, pretop_maps)
 
 
 def test_labelled_n3_map_counts():
@@ -32,4 +32,13 @@ def test_naturality_on_every_labelled_n3_topology_map(cid):
     instances = TOP_MORPHISMS.every(SweepSpec(n=3), *TOP_MORPHISMS.pool(3))
     verdicts = [report.verdict for report in run_check(cid, instances=instances)]
     assert len(verdicts) == 3 * 9_867
+    assert set(verdicts) == {"pass"}
+
+
+def test_ind_adj_on_every_labelled_n3_hom_family():
+    """Every labelled three-point hom family, which a sweep at n = 3 only
+    samples, passes IND-ADJ: 73,167 instances."""
+    instances = HOM_FAMILIES.every(SweepSpec(n=3), *HOM_FAMILIES.pool(3))
+    verdicts = [report.verdict for report in run_check("IND-ADJ", instances=instances)]
+    assert len(verdicts) == 73_167
     assert set(verdicts) == {"pass"}

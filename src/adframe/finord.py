@@ -29,10 +29,10 @@ Conventions used throughout the package:
   - What is derived lives as long as what it is derived from, in one
     home: the object it is derived from alone keeps it (:func:`kept`).  A
     space keeps its lattices, its frame rows, its point classes, its point
-    closures, its irreducible closed sets, and its document with one copy
-    per variant; a lattice keeps its analysis, its point masks and its homs
-    to live lattices.  Frames, spectra and pair lists are plain values: a
-    caller that needs one twice passes it on.
+    closures, and its document with one copy per variant; a lattice keeps
+    its analysis, its point masks and its homs to live lattices.  Frames,
+    spectra and pair lists are plain values: a caller that needs one twice
+    passes it on.
 """
 from __future__ import annotations
 
@@ -723,10 +723,9 @@ def irreducible_closed_sets(space) -> tuple[int, ...]:
     *Stone Spaces*, ch. II): a closure cl(x) lies in C1 u C2 only if x lies
     in one part, and then cl(x) does; conversely C is the finite union of
     the cl(x) for x in C, so irreducibility puts C inside one cl(x), which
-    lies in C.  The space keeps them (:func:`kept`).
+    lies in C.  They are read off the kept point closures at each call.
     """
-    return kept(space, "_irreducible_closed_sets",
-                lambda: canonical_subsets(point_closures(space)))
+    return canonical_subsets(point_closures(space))
 
 
 def point_classes(space: FinPreTopSpace) -> tuple[int, ...]:
@@ -793,3 +792,32 @@ def monotonicity_failure(src: FinPreTopSpace, dst: FinPreTopSpace,
             if not dst.leq[mapping[x]] >> mapping[y] & 1:
                 return (x, y)
     return None
+
+
+def preserving_maps(n: int, m: int, relations) -> list[tuple[int, ...]]:
+    """The maps f from ``range(n)`` to ``range(m)``, in lexicographic order,
+    with f(x) S f(y) whenever x R y, for each pair (R, S) of row relations
+    in ``relations``.  It assigns f(0), f(1), ... in turn: f(k)'s candidate
+    mask is ANDed with S's diagonal if k R k, and with S's row (column) at
+    f(j) for each assigned j R k (k R j).  A finite space is Alexandrov, so
+    its continuous maps are those that preserve the specialization preorder
+    (P. Alexandroff, Diskrete Räume, Mat. Sbornik 2, 1937)."""
+    rels = [(rows, dst, columns(dst, m), sum(1 << a for a in range(m) if dst[a] >> a & 1))
+            for rows, dst in relations]
+
+    def candidates(f, k):
+        cand = (1 << m) - 1
+        for rows, dst, cols, diag in rels:
+            if rows[k] >> k & 1:
+                cand &= diag
+            for j, a in enumerate(f):
+                if rows[j] >> k & 1:
+                    cand &= dst[a]
+                if rows[k] >> j & 1:
+                    cand &= cols[a]
+        return cand
+
+    maps = [()]
+    for k in range(n):
+        maps = [f + (a,) for f in maps for a in bits_of(candidates(f, k))]
+    return maps

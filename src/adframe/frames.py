@@ -53,6 +53,7 @@ from .finord import (
     lattice_from_json,
     lattice_from_leq,
     lattice_to_json,
+    preserving_maps,
     subset_lattice,
 )
 
@@ -274,6 +275,12 @@ def _forced_coord_check(name, R1, R2, coord: str, value: int) -> AxiomCheck:
     return AxiomCheck(name, True)
 
 
+def _require_distributive(lat: FinLattice, side: str) -> None:
+    if not lattice_analyze(lat).distributive:
+        raise NonDistributiveLattice(f"{side} lattice not distributive, "
+                                     f"witness {finord.distributivity_witness(lat)}")
+
+
 def validate_adframe(frame: AdFrame) -> ValidationReport:
     """Check every axiom the frame's variant demands; returns a per-law report.
 
@@ -281,9 +288,7 @@ def validate_adframe(frame: AdFrame) -> ValidationReport:
     distributivity (finite stand-in for the completeness requirements).
     """
     for lat, side in ((frame.omega, "omega"), (frame.ell, "ell")):
-        if not lattice_analyze(lat).distributive:
-            raise NonDistributiveLattice(f"{side} lattice not distributive, "
-                                         f"witness {finord.distributivity_witness(lat)}")
+        _require_distributive(lat, side)
 
     omega, ell = frame.omega, frame.ell
     o_up, o_down, l_up, l_down = (omega.up_masks, omega.down_masks,
@@ -468,61 +473,40 @@ def validate_hom(hom: AdFrameHom) -> ValidationReport:
 
 
 def bounded_lattice_homs(src: FinLattice, dst: FinLattice) -> list[tuple[int, ...]]:
-    """All maps preserving bottom, top, binary join and binary meet.  The
+    """All maps preserving bottom, top, binary join and binary meet between
+    distributive lattices; NonDistributiveLattice for any other.  The
     source keeps (:func:`finord.kept`) a table of them keyed weakly by the
     target, so an entry goes with either lattice; the list is shared, and
-    callers do not change it."""
+    callers do not change it.
+
+    By Birkhoff duality the homs f: src -> dst are the monotone maps
+    g: J(dst) -> J(src) between the posets of join-irreducibles, which in
+    a distributive lattice are its coprimes, with f(a) the join of the j
+    with g(j) <= a (G. Birkhoff, Rings of sets, Duke Math. J. 3, 1937;
+    Davey and Priestley, *Introduction to Lattices and Order*, ch. 10).  A
+    join is the AND of up-masks, so each j ANDs its up-mask into the image
+    of every element above g(j).  The list is in the order in which
+    :func:`finord.preserving_maps` yields g: lexicographic over J(dst)."""
     table = kept(src, "_homs", weakref.WeakKeyDictionary)
     homs = table.get(dst)
     if homs is None:
-        homs = table[dst] = _find_homs(src, dst)
+        for lat, side in ((src, "source"), (dst, "target")):
+            _require_distributive(lat, side)
+        jd, js = lattice_analyze(dst).coprimes, lattice_analyze(src).coprimes
+
+        def rows(lat, elems):
+            return [sum(1 << k for k, b in enumerate(elems) if lat.le(a, b)) for a in elems]
+
+        ups, index = dst.joins()
+        homs = []
+        for g in preserving_maps(len(jd), len(js), [(rows(dst, jd), rows(src, js))]):
+            image = [full_mask(dst.m)] * src.m
+            for j, k in zip(jd, g):
+                for a in bits_of(src.up_masks[js[k]]):
+                    image[a] &= ups[j]
+            homs.append(tuple(index[mask] for mask in image))
+        table[dst] = homs
     return homs
-
-
-def _find_homs(src: FinLattice, dst: FinLattice) -> list[tuple[int, ...]]:
-    """The bounded lattice homs, found by backtracking along a linear
-    extension of the source.
-
-    Each constraint is tested once, at the position of its last element.
-    Every element below e comes before e, so the images of its lower
-    elements bound e's image to their common up-set, and bottom and top
-    have a single candidate each.  The join and meet of an incomparable
-    pair are compared once both elements and the result are placed; a
-    comparable pair needs no test, since an order-preserving map keeps
-    its join and meet.  Masks are compared, not elements: v is the join of
-    x and y iff ``up[v] == up[x] & up[y]``."""
-    order = sorted(range(src.m), key=lambda i: (src.down_masks[i].bit_count(), i))
-    position = {e: k for k, e in enumerate(order)}
-    laws: list[list[tuple]] = [[] for _ in order]
-    for a in range(src.m):
-        for b in range(a + 1, src.m):
-            if src.le(a, b) or src.le(b, a):
-                continue
-            for c, d_masks in ((src.join(a, b), dst.up_masks),
-                               (src.meet(a, b), dst.down_masks)):
-                laws[max(position[a], position[b], position[c])].append((a, b, c, d_masks))
-    allowed = [full_mask(dst.m)] * src.m
-    allowed[src.bot] &= 1 << dst.bot
-    allowed[src.top] &= 1 << dst.top
-    image = [0] * src.m
-    out: list[tuple[int, ...]] = []
-
-    def extend(k: int) -> None:
-        if k == src.m:
-            out.append(tuple(image))
-            return
-        e = order[k]
-        free = allowed[e]
-        for f in bits_of(src.down_masks[e] & ~(1 << e)):
-            free &= dst.up_masks[image[f]]
-        for v in bits_of(free):
-            image[e] = v
-            if all(masks[image[c]] == masks[image[a]] & masks[image[b]]
-                   for a, b, c, masks in laws[k]):
-                extend(k + 1)
-
-    extend(0)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ from .finord import (FinLattice, FinPreTopSpace, FinTopSpace, closure,
                      columns, continuity_failure, irreducible_closed_sets,
                      is_reflexive_transitive, lattice_analyze,
                      lattice_from_labels, monotonicity_failure, point_closures,
-                     reflexive_transitive_closure, specialization_preorder,
-                     subset_lattice, upset_family)
+                     preserving_maps, reflexive_transitive_closure,
+                     specialization_preorder, subset_lattice, upset_family)
 from .frames import (TWO_CHAIN, AdFrame, AdFrameHom, REL_NAMES, Variant,
                      bounded_lattice_homs, build_ado, build_ado_hom,
                      check_usc_lsc, compose_homs, epsilon_hom, ind_functor,
@@ -90,35 +90,6 @@ def enumerate_spaces(n: int) -> tuple[FinPreTopSpace, ...]:
     preorders = enumerate_preorders(n)
     return tuple(FinPreTopSpace(n, opens, rows)
                  for opens in enumerate_topologies(n) for rows in preorders)
-
-
-def preserving_maps(n: int, m: int, relations) -> list[tuple[int, ...]]:
-    """The maps f from ``range(n)`` to ``range(m)``, in lexicographic order,
-    with f(x) S f(y) whenever x R y, for each pair (R, S) of row relations
-    in ``relations``.  It assigns f(0), f(1), ... in turn: f(k)'s candidate
-    mask is ANDed with S's diagonal if k R k, and with S's row (column) at
-    f(j) for each assigned j R k (k R j).  A finite space is Alexandrov, so
-    its continuous maps are those that preserve the specialization preorder
-    (P. Alexandroff, Diskrete Räume, Mat. Sbornik 2, 1937)."""
-    rels = [(rows, dst, columns(dst, m), sum(1 << a for a in range(m) if dst[a] >> a & 1))
-            for rows, dst in relations]
-
-    def candidates(f, k):
-        cand = (1 << m) - 1
-        for rows, dst, cols, diag in rels:
-            if rows[k] >> k & 1:
-                cand &= diag
-            for j, a in enumerate(f):
-                if rows[j] >> k & 1:
-                    cand &= dst[a]
-                if rows[k] >> j & 1:
-                    cand &= cols[a]
-        return cand
-
-    maps = [()]
-    for k in range(n):
-        maps = [f + (a,) for f in maps for a in bits_of(candidates(f, k))]
-    return maps
 
 
 def continuous_maps(src, dst) -> list[tuple[int, ...]]:

@@ -465,6 +465,57 @@ def naive_pretop_maps(src, dst) -> list[tuple[int, ...]]:
             if monotonicity_failure(src, dst, m) is None]
 
 
+# ---------------------------------------------------------------------------
+# bounded lattice homs by backtracking over the source, which needs no
+# distributivity: the oracle of ``frames.bounded_lattice_homs``
+
+
+def _find_homs(src: FinLattice, dst: FinLattice) -> list[tuple[int, ...]]:
+    """The bounded lattice homs, found by backtracking along a linear
+    extension of the source.
+
+    Each constraint is tested once, at the position of its last element.
+    Every element below e comes before e, so the images of its lower
+    elements bound e's image to their common up-set, and bottom and top
+    have a single candidate each.  The join and meet of an incomparable
+    pair are compared once both elements and the result are placed; a
+    comparable pair needs no test, since an order-preserving map keeps
+    its join and meet.  Masks are compared, not elements: v is the join of
+    x and y iff ``up[v] == up[x] & up[y]``."""
+    order = sorted(range(src.m), key=lambda i: (src.down_masks[i].bit_count(), i))
+    position = {e: k for k, e in enumerate(order)}
+    laws: list[list[tuple]] = [[] for _ in order]
+    for a in range(src.m):
+        for b in range(a + 1, src.m):
+            if src.le(a, b) or src.le(b, a):
+                continue
+            for c, d_masks in ((src.join(a, b), dst.up_masks),
+                               (src.meet(a, b), dst.down_masks)):
+                laws[max(position[a], position[b], position[c])].append((a, b, c, d_masks))
+    allowed = [full_mask(dst.m)] * src.m
+    allowed[src.bot] &= 1 << dst.bot
+    allowed[src.top] &= 1 << dst.top
+    image = [0] * src.m
+    out: list[tuple[int, ...]] = []
+
+    def extend(k: int) -> None:
+        if k == src.m:
+            out.append(tuple(image))
+            return
+        e = order[k]
+        free = allowed[e]
+        for f in bits_of(src.down_masks[e] & ~(1 << e)):
+            free &= dst.up_masks[image[f]]
+        for v in bits_of(free):
+            image[e] = v
+            if all(masks[image[c]] == masks[image[a]] & masks[image[b]]
+                   for a, b, c, masks in laws[k]):
+                extend(k + 1)
+
+    extend(0)
+    return out
+
+
 def triangle_scan(spectrum, idxs, target: AdFrame) -> list[AdFrameHom]:
     """Every hom from the spectrum's frame into ``target``, the frame of a
     space, that closes the triangle with the unit over the map ``idxs``

@@ -2,19 +2,24 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from adframe import (AdFrame, FinPreTopSpace, TrivialFrame, Variant,
-                     adframe_from_json, adframe_to_json, bnd_map,
-                     bounded_lattice_homs, build_ado, build_ado_hom,
-                     check_usc_lsc, compose_homs, epsilon_hom, ind_functor,
-                     subset_lattice, validate_adframe, validate_hom)
+from adframe import (AdFrame, FinPreTopSpace, NonDistributiveLattice,
+                     TrivialFrame, Variant, adframe_from_json,
+                     adframe_to_json, bnd_map, bounded_lattice_homs,
+                     build_ado, build_ado_hom, check_usc_lsc, compose_homs,
+                     epsilon_hom, ind_functor, subset_lattice,
+                     validate_adframe, validate_hom)
 from adframe.frames import _reach_check, preserves_relations, rel_pairs
-from adframe.finord import lattice_from_labels
+from adframe.finord import (lattice_from_labels, lattice_from_leq,
+                            reflexive_transitive_closure, upset_family)
 from adframe import frames as frames_module
 from adframe.frames import REL_NAMES, AdFrameHom, TWO_CHAIN
-from adframe.theorems import enumerate_spaces, pretop_maps, upper_semi_closed, lower_semi_closed
+from adframe.theorems import (enumerate_spaces, enumerate_topologies, pretop_maps,
+                              upper_semi_closed, lower_semi_closed)
 
-from helpers import (CHAIN3, SCOTT_GATE, SIERPINSKI, _flip, chain_doc, grid_doc,
+from helpers import (CHAIN3, SCOTT_GATE, SIERPINSKI, _find_homs, _flip, chain_doc,
+                     enumerate_distributive_lattices, grid_doc,
                      identity_hom, lift_doc, pts, reference_binary_check, reference_reach_check,
                      scott_oracle)
 
@@ -277,6 +282,56 @@ def test_bounded_lattice_homs_against_bruteforce():
                 continue
             brute.append(arr)
         assert sorted(bounded_lattice_homs(src, dst)) == sorted(brute)
+
+
+def _upset_lattices(max_points):
+    """The up-set lattices of random preorders on at most ``max_points``
+    points: the reflexive transitive closures of random rows."""
+    def lattice(n, rows):
+        return lattice_from_labels(upset_family(reflexive_transitive_closure(rows, n)))
+    return st.integers(0, max_points).flatmap(
+        lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)
+        .map(lambda rows: lattice(n, rows)))
+
+
+def test_bounded_lattice_homs_match_the_search_oracle():
+    """Birkhoff's route gives the hom set of the backtracking search over
+    the source on every pair of opens lattices of the topologies on at
+    most three points with the two-element chain (1,296 pairs), and on
+    every pair of distributive lattices with at most 7 elements."""
+    opens = [lattice_from_labels(fam) for n in range(4) for fam in enumerate_topologies(n)]
+    for family, pairs, count in ((opens + [TWO_CHAIN], 1_296, 7_479),
+                                 (enumerate_distributive_lattices(7), 441, 18_724)):
+        homs = [(bounded_lattice_homs(a, b), _find_homs(a, b)) for a in family for b in family]
+        assert len(homs) == pairs
+        assert all(sorted(mine) == sorted(oracle) for mine, oracle in homs)
+        assert sum(len(mine) for mine, _ in homs) == count
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_upset_lattices(5), _upset_lattices(5))
+def test_bounded_lattice_homs_match_the_oracle_on_random_upset_lattices(src, dst):
+    assert sorted(bounded_lattice_homs(src, dst)) == sorted(_find_homs(src, dst))
+
+
+def test_bounded_lattice_homs_are_listed_in_the_order_of_their_dual_maps():
+    """The homs of the four-element Boolean lattice into itself, in the
+    lexicographic order of g over J(dst) = (1, 2): g sends both atoms to
+    atom 1, then g is the identity, the swap, and both go to atom 2."""
+    square = lattice_from_labels((0, 1, 2, 3))
+    assert bounded_lattice_homs(square, square) == [
+        (0, 3, 0, 3), (0, 1, 2, 3), (0, 2, 1, 3), (0, 0, 3, 3)]
+
+
+@pytest.mark.parametrize("broken", ["M3", "N5"])
+def test_bounded_lattice_homs_refuse_a_non_distributive_lattice(broken):
+    leq = [[i == j or i == 0 or j == 4 for j in range(5)] for i in range(5)]
+    if broken == "N5":
+        leq[1][2] = True        # the long side 1 < 2, the short side 3
+    lat = lattice_from_leq(leq)
+    for src, dst, side in ((lat, TWO_CHAIN, "source"), (TWO_CHAIN, lat, "target")):
+        with pytest.raises(NonDistributiveLattice, match=f"^{side} lattice not distributive"):
+            bounded_lattice_homs(src, dst)
 
 
 def test_preserves_relations_decides_validate_hom_on_lattice_homs():

@@ -277,12 +277,14 @@ def test_a_topology_is_read_through_its_point_closures():
 
 
 def test_maps_are_enumerated_and_the_transpose_is_not_rescanned():
-    """The library lists maps with ``theorems.preserving_maps``: no file of
+    """The library lists maps with one enumerator, ``finord.preserving_maps``,
+    and bounded lattice homs through it by Birkhoff duality: no file of
     ``src/`` names ``product`` (a filter over every map) or
     ``_UNIQUE_GATE``, the size gate of the uniqueness scan that
-    ``_transpose_failure`` no longer runs.  The product filters are the
-    enumerator's oracle, named only under ``tests/``."""
+    ``_transpose_failure`` no longer runs.  The product filters and
+    ``_find_homs``, the search over a lattice's elements, are the oracles
+    of the enumerator and of the hom route, named only under ``tests/``."""
     assert _stray({"product", "_UNIQUE_GATE"}, folders=("src",)) == []
-    naive = {"naive_continuous_maps", "naive_pretop_maps"}
+    naive = {"naive_continuous_maps", "naive_pretop_maps", "_find_homs"}
     assert _stray(naive, folders=("src", "demos", "perfbench")) == []
     assert {line.split(": ")[1] for line in _stray(naive, folders=("tests",))} == naive

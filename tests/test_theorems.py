@@ -12,8 +12,8 @@ from adframe import (AdFrameHom, BudgetExceeded, FinLattice, FinPreTopSpace,
                      adpt_hom, adpt_space, ads_space, bounded_lattice_homs,
                      build_ado, build_ado_hom, duality, eta_map, finord,
                      generate_random, ind_functor, instances_for_payload,
-                     irreducible_closed_sets, iso_check, lattice_analyze,
-                     point_classes, point_closures, registry_doc,
+                     iso_check, lattice_analyze, point_classes,
+                     point_closures, registry_doc,
                      registry_ids, run_check, sobrify, standard_sobrification,
                      subset_lattice, theorems, transpose, validate_adframe)
 from adframe.bits import canonical_subsets
@@ -753,7 +753,6 @@ _REMAKE = {
     **{f"_doc_{v.value}": lambda obj, copy, v=v: describe(copy, v) for v in Variant},
     "_point_classes": lambda obj, copy: point_classes(copy),
     "_point_closures": lambda obj, copy: point_closures(copy),
-    "_irreducible_closed_sets": lambda obj, copy: irreducible_closed_sets(copy),
     "_analysis": lambda obj, copy: lattice_analyze(copy),
     "_up_index": lambda obj, copy: copy.joins(),
     "_down_index": lambda obj, copy: copy.meets(),
